@@ -127,6 +127,13 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     except TypeError as exc:
         raise ConfigError(str(exc))
     cfg.lda_config()    # surface bad sampler settings now, not mid-run
+    for name in ("thresholds", "smoothing_windows"):
+        values = getattr(cfg, name)
+        if (not isinstance(values, list)
+                or not all(isinstance(v, int) and v > 0 for v in values)
+                or any(a >= b for a, b in zip(values, values[1:]))):
+            raise ConfigError(
+                f"{name} must be positive and strictly ascending, got {values}")
     return cfg
 
 
@@ -415,7 +422,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         try:
             stage(cfg, model, c, names, summary)
         except PetmineError as exc:
-            raise PetmineError(f"{module_name}: {exc}")
+            raise type(exc)(f"{module_name}: {exc}") from exc
     _write_json(cfg, "summary.json", summary)
     log.info("report: wrote %s", cfg.path("summary.json"))
     return 0

@@ -392,5 +392,4 @@ def load_corpus(path: str) -> Corpus:
 def write_rejects_report(report: IngestReport, path: str, meta: dict) -> None:
     from .util import write_csv
 
-    write_csv(path, meta, ["line_no", "reason"],
-              [(ln, reason.replace(",", ";")) for ln, reason in report.rejects])
+    write_csv(path, meta, ["line_no", "reason"], report.rejects)

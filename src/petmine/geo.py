@@ -287,23 +287,27 @@ def cluster_issue_profile(result: ClusterResult,
 
 
 def silhouette_score(dist: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over all points (singleton clusters score 0)."""
-    n = dist.shape[0]
-    scores = np.zeros(n)
-    clusters = np.unique(labels)
-    for i in range(n):
-        own = labels[i]
-        same = (labels == own) & (np.arange(n) != i)
-        if not same.any():
-            continue
-        a = dist[i, same].mean()
-        b = min(
-            dist[i, labels == other].mean()
-            for other in clusters if other != own
-        )
-        denom = max(a, b)
-        if denom > 0:
-            scores[i] = (b - a) / denom
+    """Mean silhouette over all points (singleton clusters score 0).
+
+    Each point's distance sums per cluster come from one product of the
+    distance matrix with the one-hot label matrix; the point itself is
+    taken out of its own cluster's sum.
+    """
+    _, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if sizes.shape[0] < 2:
+        raise ValidationError("silhouette needs at least 2 clusters")
+    rows = np.arange(dist.shape[0])
+    sums = dist @ (own[:, None] == np.arange(sizes.shape[0]))
+    mates = sizes[own] - 1
+    means = sums / sizes
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = (sums[rows, own] - dist[rows, rows]) / mates
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.zeros(dist.shape[0])
+    scored = (mates > 0) & (denom > 0)
+    scores[scored] = (b[scored] - a[scored]) / denom[scored]
     return float(scores.mean())
 
 

@@ -1,11 +1,16 @@
-"""Hot sampling loops, compiled with numba or run as pure Python.
+"""Hot sampling loops, compiled with numba or run without a compiler.
 
 Mode is chosen once at import time: numba is used when it is importable
 unless the environment variable ``PETMINE_NUMBA`` is set to ``0`` (or
-``false``/``off``/``no``), in which case the same function bodies run as
-plain Python over numpy scalars.  Both modes execute the identical source
-with no fast-math, so results are bit-identical; the fallback is simply
-slow.  ``NUMBA_ENABLED`` reports which mode is active.
+``false``/``off``/``no``).  ``NUMBA_ENABLED`` reports which mode is active.
+Without numba, ``init_assignments``, ``gibbs_sweep`` and ``infer_doc`` are
+rewrites over plain Python ints, floats and lists (see "Kernels without a
+compiler" below), and ``draw_uniform`` and the partitioned sweep run the
+numba source over numpy scalars.  Neither mode uses fast-math, so results
+are bit-identical.  The numba source of each rewritten kernel, run
+uncompiled (``.py_func`` under numba, ``__wrapped__`` without it), is the
+reference the rewrites are tested against.  ``log_likelihood`` is plain
+numpy in both modes.
 
 Randomness is counter-based rather than stateful.  The uniform variate for
 token ``n`` of a document in sweep ``s`` is a pure function of
@@ -27,6 +32,9 @@ from __future__ import annotations
 
 import functools
 import os
+from bisect import bisect_right
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 
@@ -209,29 +217,18 @@ def gibbs_sweep_partitioned(sweep, doc_ptr, token_word, doc_seed, z,
                 n_kw[a, b] += delta_kw[p, a, b]
 
 
-@_jit
 def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):
-    """Per-token predictive log-likelihood under current posterior means."""
-    n_docs = doc_ptr.shape[0] - 1
-    n_topics = n_k.shape[0]
-    vb = n_kw.shape[1] * beta
-    ka = n_topics * alpha
-    theta = np.empty(n_topics, np.float64)
-    ll = 0.0
-    for d in range(n_docs):
-        n_d = doc_ptr[d + 1] - doc_ptr[d]
-        if n_d == 0:
-            continue
-        denom = n_d + ka
-        for t in range(n_topics):
-            theta[t] = (n_dk[d, t] + alpha) / denom
-        for j in range(doc_ptr[d], doc_ptr[d + 1]):
-            w = token_word[j]
-            p = 0.0
-            for t in range(n_topics):
-                p += theta[t] * (n_kw[t, w] + beta) / (n_k[t] + vb)
-            ll += np.log(p)
-    return ll
+    """Per-token predictive log-likelihood under current posterior means.
+
+    Plain numpy in both modes: each token's probability is its document's
+    theta row times its word's phi column.
+    """
+    lengths = np.diff(doc_ptr)
+    theta = (n_dk + alpha) / (lengths + n_k.shape[0] * alpha)[:, None]
+    phi = (n_kw + beta) / (n_k + n_kw.shape[1] * beta)[:, None]
+    doc_of = np.repeat(np.arange(lengths.shape[0]), lengths)
+    p = np.einsum("nk,nk->n", theta[doc_of], phi.T[token_word])
+    return float(np.log(p).sum())
 
 
 @_jit
@@ -275,3 +272,139 @@ def infer_doc(words, seed, phi, alpha, n_sweeps, burn_in, sample_every, acc):
             for t in range(n_topics):
                 acc[t] += (counts[t] + alpha) / denom
     return n_samples
+
+
+# ---------------------------------------------------------------------------
+# Kernels without a compiler
+# ---------------------------------------------------------------------------
+#
+# Run uncompiled, the kernels above would go through numpy's scalar
+# machinery for every element access and every uint64 operation.  The
+# rewrites below are bound in their place when numba is absent.  The draws
+# depend only on (seed, sweep, token index), not on the sampler state, so
+# each call mixes all of them at once over uint64 arrays, which wrap just
+# as the scalars do; that is all ``init_assignments`` needs.  The sampling
+# loops then run over plain Python ints, floats and lists: counts are
+# copied out (n_kw as per-word columns) and written back into the caller's
+# arrays before returning.  Every float is formed by the same operations,
+# in the same order, as in the numba source, so the chains are
+# bit-identical.  The search over the running sums is a bisection: the
+# sums never decrease, so the first one above ``r`` is where the linear
+# scan stops too.  ``doc_ptr`` must start at 0 and end at the token count.
+
+_mix64_array = getattr(_mix64, "py_func", _mix64)
+
+
+def _draws(seed, sweep, idx):
+    """``_draw`` over uint64 arrays; the arguments broadcast together."""
+    with np.errstate(over="ignore"):
+        x = _mix64_array(seed ^ (np.asarray(sweep, np.uint64) * _C_SWEEP))
+        x = _mix64_array(x ^ (np.asarray(idx, np.uint64) * _C_TOKEN))
+        return (x >> _U11).astype(np.float64) * _INV53
+
+
+def _token_draws(doc_ptr, doc_seed, sweep):
+    """Every token's draw in ``sweep``, and the document each token is in."""
+    lengths = np.diff(doc_ptr)
+    doc_of = np.repeat(np.arange(lengths.shape[0]), lengths)
+    idx = np.arange(doc_ptr[-1]) - doc_ptr[doc_of]
+    return _draws(doc_seed[doc_of], sweep, idx), doc_of
+
+
+def _init_assignments_fast(doc_ptr, token_word, doc_seed, n_topics,
+                           z, n_kw, n_k, n_dk):
+    u, doc_of = _token_draws(doc_ptr, doc_seed, 0)
+    k = np.minimum((u * n_topics).astype(np.int64), n_topics - 1)
+    z[:] = k
+    np.add.at(n_kw, (k, token_word), 1)
+    np.add.at(n_k, k, 1)
+    np.add.at(n_dk, (doc_of, k), 1)
+
+
+def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
+                      n_dk, alpha, beta, cum):
+    # ``cum`` is the compiled kernel's scratch buffer; unused here
+    us = _token_draws(doc_ptr, doc_seed, sweep)[0].tolist()
+    ptr = doc_ptr.tolist()
+    words = token_word.tolist()
+    zs = z.tolist()
+    cols = n_kw.T.tolist()
+    nk = n_k.tolist()
+    rows = n_dk.tolist()
+    vb = n_kw.shape[1] * beta
+    last = n_k.shape[0] - 1
+    # the three factors of each topic's weight, each recomputed from its
+    # count whenever the count changes
+    cols_b = [[c + beta for c in col] for col in cols]
+    nk_vb = [c + vb for c in nk]
+    for d, dk in enumerate(rows):
+        dk_a = [c + alpha for c in dk]
+        for j in range(ptr[d], ptr[d + 1]):
+            w = words[j]
+            col = cols[w]
+            col_b = cols_b[w]
+            k = zs[j]
+            col[k] -= 1
+            col_b[k] = col[k] + beta
+            nk[k] -= 1
+            nk_vb[k] = nk[k] + vb
+            dk[k] -= 1
+            dk_a[k] = dk[k] + alpha
+            sums = list(accumulate(map(mul, map(truediv, col_b, nk_vb), dk_a)))
+            k = bisect_right(sums, us[j] * sums[-1])
+            if k > last:
+                k = last
+            zs[j] = k
+            col[k] += 1
+            col_b[k] = col[k] + beta
+            nk[k] += 1
+            nk_vb[k] = nk[k] + vb
+            dk[k] += 1
+            dk_a[k] = dk[k] + alpha
+    z[:] = zs
+    n_kw[:] = np.array(cols, dtype=n_kw.dtype).reshape(n_kw.shape[::-1]).T
+    n_k[:] = nk
+    n_dk[:] = np.array(rows, dtype=n_dk.dtype).reshape(n_dk.shape)
+
+
+def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
+                    acc):
+    n_topics = phi.shape[0]
+    n = words.shape[0]
+    last = n_topics - 1
+    draws = _draws(np.uint64(seed), np.arange(n_sweeps + 1)[:, None],
+                   np.arange(n)[None, :])
+    zs = np.minimum((draws[0] * n_topics).astype(np.int64), last).tolist()
+    counts = np.bincount(zs, minlength=n_topics).tolist()
+    counts_a = [c + alpha for c in counts]
+    token_phi = phi[:, words].T.tolist()
+    total = acc.tolist()
+    n_samples = 0
+    denom = n + n_topics * alpha
+    for sweep in range(1, n_sweeps + 1):
+        us = draws[sweep].tolist()
+        for j in range(n):
+            k = zs[j]
+            counts[k] -= 1
+            counts_a[k] = counts[k] + alpha
+            sums = list(accumulate(map(mul, token_phi[j], counts_a)))
+            k = bisect_right(sums, us[j] * sums[-1])
+            if k > last:
+                k = last
+            zs[j] = k
+            counts[k] += 1
+            counts_a[k] = counts[k] + alpha
+        if sweep > burn_in and (sweep - burn_in) % sample_every == 0:
+            n_samples += 1
+            total = [a + c / denom for a, c in zip(total, counts_a)]
+    acc[:] = total
+    return n_samples
+
+
+if not NUMBA_ENABLED:
+    # each rewrite takes its kernel's name; the numba source, run over
+    # numpy scalars, stays reachable as ``__wrapped__``
+    init_assignments = functools.update_wrapper(_init_assignments_fast,
+                                                init_assignments)
+    gibbs_sweep = functools.update_wrapper(_gibbs_sweep_fast, gibbs_sweep)
+    infer_doc = functools.update_wrapper(_infer_doc_fast, infer_doc)

@@ -132,6 +132,8 @@ def fit(dtm, config: LdaConfig, n_partitions: int = 1) -> TopicModel:
             "burn_in/sample_every"
         )
 
+    log.info("fit: %s kernels",
+             "numba-compiled" if kernels.NUMBA_ENABLED else "pure-Python")
     n_docs, n_terms = dtm.counts.shape
     k = config.k
     doc_ptr, token_word = _expand_tokens(dtm.counts)

@@ -9,6 +9,7 @@ with the same inputs and seed produces byte-identical outputs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -93,13 +94,15 @@ def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
 
     ``rows`` is an iterable of sequences aligned with ``fieldnames``.
     Values are formatted with ``str``; callers format floats beforehand
-    when a fixed precision is wanted.
+    when a fixed precision is wanted.  A value holding a comma, a quote or
+    a line break is quoted, so every row reads back with the csv module.
     """
-    lines = metadata_lines(meta)
-    lines.append(",".join(fieldnames))
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    write_text(path, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([str(v) for v in row] for row in rows)
+    header = "".join(line + "\n" for line in metadata_lines(meta))
+    write_text(path, header + buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

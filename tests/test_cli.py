@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import shutil
 
 import jsonschema
 import pytest
@@ -292,3 +293,56 @@ def test_window_filter_flag(tmp_path):
     corpus_path = pathlib.Path(config["output_dir"], "corpus.jsonl")
     head = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
     assert head["_meta"]["window"] == ["2015-06-01", "2015-06-30"]
+
+
+def test_csv_fields_with_commas_quotes_and_newlines_round_trip(tmp_path):
+    archive, cons, config_path, config = write_fixture_archive(tmp_path)
+    lines = cons.read_text(encoding="utf-8").splitlines()
+    code = lines[1].split(",")[0]
+    lines[1] = f'{code},"Ross, Skye and Lochaber",{lines[1].split(",")[-1]}'
+    cons.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    names = ["schools", 'the "NHS"', "rail\nfares"]
+    config["topic_names"] = names
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    for command in ("ingest", "fit", "report"):
+        assert cli.main([command, "--config", str(config_path),
+                         "--iterations", "20", "--burn-in", "10",
+                         "--sample-every", "5"]) == 0, command
+    out = config["output_dir"]
+    header, rows = _read_csv(os.path.join(out, "constituency_profiles.csv"))
+    assert all(len(row) == len(header) for row in rows)
+    assert rows[0][:2] == [code, "Ross, Skye and Lochaber"]
+    for name, column in [("topic_names.csv", 1), ("top_words.csv", 1),
+                         ("prevalence.csv", 1), ("network_nodes.csv", 1)]:
+        header, rows = _read_csv(os.path.join(out, name))
+        assert all(len(row) == len(header) for row in rows), name
+        assert [row[column] for row in rows] == names, name
+
+
+@pytest.mark.parametrize("thresholds", ["0", "100000,10000", "10000,10000"])
+def test_bad_thresholds_are_usage_errors(tmp_path, capsys, thresholds):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}),
+                    encoding="utf-8")
+    assert cli.main(["report", "--config", str(path),
+                     "--thresholds", thresholds]) == 2
+    assert "thresholds" in capsys.readouterr().err
+
+
+def test_bad_smoothing_windows_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"smoothing_windows": [30, 7]}),
+                    encoding="utf-8")
+    assert cli.main(["report", "--config", str(path)]) == 2
+    assert "smoothing_windows" in capsys.readouterr().err
+
+
+def test_report_stage_config_error_exits_two(pipeline_out, fixture_paths,
+                                             tmp_path, capsys):
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    for name in ("corpus.jsonl", "model.bin"):
+        shutil.copy(os.path.join(out, name), tmp_path / name)
+    assert cli.main(["report", "--config", str(config_path),
+                     "--output-dir", str(tmp_path), "--pam-k", "99"]) == 2
+    assert "config error: geo: k must satisfy" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Archive ingestion, validation, and corpus snapshots."""
 
+import csv
 import datetime
 import json
 
@@ -293,5 +294,8 @@ def test_write_rejects_report_escapes_commas(tmp_path):
     path = tmp_path / "rejects.csv"
     corpus.write_rejects_report(report, str(path), {"tool": "x 1"})
     text = path.read_text(encoding="utf-8")
-    assert "2,bad; very bad" in text
+    assert '2,"bad, very bad"' in text
+    rows = list(csv.reader(line for line in text.splitlines()
+                           if not line.startswith("#")))
+    assert rows == [["line_no", "reason"], ["2", "bad, very bad"]]
     assert text.startswith("# tool: x 1\n")

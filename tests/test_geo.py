@@ -312,3 +312,47 @@ def test_silhouette_sweep_shape_and_range():
 def test_silhouette_sweep_metric_validation():
     with pytest.raises(ConfigError):
         geo.silhouette_sweep(_blob_profiles(), metric="cosine")
+
+
+def _silhouette_loop(dist, labels):
+    # the per-point definition, kept as the reference
+    n = dist.shape[0]
+    scores = np.zeros(n)
+    clusters = np.unique(labels)
+    for i in range(n):
+        own = labels[i]
+        same = (labels == own) & (np.arange(n) != i)
+        if not same.any():
+            continue
+        a = dist[i, same].mean()
+        b = min(dist[i, labels == other].mean()
+                for other in clusters if other != own)
+        denom = max(a, b)
+        if denom > 0:
+            scores[i] = (b - a) / denom
+    return float(scores.mean())
+
+
+def test_silhouette_matches_per_point_loop():
+    from scipy.spatial.distance import cdist
+    z = np.stack([p.z_scores for p in _blob_profiles()])
+    cases = [
+        (cdist(z, z), np.array([0] * 6 + [1] * 6)),
+        (cdist(z, z, "cityblock"), np.arange(12) % 5),
+        (np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]]),
+         np.array([0, 0, 1])),
+    ]
+    rng = np.random.default_rng(650)
+    pts = rng.normal(size=(650, 10))
+    cases.append((cdist(pts, pts), rng.integers(0, 8, size=650)))
+    # coincident points: a and b can both be 0
+    cases.append((np.zeros((4, 4)), np.array([0, 0, 1, 1])))
+    for dist, labels in cases:
+        got = geo.silhouette_score(dist, labels)
+        assert got == pytest.approx(_silhouette_loop(dist, labels),
+                                    rel=1e-12, abs=1e-15)
+
+
+def test_silhouette_needs_two_clusters():
+    with pytest.raises(ValidationError):
+        geo.silhouette_score(np.zeros((3, 3)), np.zeros(3, dtype=int))

@@ -183,6 +183,85 @@ def test_infer_doc_deterministic_and_normalized():
     assert (outs[0] > 0).all()
 
 
+def _reference(kernel):
+    """A kernel's numba source, run uncompiled."""
+    return getattr(kernel, "py_func", None) or kernel.__wrapped__
+
+
+def _corpus(n_docs, vocab, max_len, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, max_len + 1, size=n_docs)
+    lengths[n_docs // 2] = 0        # an empty document mid-corpus
+    doc_ptr = np.zeros(n_docs + 1, np.int64)
+    doc_ptr[1:] = np.cumsum(lengths)
+    token_word = rng.integers(0, vocab, size=doc_ptr[-1]).astype(np.int32)
+    doc_seed = rng.integers(0, 2**64, size=n_docs, dtype=np.uint64)
+    return doc_ptr, token_word, doc_seed
+
+
+def _empty_state(n_tokens, n_docs, vocab, n_topics):
+    return (np.zeros(n_tokens, np.int32), np.zeros((n_topics, vocab), np.int64),
+            np.zeros(n_topics, np.int64), np.zeros((n_docs, n_topics), np.int64))
+
+
+@pytest.mark.parametrize("n_topics, vocab, n_docs, max_len", [
+    (1, 7, 6, 9),
+    (3, 25, 20, 30),
+    (10, 240, 40, 40),
+])
+def test_fast_sampler_bit_identical_to_numba_source(n_topics, vocab, n_docs,
+                                                    max_len):
+    doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, max_len, n_topics)
+    want = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
+    got = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
+    cum = np.empty(n_topics, np.float64)
+    with np.errstate(over="ignore"):
+        _reference(kernels.init_assignments)(doc_ptr, token_word, doc_seed,
+                                             n_topics, *want)
+        kernels._init_assignments_fast(doc_ptr, token_word, doc_seed,
+                                       n_topics, *got)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+        for sweep in range(1, 6):
+            _reference(kernels.gibbs_sweep)(sweep, doc_ptr, token_word,
+                                            doc_seed, *want, 0.1, 0.05, cum)
+            kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
+                                      *got, 0.1, 0.05, cum)
+            for a, b in zip(want, got):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_topics, vocab, n_words", [
+    (1, 12, 15),
+    (3, 30, 40),
+    (10, 220, 60),
+    (10, 220, 0),
+])
+def test_fast_infer_doc_bit_identical_to_numba_source(n_topics, vocab,
+                                                      n_words):
+    rng = np.random.default_rng(n_words)
+    phi = rng.dirichlet(np.ones(vocab), size=n_topics)
+    words = rng.integers(0, vocab, size=n_words).astype(np.int32)
+    want = np.full(n_topics, 0.25)
+    got = want.copy()
+    with np.errstate(over="ignore"):
+        n_want = _reference(kernels.infer_doc)(words, np.uint64(2**63 + 5),
+                                               phi, 0.2, 50, 10, 4, want)
+    n_got = kernels._infer_doc_fast(words, np.uint64(2**63 + 5), phi, 0.2,
+                                    50, 10, 4, got)
+    assert n_got == n_want == 10
+    assert np.array_equal(got, want)
+
+
+def test_kernel_mode_binds_fast_kernels_without_numba():
+    fast = (kernels._init_assignments_fast, kernels._gibbs_sweep_fast,
+            kernels._infer_doc_fast)
+    bound = (kernels.init_assignments, kernels.gibbs_sweep, kernels.infer_doc)
+    for f, b in zip(fast, bound):
+        assert (b is f) == (not kernels.NUMBA_ENABLED)
+        assert _reference(b) is not f
+
+
 _PARITY_SCRIPT = textwrap.dedent("""
     import hashlib, sys
     import numpy as np

@@ -1,5 +1,6 @@
 """Hashing, seed derivation, and the deterministic array container."""
 
+import csv
 import json
 
 import numpy as np
@@ -56,6 +57,19 @@ def test_metadata_lines_and_write_csv(tmp_path):
                    [[1, 2], [3, 4]])
     text = path.read_text()
     assert text == "# tool: t 1\n# seed: 5\na,b\n1,2\n3,4\n"
+
+
+def test_write_csv_quotes_commas_quotes_and_newlines(tmp_path):
+    path = tmp_path / "x.csv"
+    rows = [["E14000905", "Ross, Skye and Lochaber", 1.5],
+            [0, 'the "bedroom tax"', None],
+            [1, "line one\nline two", ""]]
+    util.write_csv(str(path), {"tool": "t 1"}, ["code", "name", "value"], rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.readline() == "# tool: t 1\n"
+        read = list(csv.reader(fh))
+    assert read[0] == ["code", "name", "value"]
+    assert read[1:] == [[str(v) for v in row] for row in rows]
 
 
 def test_save_load_arrays_roundtrip(tmp_path):
