@@ -283,6 +283,25 @@ def _report_networks(cfg, model, prev, names):
     return strongest
 
 
+def _report_issues(cfg, model, c, names):
+    prev, success = _report_prevalence(cfg, model, c, names)
+    strongest = _report_networks(cfg, model, prev, names)
+    return {
+        "prevalence": {
+            "rank_by_petitions": prev.rank_by_petitions.tolist(),
+            "rank_by_signatures": prev.rank_by_signatures.tolist(),
+            "success": {str(t): success[t][0].tolist()
+                        for t in cfg.thresholds},
+            "success_smoothed": {str(t): success[t][1].tolist()
+                                 for t in cfg.thresholds},
+        },
+        "networks": {
+            "strongest_co_occurrence_edge": strongest["network_cooccurrence"],
+            "strongest_word_distribution_edge": strongest["network_worddist"],
+        },
+    }
+
+
 def _report_temporal(cfg, model, c):
     series = temporal.build_series(model, c)
     headers = ["date"] + [f"issue_{k}" for k in range(model.k)]
@@ -412,48 +431,21 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
             "mean_max_theta": float(np.mean(model.theta.max(axis=1))),
         },
     }
+    # each stage writes its files and returns its sections of the summary
     stages = [
-        ("issues", _report_issues_stage),
-        ("temporal", _report_temporal_stage),
-        ("geo", _report_geo_stage),
-        ("powerlaw", _report_powerlaw_stage),
+        ("issues", lambda: _report_issues(cfg, model, c, names)),
+        ("temporal", lambda: {"entropy": _report_temporal(cfg, model, c)}),
+        ("geo", lambda: {"geo": _report_geo(cfg, model, c)}),
+        ("powerlaw", lambda: {"powerlaw": _report_powerlaw(cfg, c)}),
     ]
     for module_name, stage in stages:
         try:
-            stage(cfg, model, c, names, summary)
+            summary.update(stage())
         except PetmineError as exc:
             raise type(exc)(f"{module_name}: {exc}") from exc
     _write_json(cfg, "summary.json", summary)
     log.info("report: wrote %s", cfg.path("summary.json"))
     return 0
-
-
-def _report_issues_stage(cfg, model, c, names, summary):
-    prev, success = _report_prevalence(cfg, model, c, names)
-    strongest = _report_networks(cfg, model, prev, names)
-    summary["prevalence"] = {
-        "rank_by_petitions": prev.rank_by_petitions.tolist(),
-        "rank_by_signatures": prev.rank_by_signatures.tolist(),
-        "success": {str(t): success[t][0].tolist() for t in cfg.thresholds},
-        "success_smoothed": {str(t): success[t][1].tolist()
-                             for t in cfg.thresholds},
-    }
-    summary["networks"] = {
-        "strongest_co_occurrence_edge": strongest["network_cooccurrence"],
-        "strongest_word_distribution_edge": strongest["network_worddist"],
-    }
-
-
-def _report_temporal_stage(cfg, model, c, names, summary):
-    summary["entropy"] = _report_temporal(cfg, model, c)
-
-
-def _report_geo_stage(cfg, model, c, names, summary):
-    summary["geo"] = _report_geo(cfg, model, c)
-
-
-def _report_powerlaw_stage(cfg, model, c, names, summary):
-    summary["powerlaw"] = _report_powerlaw(cfg, c)
 
 
 def cmd_intrusion_score(cfg: PipelineConfig, args) -> int:
@@ -654,12 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = [
-    "archive", "constituencies", "stopwords", "output_dir", "topic_names",
-    "window", "seed", "min_doc_fraction", "entropy_window_days",
-    "smoothing_windows", "pam_k", "pam_metric", "powerlaw_x_min", "thresholds",
-    "k", "alpha", "beta", "iterations", "burn_in", "sample_every", "lda_seed",
-]
+# every config field the flags can set, with the lda section's fields
+# replaced by the flags that override them
+_CONFIG_KEYS = (
+    [f.name for f in dataclasses.fields(PipelineConfig) if f.name != "lda"]
+    + sorted(_LDA_OVERRIDE_KEYS) + ["lda_seed"]
+)
 
 
 def main(argv=None) -> int:

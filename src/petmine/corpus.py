@@ -52,9 +52,6 @@ class Petition:
     signatures_by_constituency: dict[str, int]
     signatures_by_country: dict[str, int]
 
-    def merged_text(self) -> str:
-        return merge_text(self)
-
     def uk_signatures(self) -> int:
         """Signatures attributed to UK constituencies (overseas excluded)."""
         return sum(self.signatures_by_constituency.values())
@@ -371,6 +368,10 @@ def load_corpus(path: str) -> Corpus:
     meta = head["_meta"]
     if meta.get("format") != _CORPUS_FORMAT:
         raise ArchiveFormatError(f"{path}: unrecognized snapshot format")
+    if meta.get("version") != _CORPUS_VERSION:
+        raise ArchiveFormatError(
+            f"{path}: corpus snapshot version {meta.get('version')!r} is not "
+            f"supported (expected {_CORPUS_VERSION})")
     constituencies = tuple(
         ConstituencyMeta(code=c["code"], name=c["name"], electorate=c["electorate"])
         for c in meta.get("constituencies", [])

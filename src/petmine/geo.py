@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from .corpus import ConstituencyMeta, Corpus
@@ -59,22 +60,28 @@ def profile_constituencies(model: TopicModel, corpus: Corpus,
         raise ValidationError("model and corpus are misaligned")
     if not meta:
         raise ValidationError("no constituency metadata supplied")
-    codes = [m.code for m in meta]
-    index = {c: i for i, c in enumerate(codes)}
-    k = model.k
-    mass = np.zeros((len(codes), k), dtype=np.float64)
-    totals = np.zeros(len(codes), dtype=np.int64)
-    skipped: set[str] = set()
-    for d, p in enumerate(corpus.petitions):
-        for code, n in p.signatures_by_constituency.items():
-            i = index.get(code)
-            if i is None:
-                if code != UNKNOWN_CODE and code not in skipped:
-                    log.warning("constituency %s not in metadata; skipping", code)
-                skipped.add(code)
-                continue
-            mass[i] += n * model.theta[d]
-            totals[i] += n
+    index = {m.code: i for i, m in enumerate(meta)}
+    codes, vals, lengths = [], [], []
+    for p in corpus.petitions:
+        sig = p.signatures_by_constituency
+        codes.extend(sig)
+        vals.extend(sig.values())
+        lengths.append(len(sig))
+    rows = np.fromiter(map(index.get, codes, itertools.repeat(-1)),
+                       dtype=np.int64, count=len(codes))
+    listed = rows >= 0
+    for code in dict.fromkeys(codes[j] for j in np.flatnonzero(~listed)):
+        if code != UNKNOWN_CODE:
+            log.warning("constituency %s not in metadata; skipping", code)
+    rows = rows[listed]
+    vals = np.asarray(vals, dtype=np.int64)[listed]
+    docs = np.repeat(np.arange(len(lengths)), lengths)[listed]
+    # each row keeps its docs in ascending order, so the product adds
+    # n * theta[d] per constituency in the same order as a per-pair loop
+    mass = sp.csr_matrix((vals, (rows, docs)),
+                         shape=(len(meta), len(lengths))) @ model.theta
+    totals = np.zeros(len(meta), dtype=np.int64)
+    np.add.at(totals, rows, vals)
 
     share = np.full_like(mass, np.nan)
     included = totals > 0
@@ -179,9 +186,24 @@ def _pam_build(dist: np.ndarray, k: int) -> list[int]:
     return sorted(medoids)
 
 
+def _first_improvement(scores: np.ndarray, best: float):
+    """Position of the first score below ``best`` by more than 1e-12, in a
+    running scan that lowers ``best`` as it goes, and the final ``best``."""
+    pos = None
+    for j, score in enumerate(scores.tolist()):
+        if score < best - 1e-12:
+            best = score
+            pos = j
+    return pos, best
+
+
 def _pam_swap(dist: np.ndarray, medoids: list[int],
               max_iter: int = 500) -> tuple[list[int], float]:
     n = dist.shape[0]
+    # row h is column h of dist, so each candidate's costs are one
+    # contiguous row and a row sum is the same pairwise sum as a 1-D sum
+    dist_t = np.ascontiguousarray(dist.T)
+    block = np.empty_like(dist_t)
     for _ in range(max_iter):
         dm = dist[:, medoids]
         order = np.argsort(dm, axis=1, kind="stable")
@@ -202,11 +224,11 @@ def _pam_swap(dist: np.ndarray, medoids: list[int],
         # only ends on a pass that found no improving swap
         for i in range(len(medoids)):
             base = np.where(near_pos == i, d2, d1)
-            for h in candidates:
-                delta = float(np.minimum(base, dist[:, h]).sum()) - cost
-                if delta < best_delta - 1e-12:
-                    best_delta = delta
-                    best = (i, int(h))
+            np.minimum(base, dist_t, out=block)
+            pos, best_delta = _first_improvement(
+                block.sum(axis=1)[candidates] - cost, best_delta)
+            if pos is not None:
+                best = (i, int(candidates[pos]))
         if best is None:
             return medoids, cost
         medoids[best[0]] = best[1]
@@ -216,14 +238,23 @@ def _pam_swap(dist: np.ndarray, medoids: list[int],
 
 def _pam_exact(dist: np.ndarray, k: int) -> tuple[list[int], float]:
     # exhaustive minimization of the medoid objective; first-found wins
-    # ties, and combinations() emits sets in lexicographic order
+    # ties.  Subsets are scanned in lexicographic order: for each
+    # (k-1)-prefix, every larger last index is scored in one row sum over
+    # a contiguous block, so the working set stays O(n^2)
+    n = dist.shape[0]
+    dist_t = np.ascontiguousarray(dist.T)
     best_cost = np.inf
     best: tuple[int, ...] | None = None
-    for combo in itertools.combinations(range(dist.shape[0]), k):
-        cost = float(dist[:, combo].min(axis=1).sum())
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best = combo
+    for prefix in itertools.combinations(range(n), k - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        if start == n:
+            continue
+        near = (dist[:, list(prefix)].min(axis=1) if prefix
+                else np.full(n, np.inf))
+        costs = np.minimum(near, dist_t[start:]).sum(axis=1)
+        pos, best_cost = _first_improvement(costs, best_cost)
+        if pos is not None:
+            best = prefix + (start + pos,)
     assert best is not None
     return list(best), best_cost
 

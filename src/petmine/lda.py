@@ -417,6 +417,10 @@ def load_model(path: str) -> TopicModel:
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("format") != _MODEL_FORMAT:
         raise ConfigError(f"{path} is not a model snapshot")
+    if meta.get("version") != _MODEL_VERSION:
+        raise ConfigError(
+            f"{path}: model snapshot version {meta.get('version')!r} is not "
+            f"supported (expected {_MODEL_VERSION})")
     model = TopicModel(
         config=LdaConfig(**meta["config"]),
         phi=arrays["phi"], theta=arrays["theta"],

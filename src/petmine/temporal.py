@@ -16,7 +16,7 @@ are themselves undefined and are excluded from the volatility statistics.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class EntropySeries:
     dates: tuple[datetime.date, ...]
     h: np.ndarray                      # normalized entropy, NaN where undefined
     pct_change: np.ndarray             # percent, NaN where undefined
-    flags: frozenset[datetime.date] = field(default_factory=frozenset)
 
 
 def build_series(model: TopicModel, corpus: Corpus) -> IssueSeries:

@@ -13,6 +13,7 @@ rows stay aligned with corpus petitions.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import unicodedata
@@ -24,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import porter
+from .corpus import merge_text
 from .errors import ConfigError, EmptyCorpusError
 from .util import load_arrays, save_arrays
 
@@ -65,20 +67,37 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
+class _TokenCleaner(dict):
+    """Cleans documents into stems, judging each distinct token once.
+
+    Calling it on a text returns the text's stems in order.  As a dict it
+    is the memo: raw token to its kept stem, or "" when the digit,
+    stopword or length rule drops it.
+    """
+
+    def __init__(self, stopwords: frozenset[str]):
+        if not stopwords:
+            raise ConfigError("stopword set must be non-empty")
+        super().__init__()
+        self.stopwords = stopwords
+
+    def __missing__(self, tok):
+        stemmed = ""
+        if not any(ch.isdigit() for ch in tok) and tok not in self.stopwords:
+            stemmed = porter.stem(tok)
+            if len(stemmed) < 2:
+                stemmed = ""
+        self[tok] = stemmed
+        return stemmed
+
+    def __call__(self, text: str) -> list[str]:
+        tokens = text.lower().translate(_STRIP).split()
+        return [s for s in map(self.__getitem__, tokens) if s]
+
+
 def clean_tokens(text: str, stopwords: frozenset[str]) -> list[str]:
     """Clean one document into its list of stems (order preserved)."""
-    if not stopwords:
-        raise ConfigError("stopword set must be non-empty")
-    out = []
-    for tok in text.lower().translate(_STRIP).split():
-        if any(ch.isdigit() for ch in tok):
-            continue
-        if tok in stopwords:
-            continue
-        stemmed = porter.stem(tok)
-        if len(stemmed) >= 2:
-            out.append(stemmed)
-    return out
+    return _TokenCleaner(stopwords)(text)
 
 
 @dataclass
@@ -115,8 +134,9 @@ def build_dtm(corpus, stopwords: frozenset[str],
               min_doc_fraction: float = 0.001) -> DocumentTermMatrix:
     """Clean every petition and assemble the pruned document-term matrix.
 
-    ``corpus`` provides ``petitions`` with ``id`` and ``merged_text()``.
-    Raises if no term survives pruning.
+    ``corpus`` provides ``petitions``, each with an ``id`` and the text
+    fields :func:`~petmine.corpus.merge_text` joins.  Raises if no term
+    survives pruning.
     """
     if not 0.0 < min_doc_fraction < 1.0:
         raise ConfigError(f"min_doc_fraction must be in (0,1), got {min_doc_fraction}")
@@ -124,7 +144,8 @@ def build_dtm(corpus, stopwords: frozenset[str],
     if not petitions:
         raise EmptyCorpusError("cannot build a DTM from an empty corpus")
 
-    token_lists = [clean_tokens(p.merged_text(), stopwords) for p in petitions]
+    clean = _TokenCleaner(stopwords)
+    token_lists = [clean(merge_text(p)) for p in petitions]
     df: Counter[str] = Counter()
     for toks in token_lists:
         df.update(set(toks))
@@ -138,20 +159,19 @@ def build_dtm(corpus, stopwords: frozenset[str],
         )
     index = {t: i for i, t in enumerate(kept)}
 
-    rows, cols, vals = [], [], []
-    total_after = 0
-    for r, toks in enumerate(token_lists):
-        counts = Counter(t for t in toks if t in index)
-        total_after += sum(counts.values())
-        for term, c in sorted(counts.items()):
-            rows.append(r)
-            cols.append(index[term])
-            vals.append(c)
+    # one entry per kept token; sum_duplicates sorts each row's columns
+    # and turns repeats into counts
+    cols = [[index[t] for t in toks if t in index] for toks in token_lists]
+    indptr = np.cumsum([0] + [len(c) for c in cols])
+    total_after = int(indptr[-1])
     counts = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.int32),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        (np.ones(total_after, dtype=np.int32),
+         np.fromiter(itertools.chain.from_iterable(cols), dtype=np.int64,
+                     count=total_after),
+         indptr),
         shape=(n_docs, len(kept)),
     )
+    counts.sum_duplicates()
 
     report = PruneReport(
         raw_vocab_size=len(df),
@@ -207,6 +227,10 @@ def load_dtm(path: str) -> DocumentTermMatrix:
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("format") != _DTM_FORMAT:
         raise ConfigError(f"{path} is not a DTM snapshot")
+    if meta.get("version") != _DTM_VERSION:
+        raise ConfigError(
+            f"{path}: DTM snapshot version {meta.get('version')!r} is not "
+            f"supported (expected {_DTM_VERSION})")
     n_docs = int(meta["n_docs"])
     terms = tuple(meta["terms"])
     counts = sp.csr_matrix(

@@ -9,6 +9,7 @@ with the same inputs and seed produces byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -83,10 +84,34 @@ def metadata_lines(meta: dict) -> list[str]:
     return [f"# {key}: {value}" for key, value in meta.items()]
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Binary file handle whose contents replace ``path`` when the block ends.
+
+    The bytes go to a temporary file beside ``path``, which ``os.replace``
+    moves onto it only after the block succeeds, so a run killed or
+    failing mid-write leaves the previous file whole.  On an error the
+    temporary file is removed.
+    """
+    path = os.path.abspath(path)
+    directory, name = os.path.split(path)
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` as UTF-8, replacing ``path`` atomically."""
+    data = text.encode("utf-8")
+    with _replacing(path) as fh:
+        fh.write(data)
 
 
 def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
@@ -118,9 +143,12 @@ _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write ``arrays`` (plus optional ``meta`` JSON) to a deterministic zip."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+    """Write ``arrays`` (plus optional ``meta`` JSON) to a deterministic zip.
+
+    Like :func:`write_text`, the archive replaces ``path`` atomically.
+    """
+    with _replacing(path) as fh, \
+            zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         if meta is not None:
             info = zipfile.ZipInfo("meta.json", date_time=_EPOCH)
             zf.writestr(info, canonical_json(meta))

@@ -277,6 +277,18 @@ def test_load_corpus_rejects_unknown_format(tmp_path):
         corpus.load_corpus(path)
 
 
+def test_load_corpus_rejects_unknown_version(tmp_path):
+    path = tmp_path / "snap.jsonl"
+    corpus.save_corpus(_sample_corpus(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace('"version":1', '"version":2')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError) as err:
+        corpus.load_corpus(str(path))
+    assert str(path) in str(err.value)
+    assert "version 2" in str(err.value) and "expected 1" in str(err.value)
+
+
 def test_load_corpus_strict_about_corruption(tmp_path):
     c = _sample_corpus()
     path = tmp_path / "snap.jsonl"

@@ -1,6 +1,7 @@
 """Constituency profiles, scaling regression, and medoid clustering."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,58 @@ def test_profiles_errors():
         geo.profile_constituencies(lone_model, lone, meta)
 
 
+def _profile_mass_loop(model, corpus, meta):
+    # the per-pair accumulation, kept as the reference; also returns the
+    # unlisted codes in the order they are first met
+    index = {m.code: i for i, m in enumerate(meta)}
+    mass = np.zeros((len(meta), model.k))
+    totals = np.zeros(len(meta), dtype=np.int64)
+    unlisted = []
+    for d, p in enumerate(corpus.petitions):
+        for code, n in p.signatures_by_constituency.items():
+            i = index.get(code)
+            if i is None:
+                if code != geo.UNKNOWN_CODE and code not in unlisted:
+                    unlisted.append(code)
+                continue
+            mass[i] += n * model.theta[d]
+            totals[i] += n
+    return mass, totals, unlisted
+
+
+def test_profiles_match_per_pair_loop(caplog):
+    rng = np.random.default_rng(21)
+    codes = [f"E{i}" for i in range(40)] + [geo.UNKNOWN_CODE]
+    # E35..E39 and UNKNOWN are unlisted; E99 is listed but never signed
+    meta = [_meta(c) for c in codes[:35]] + [_meta("E99")]
+    for trial in range(6):
+        n_docs, k = int(rng.integers(20, 200)), int(rng.integers(2, 12))
+        theta = rng.dirichlet(np.full(k, 0.3), size=n_docs)
+        petitions = []
+        for d in range(n_docs):
+            chosen = rng.choice(codes, size=int(rng.integers(0, 30)),
+                                replace=False)
+            counts = (rng.pareto(1.2, size=len(chosen)) * 50).astype(int)
+            petitions.append(make_petition(d, dict(zip(chosen.tolist(),
+                                                       counts.tolist()))))
+        model = make_model(theta)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="petmine.geo"):
+            profiles = geo.profile_constituencies(
+                model, make_corpus(petitions), meta)
+        mass, totals, unlisted = _profile_mass_loop(
+            model, make_corpus(petitions), meta)
+        assert [p.total_signatures for p in profiles] == totals.tolist()
+        live = totals > 0
+        shares = np.stack([p.issue_share for p in profiles])
+        assert np.array_equal(
+            shares[live], mass[live] / mass[live].sum(axis=1, keepdims=True))
+        assert np.isnan(shares[~live]).all()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"constituency {code} not in metadata; skipping"
+            for code in unlisted]
+
+
 # ---------------------------------------------------------------------------
 # scaling regression
 
@@ -176,6 +229,89 @@ def _brute_medoid_cost(dist, k):
         float(dist[:, c].min(axis=1).sum())
         for c in itertools.combinations(range(dist.shape[0]), k)
     )
+
+
+def _pam_swap_loop(dist, medoids, max_iter=500):
+    # the per-candidate scan, kept as the reference
+    n = dist.shape[0]
+    for _ in range(max_iter):
+        dm = dist[:, medoids]
+        order = np.argsort(dm, axis=1, kind="stable")
+        rows = np.arange(n)
+        near_pos = order[:, 0]
+        d1 = dm[rows, near_pos]
+        d2 = dm[rows, order[:, 1]] if len(medoids) > 1 else np.full(n, np.inf)
+        cost = float(d1.sum())
+        candidates = [h for h in range(n) if h not in medoids]
+        best_delta, best = 0.0, None
+        for i in range(len(medoids)):
+            base = np.where(near_pos == i, d2, d1)
+            for h in candidates:
+                delta = float(np.minimum(base, dist[:, h]).sum()) - cost
+                if delta < best_delta - 1e-12:
+                    best_delta, best = delta, (i, h)
+        if best is None:
+            return medoids, cost
+        medoids[best[0]] = best[1]
+        medoids = sorted(medoids)
+    raise AssertionError("reference swap did not settle")
+
+
+def _pam_exact_loop(dist, k):
+    # the per-subset scan, kept as the reference
+    best_cost, best = np.inf, None
+    for combo in itertools.combinations(range(dist.shape[0]), k):
+        cost = float(dist[:, combo].min(axis=1).sum())
+        if cost < best_cost - 1e-12:
+            best_cost, best = cost, combo
+    return list(best), best_cost
+
+
+def _pam_case(rng, trial, n, dim):
+    # every third case sits on a small integer grid, so distances tie
+    if trial % 3 == 0:
+        z = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+    else:
+        z = rng.normal(size=(n, dim))
+    from scipy.spatial.distance import cdist
+    return cdist(z, z, ("euclidean", "cityblock")[trial % 2])
+
+
+def test_pam_swap_matches_per_candidate_loop():
+    rng = np.random.default_rng(50)
+    cases = [(int(rng.integers(6, 120)), int(rng.integers(1, 7)))
+             for _ in range(24)] + [(650, 8)]
+    for trial, (n, k) in enumerate(cases):
+        dist = _pam_case(rng, trial, n, int(rng.integers(1, 6)))
+        start = geo._pam_build(dist, k)
+        assert geo._pam_swap(dist, list(start)) == \
+            _pam_swap_loop(dist, list(start))
+
+
+def test_pam_exact_matches_per_subset_loop():
+    rng = np.random.default_rng(51)
+    for trial in range(24):
+        n = int(rng.integers(4, 40))
+        k = int(rng.integers(1, min(4, n)))
+        dist = _pam_case(rng, trial, n, int(rng.integers(1, 6)))
+        assert geo._pam_exact(dist, k) == _pam_exact_loop(dist, k)
+
+
+def test_pam_exact_working_set_is_quadratic():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(200, 5))
+    from scipy.spatial.distance import cdist
+    dist = cdist(z, z)
+    tracemalloc.start()
+    try:
+        got = geo._pam_exact(dist, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 19,900 subsets: holding all their columns at once would take
+    # 19,900 * 200 * 8 bytes (31.8 MB), 100 times the distance matrix
+    assert peak < 4 * dist.nbytes
+    assert got == _pam_exact_loop(dist, 2)
 
 
 def test_pam_separates_blobs():

@@ -290,7 +290,11 @@ _PARITY_SCRIPT = textwrap.dedent("""
 
 
 def _run_parity(numba_flag):
-    env = dict(os.environ, PETMINE_NUMBA=numba_flag)
+    # the child imports the same petmine as this process
+    package_root = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PETMINE_NUMBA=numba_flag, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", _PARITY_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

@@ -365,6 +365,18 @@ def test_load_model_rejects_foreign_file(tmp_path):
         lda.load_model(path)
 
 
+def test_load_model_rejects_unknown_version(tmp_path, small_fit):
+    _, _, model = small_fit
+    path = str(tmp_path / "model.bin")
+    lda.save_model(model, path)
+    arrays, meta = util.load_arrays(path)
+    util.save_arrays(path, arrays, meta=dict(meta, version=2))
+    with pytest.raises(ConfigError) as err:
+        lda.load_model(path)
+    assert path in str(err.value)
+    assert "version 2" in str(err.value) and "expected 1" in str(err.value)
+
+
 def test_load_model_checks_vocab_hash(tmp_path, small_fit):
     _, _, model = small_fit
     path = str(tmp_path / "model.bin")

@@ -1,12 +1,14 @@
 """Token cleaning and document-term matrix construction."""
 
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from petmine import textprep
+from petmine import porter, textprep, util
 from petmine.errors import ConfigError, EmptyCorpusError
 from conftest import make_petition, make_corpus
 
@@ -135,3 +137,91 @@ def test_save_load_dtm_roundtrip(tmp_path, stopwords):
     path2 = tmp_path / "dtm2.bin"
     textprep.save_dtm(dtm, str(path2))
     assert pathlib.Path(path).read_bytes() == path2.read_bytes()
+
+
+def test_load_dtm_rejects_unknown_version(tmp_path, stopwords):
+    path = str(tmp_path / "dtm.bin")
+    textprep.save_dtm(textprep.build_dtm(_tiny_corpus(), stopwords, 0.01), path)
+    arrays, meta = util.load_arrays(path)
+    util.save_arrays(path, arrays, meta=dict(meta, version=2))
+    with pytest.raises(ConfigError) as err:
+        textprep.load_dtm(path)
+    assert path in str(err.value)
+    assert "version 2" in str(err.value) and "expected 1" in str(err.value)
+
+
+def _clean_tokens_loop(text, stopwords):
+    # the per-token definition, kept as the reference for the memo
+    out = []
+    for tok in text.lower().translate(textprep._STRIP).split():
+        if any(ch.isdigit() for ch in tok):
+            continue
+        if tok in stopwords:
+            continue
+        stemmed = porter.stem(tok)
+        if len(stemmed) >= 2:
+            out.append(stemmed)
+    return out
+
+
+def _dtm_counts_loop(token_lists, kept):
+    # the per-document Counter assembly, kept as the reference
+    index = {t: i for i, t in enumerate(kept)}
+    rows, cols, vals = [], [], []
+    for r, toks in enumerate(token_lists):
+        for term, c in sorted(Counter(t for t in toks if t in index).items()):
+            rows.append(r)
+            cols.append(index[term])
+            vals.append(c)
+    return sp.csr_matrix(
+        (np.asarray(vals, dtype=np.int32), (rows, cols)),
+        shape=(len(token_lists), len(kept)))
+
+
+def _random_texts(rng, n_docs, stopwords):
+    words = ["running", "runs", "ran", "Schools", "school", "a", "x",
+             "NHS", "nhs-funding", "re-elect", "covid19", "2016", "don't",
+             "Généralement", "caf\u00e9s", "happily", "relational",
+             "conditional", "\u00bdpint"] + sorted(stopwords)[:20]
+    seps = [" ", "  ", ", ", "! ", "\n", "-", "'s "]
+    return [
+        "".join(str(rng.choice(words)) + str(rng.choice(seps))
+                for _ in range(int(rng.integers(0, 40))))
+        for _ in range(n_docs)
+    ]
+
+
+def test_clean_tokens_and_build_dtm_match_per_token_loop(stopwords):
+    rng = np.random.default_rng(11)
+    texts = _random_texts(rng, 60, stopwords)
+    for text in texts:
+        assert textprep.clean_tokens(text, stopwords) == \
+            _clean_tokens_loop(text, stopwords)
+    petitions = [make_petition(i, {"A": 1}, action="x " + text)
+                 for i, text in enumerate(texts)]
+    dtm = textprep.build_dtm(make_corpus(petitions), stopwords, 0.05)
+    token_lists = [_clean_tokens_loop("x " + text, stopwords)
+                   for text in texts]
+    want = _dtm_counts_loop(token_lists, dtm.vocabulary.terms)
+    for name in ("data", "indices", "indptr"):
+        got_arr, want_arr = getattr(dtm.counts, name), getattr(want, name)
+        assert got_arr.dtype == want_arr.dtype
+        assert np.array_equal(got_arr, want_arr)
+    assert dtm.prune_report.mean_tokens_before == \
+        sum(map(len, token_lists)) / len(texts)
+
+
+def test_build_dtm_stems_each_distinct_token_once(stopwords, monkeypatch):
+    calls = []
+    stem = porter.stem
+
+    def counting_stem(word):
+        calls.append(word)
+        return stem(word)
+
+    monkeypatch.setattr(porter, "stem", counting_stem)
+    c = _tiny_corpus()
+    textprep.build_dtm(c, stopwords, min_doc_fraction=0.01)
+    assert sorted(calls) == sorted(set(calls))
+    assert set(calls) == {"school", "funding", "teacher", "meals", "dinner",
+                          "hospital", "parking", "charges"}

@@ -101,3 +101,42 @@ def test_load_arrays_rejects_junk(tmp_path):
     path.write_bytes(b"not a zip at all")
     with pytest.raises(Exception):
         util.load_arrays(str(path))
+
+
+def test_failed_writes_keep_the_old_file(tmp_path, monkeypatch):
+    text_path = tmp_path / "out.csv"
+    util.write_text(str(text_path), "old\n")
+    with pytest.raises(RuntimeError):
+        with util._replacing(str(text_path)) as fh:
+            fh.write(b"half a")
+            raise RuntimeError("killed mid-write")
+    assert text_path.read_text(encoding="utf-8") == "old\n"
+
+    arrays_path = tmp_path / "model.bin"
+    util.save_arrays(str(arrays_path), {"x": np.arange(3)}, {"k": 1})
+    before = arrays_path.read_bytes()
+    write_array = np.lib.format.write_array
+    calls = []
+
+    def fail_on_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("killed mid-write")
+        return write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_on_second)
+    with pytest.raises(RuntimeError):
+        util.save_arrays(str(arrays_path),
+                         {"a": np.arange(5), "b": np.arange(7)}, {"k": 2})
+    assert len(calls) == 2
+    assert arrays_path.read_bytes() == before
+    # no temporary file is left beside the targets
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "out.csv"]
+
+
+def test_write_text_replaces_and_creates_directories(tmp_path):
+    path = tmp_path / "sub" / "dir" / "out.txt"
+    util.write_text(str(path), "first\n")
+    util.write_text(str(path), "zweite Zeile é\n")
+    assert path.read_bytes() == "zweite Zeile é\n".encode("utf-8")
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
