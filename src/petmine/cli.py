@@ -217,7 +217,7 @@ def cmd_fit(cfg: PipelineConfig, args) -> int:
     stopwords = textprep.load_stopwords(cfg.stopwords)
     dtm = textprep.build_dtm(c, stopwords, cfg.min_doc_fraction)
     textprep.save_dtm(dtm, cfg.path("dtm.bin"))
-    model = lda.fit(dtm, cfg.lda_config(), n_partitions=args.threads)
+    model = lda.fit(dtm, cfg.lda_config())
     lda.save_model(model, cfg.path("model.bin"))
 
     names = _topic_names(cfg, model.k)
@@ -348,8 +348,7 @@ def _report_geo(cfg, model, c):
         scaling[mode] = dataclasses.asdict(fit)
         _write_json(cfg, f"scaling_{mode}.json", scaling[mode])
 
-    result = geo.pam_cluster(profiles, cfg.pam_k, seed=cfg.stage_seed("pam"),
-                             metric=cfg.pam_metric)
+    result = geo.pam_cluster(profiles, cfg.pam_k, metric=cfg.pam_metric)
     write_csv(cfg.path("clusters.csv"), cfg.meta(), ["code", "cluster"],
               sorted(result.assignments.items()))
     shares = geo.cluster_issue_profile(result, profiles)
@@ -490,10 +489,22 @@ def cmd_intrusion_score(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_grid(cfg: PipelineConfig, args) -> int:
-    _require_snapshot(cfg.path("dtm.bin"), "document-term matrix snapshot")
-    dtm = textprep.load_dtm(cfg.path("dtm.bin"))
+    # settle every setting before the snapshot is read or a sampler runs
     if not 0.0 < args.holdout < 1.0:
         raise ConfigError("--holdout must be in (0, 1)")
+    for flag, values in (("--k-values", args.k_values),
+                         ("--alpha-values", args.alpha_values),
+                         ("--beta-values", args.beta_values)):
+        if not values:
+            raise ConfigError(f"{flag} lists no values")
+    base = cfg.lda_config()
+    run_cfgs = [dataclasses.replace(base, k=k, alpha=alpha, beta=beta)
+                for k in args.k_values
+                for alpha in args.alpha_values
+                for beta in args.beta_values]
+
+    _require_snapshot(cfg.path("dtm.bin"), "document-term matrix snapshot")
+    dtm = textprep.load_dtm(cfg.path("dtm.bin"))
     n_hold = int(math.ceil(args.holdout * dtm.n_docs))
     if n_hold >= dtm.n_docs:
         raise ConfigError("holdout fraction leaves no training documents")
@@ -506,19 +517,14 @@ def cmd_grid(cfg: PipelineConfig, args) -> int:
         prune_report=dtm.prune_report)
     hold_counts = dtm.counts[hold]
 
-    base = cfg.lda_config()
     rows = []
-    for k in args.k_values:
-        for alpha in args.alpha_values:
-            for beta in args.beta_values:
-                run_cfg = dataclasses.replace(base, k=k, alpha=alpha, beta=beta)
-                model = lda.fit(train_dtm, run_cfg, n_partitions=args.threads)
-                total, per_token = lda.held_out_log_likelihood(
-                    model, hold_counts)
-                rows.append([k, alpha, beta, model.log_likelihood_trace[-1],
-                             total, per_token])
-                log.info("grid: k=%d alpha=%g beta=%g per-token %.4f",
-                         k, alpha, beta, per_token)
+    for run_cfg in run_cfgs:
+        model = lda.fit(train_dtm, run_cfg)
+        total, per_token = lda.held_out_log_likelihood(model, hold_counts)
+        rows.append([run_cfg.k, run_cfg.alpha, run_cfg.beta,
+                     model.log_likelihood_trace[-1], total, per_token])
+        log.info("grid: k=%d alpha=%g beta=%g per-token %.4f",
+                 run_cfg.k, run_cfg.alpha, run_cfg.beta, per_token)
     write_csv(cfg.path("grid.csv"), cfg.meta(),
               ["k", "alpha", "beta", "train_log_likelihood",
                "holdout_log_likelihood", "holdout_per_token"], rows)
@@ -603,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(geo._METRICS))
     common.add_argument("--powerlaw-x-min", dest="powerlaw_x_min", type=int)
     common.add_argument("--thresholds", type=_int_list)
-    common.add_argument("--threads", type=int, default=1,
-                        help="sampler partitions (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="petmine",

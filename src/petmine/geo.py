@@ -55,9 +55,7 @@ def profile_constituencies(model: TopicModel, corpus: Corpus,
     UNKNOWN bucket) is skipped with a warning; it still counts toward
     corpus-level totals elsewhere, just not toward any profile here.
     """
-    ids = tuple(p.id for p in corpus.petitions)
-    if ids != model.doc_ids:
-        raise ValidationError("model and corpus are misaligned")
+    model.check_alignment(corpus)
     if not meta:
         raise ValidationError("no constituency metadata supplied")
     index = {m.code: i for i, m in enumerate(meta)}
@@ -266,7 +264,7 @@ def _solve_medoids(dist: np.ndarray, k: int,
     return _pam_swap(dist, _pam_build(dist, k))
 
 
-def pam_cluster(profiles: list[ConstituencyProfile], k: int, seed: int = 0,
+def pam_cluster(profiles: list[ConstituencyProfile], k: int,
                 metric: str = "euclidean",
                 exact_budget: int = 20_000) -> ClusterResult:
     """Cluster constituencies by k-medoids over their Z-score vectors.
@@ -276,8 +274,7 @@ def pam_cluster(profiles: list[ConstituencyProfile], k: int, seed: int = 0,
     at most ``exact_budget`` the global optimum is found by enumeration;
     larger instances fall back to BUILD plus best-improvement SWAP.
     Fully deterministic given the input order: cost ties break toward
-    the lowest index, so ``seed`` has no effect on the outcome and is
-    accepted only for interface stability.
+    the lowest index.
     """
     if metric not in _METRICS:
         raise ConfigError(f"metric must be one of {sorted(_METRICS)}")

@@ -22,15 +22,6 @@ CO_OCCURRENCE = "co_occurrence"
 WORD_DISTRIBUTION = "word_distribution"
 
 
-def _check_alignment(model: TopicModel, corpus: Corpus) -> None:
-    ids = tuple(p.id for p in corpus.petitions)
-    if ids != model.doc_ids:
-        raise ValidationError(
-            "model and corpus are misaligned: document ids differ "
-            f"({len(model.doc_ids)} model rows vs {len(ids)} petitions)"
-        )
-
-
 @dataclass
 class IssuePrevalence:
     by_petitions: np.ndarray         # K floats, sums to n_petitions
@@ -48,7 +39,7 @@ def _ranks(mass: np.ndarray) -> np.ndarray:
 
 def prevalence(model: TopicModel, corpus: Corpus) -> IssuePrevalence:
     """Topic mass summed over petitions, unweighted and signature-weighted."""
-    _check_alignment(model, corpus)
+    model.check_alignment(corpus)
     sigs = np.array([p.uk_signatures() for p in corpus.petitions], dtype=np.float64)
     by_p = model.theta.sum(axis=0)
     by_s = sigs @ model.theta
@@ -68,7 +59,7 @@ def success_probability(model: TopicModel, corpus: Corpus,
     NaN (undefined, not zero).  ``smoothed`` applies the Beta(1,1)
     posterior mean (hits+1)/(n+2) instead of the raw fraction.
     """
-    _check_alignment(model, corpus)
+    model.check_alignment(corpus)
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
     assigned = model.theta.argmax(axis=1)

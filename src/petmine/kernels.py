@@ -5,27 +5,18 @@ unless the environment variable ``PETMINE_NUMBA`` is set to ``0`` (or
 ``false``/``off``/``no``).  ``NUMBA_ENABLED`` reports which mode is active.
 Without numba, ``init_assignments``, ``gibbs_sweep`` and ``infer_doc`` are
 rewrites over plain Python ints, floats and lists (see "Kernels without a
-compiler" below), and ``draw_uniform`` and the partitioned sweep run the
-numba source over numpy scalars.  Neither mode uses fast-math, so results
-are bit-identical.  The numba source of each rewritten kernel, run
-uncompiled (``.py_func`` under numba, ``__wrapped__`` without it), is the
-reference the rewrites are tested against.  ``log_likelihood`` is plain
-numpy in both modes.
+compiler" below), and ``draw_uniform`` runs the numba source over numpy
+scalars.  Neither mode uses fast-math, so results are bit-identical.  The
+numba source of each rewritten kernel, run uncompiled (``.py_func`` under
+numba, ``__wrapped__`` without it), is the reference the rewrites are
+tested against.  ``log_likelihood`` is plain numpy in both modes.
 
 Randomness is counter-based rather than stateful.  The uniform variate for
 token ``n`` of a document in sweep ``s`` is a pure function of
 ``(doc_seed, s, n)``: the three values are combined with distinct odd
 constants and passed through splitmix64 finalizer rounds.  Because no
 generator state is threaded between documents, the stream a document sees
-does not depend on where it sits in the corpus, and a sweep can be split
-across partitions without replaying draws.
-
-The partitioned sweep follows the approximate-distributed scheme: each
-partition samples its documents against a frozen snapshot of the
-word-topic table plus its own local deltas, and the integer deltas are
-summed afterwards.  Addition of the deltas commutes, so the result is
-deterministic regardless of thread scheduling, but the sampled chain is a
-(deterministic) approximation of the serial chain, not a reordering of it.
+does not depend on where it sits in the corpus.
 """
 
 from __future__ import annotations
@@ -54,11 +45,7 @@ if NUMBA_ENABLED:
     def _jit(fn):
         return numba.njit(cache=True)(fn)
 
-    def _jit_parallel(fn):
-        return numba.njit(cache=True, parallel=True)(fn)
-
     _inline = _jit
-    prange = numba.prange
 else:
     def _jit(fn):
         # uint64 wraparound is intended; silence numpy's scalar overflow
@@ -72,9 +59,6 @@ else:
 
     def _inline(fn):
         return fn
-
-    _jit_parallel = _jit
-    prange = range
 
 
 _U11 = np.uint64(11)
@@ -162,59 +146,6 @@ def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
             n_kw[k, w] += 1
             n_k[k] += 1
             n_dk[d, k] += 1
-
-
-@_jit_parallel
-def gibbs_sweep_partitioned(sweep, doc_ptr, token_word, doc_seed, z,
-                            n_kw, n_k, n_dk, alpha, beta,
-                            part_ptr, delta_kw, delta_k):
-    """One sweep with documents split into partitions sampled concurrently.
-
-    Partition ``p`` covers documents ``part_ptr[p]:part_ptr[p+1]`` and sees
-    the global word-topic counts as they stood at sweep start plus its own
-    accumulated deltas.  Per-token draws are identical to the serial
-    kernel's; only the visibility of other partitions' updates differs.
-    """
-    n_parts = part_ptr.shape[0] - 1
-    n_topics = n_k.shape[0]
-    n_words = n_kw.shape[1]
-    vb = n_words * beta
-    for p in prange(n_parts):
-        dkw = delta_kw[p]
-        dk = delta_k[p]
-        for a in range(n_topics):
-            dk[a] = 0
-            for b in range(n_words):
-                dkw[a, b] = 0
-        cum = np.empty(n_topics, np.float64)
-        for d in range(part_ptr[p], part_ptr[p + 1]):
-            s = doc_seed[d]
-            start = doc_ptr[d]
-            for j in range(start, doc_ptr[d + 1]):
-                w = token_word[j]
-                k = z[j]
-                dkw[k, w] -= 1
-                dk[k] -= 1
-                n_dk[d, k] -= 1
-                total = 0.0
-                for t in range(n_topics):
-                    total += ((n_kw[t, w] + dkw[t, w] + beta)
-                              / (n_k[t] + dk[t] + vb)
-                              * (n_dk[d, t] + alpha))
-                    cum[t] = total
-                r = _draw(s, sweep, j - start) * total
-                k = 0
-                while k < n_topics - 1 and cum[k] <= r:
-                    k += 1
-                z[j] = k
-                dkw[k, w] += 1
-                dk[k] += 1
-                n_dk[d, k] += 1
-    for p in range(n_parts):
-        for a in range(n_topics):
-            n_k[a] += delta_k[p, a]
-            for b in range(n_words):
-                n_kw[a, b] += delta_kw[p, a, b]
 
 
 def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):

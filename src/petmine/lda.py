@@ -8,8 +8,8 @@ every entry is strictly positive.
 Determinism contract: per-document random streams are keyed by petition id
 (not row position), and every draw is a pure function of
 ``(document seed, sweep, within-document token index)``.  Two fits with
-the same inputs, config and partition count are bit-identical, and
-permuting document order leaves each document's stream unchanged.
+the same inputs and config are bit-identical, and permuting document
+order leaves each document's stream unchanged.
 
 Validation mirrors two human checks: word-intrusion instances (top-5 words
 plus a low-probability intruder, shuffled) and an audit sample of
@@ -27,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .errors import ConfigError, EmptyCorpusError, NumericalError
+from .errors import (ConfigError, EmptyCorpusError, NumericalError,
+                     ValidationError)
 from .util import config_digest, derive_seed, load_arrays, save_arrays
 
 log = logging.getLogger(__name__)
@@ -87,6 +88,15 @@ class TopicModel:
     def vocab_hash(self) -> str:
         return config_digest(list(self.terms))
 
+    def check_alignment(self, corpus) -> None:
+        """Raise unless the theta rows are ``corpus``'s petitions, in order."""
+        ids = tuple(p.id for p in corpus.petitions)
+        if ids != self.doc_ids:
+            raise ValidationError(
+                "model and corpus are misaligned: document ids differ "
+                f"({len(self.doc_ids)} model rows vs {len(ids)} petitions)"
+            )
+
 
 def _expand_tokens(counts: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Unroll a doc-term count matrix into per-token word indices.
@@ -112,19 +122,10 @@ def _doc_seeds(stage_seed: int, doc_ids) -> np.ndarray:
     )
 
 
-def fit(dtm, config: LdaConfig, n_partitions: int = 1) -> TopicModel:
-    """Fit a topic model to a document-term matrix.
-
-    ``n_partitions`` > 1 switches to the partitioned sampler: documents are
-    split into that many contiguous blocks sampled against a per-sweep
-    snapshot of the word-topic counts.  The result is still deterministic
-    for a fixed partition count but follows a different (approximate)
-    chain than the serial sampler.
-    """
+def fit(dtm, config: LdaConfig) -> TopicModel:
+    """Fit a topic model to a document-term matrix."""
     if dtm.counts.nnz == 0:
         raise EmptyCorpusError("document-term matrix has no nonzero entries")
-    if n_partitions < 1:
-        raise ConfigError("n_partitions must be at least 1")
     retained = config.retained_sweeps()
     if not retained:
         raise ConfigError(
@@ -146,12 +147,6 @@ def fit(dtm, config: LdaConfig, n_partitions: int = 1) -> TopicModel:
     cum = np.empty(k, dtype=np.float64)
     kernels.init_assignments(doc_ptr, token_word, doc_seed, k, z, n_kw, n_k, n_dk)
 
-    if n_partitions > 1:
-        bounds = np.linspace(0, n_docs, n_partitions + 1)
-        part_ptr = np.round(bounds).astype(np.int64)
-        delta_kw = np.zeros((n_partitions, k, n_terms), dtype=np.int64)
-        delta_k = np.zeros((n_partitions, k), dtype=np.int64)
-
     alpha, beta = float(config.alpha), float(config.beta)
     doc_len = (doc_ptr[1:] - doc_ptr[:-1]).astype(np.float64)
     phi_acc = np.zeros((k, n_terms), dtype=np.float64)
@@ -161,16 +156,10 @@ def fit(dtm, config: LdaConfig, n_partitions: int = 1) -> TopicModel:
     trace_sweeps: list[int] = []
 
     for sweep in range(1, config.iterations + 1):
-        if n_partitions > 1:
-            kernels.gibbs_sweep_partitioned(
-                sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
-                alpha, beta, part_ptr, delta_kw, delta_k,
-            )
-        else:
-            kernels.gibbs_sweep(
-                sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
-                alpha, beta, cum,
-            )
+        kernels.gibbs_sweep(
+            sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
+            alpha, beta, cum,
+        )
         if sweep == 1 or sweep % _LL_EVERY == 0:
             ll = float(kernels.log_likelihood(
                 doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta,

@@ -40,9 +40,7 @@ class EntropySeries:
 
 def build_series(model: TopicModel, corpus: Corpus) -> IssueSeries:
     """Spread each petition's UK signatures over issues on its creation day."""
-    ids = tuple(p.id for p in corpus.petitions)
-    if ids != model.doc_ids:
-        raise ValidationError("model and corpus are misaligned")
+    model.check_alignment(corpus)
     start, end = corpus.window
     n_days = (end - start).days + 1
     if n_days < 1:

@@ -253,6 +253,26 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+    # the sampler has one chain; there is no partition count to choose
+    for command in ("fit", "grid"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--threads", "2"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--holdout", "0", "--holdout"),
+    ("--k-values", "5,0", "k must be at least 1"),
+    ("--k-values", "", "--k-values lists no values"),
+])
+def test_bad_grid_settings_exit_two_before_snapshot_read(
+        tmp_path, capsys, flag, value, message):
+    # no dtm.bin exists, so a check that ran after the load would exit 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}),
+                    encoding="utf-8")
+    assert cli.main(["grid", "--config", str(path), flag, value]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bad_sampler_settings_caught_at_load(tmp_path):

@@ -114,43 +114,6 @@ def test_gibbs_sweep_deterministic():
     assert np.array_equal(a[3], b[3])
 
 
-def test_partitioned_single_partition_matches_serial():
-    serial = _toy_state()
-    part = _toy_state()
-    n_topics, vocab = serial[4].shape
-    cum = np.empty(n_topics, np.float64)
-    part_ptr = np.array([0, serial[0].shape[0] - 1], np.int64)
-    delta_kw = np.zeros((1, n_topics, vocab), np.int64)
-    delta_k = np.zeros((1, n_topics), np.int64)
-    for sweep in range(1, 5):
-        kernels.gibbs_sweep(sweep, *serial[:7], 0.1, 0.1, cum)
-        kernels.gibbs_sweep_partitioned(sweep, *part[:7], 0.1, 0.1,
-                                        part_ptr, delta_kw, delta_k)
-    assert np.array_equal(serial[3], part[3])
-    assert np.array_equal(serial[4], part[4])
-
-
-def test_partitioned_sweep_preserves_counts_and_determinism():
-    n_parts = 3
-    runs = []
-    for _ in range(2):
-        state = _toy_state()
-        doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk = state
-        n_docs = doc_ptr.shape[0] - 1
-        n_topics, vocab = n_kw.shape
-        bounds = np.linspace(0, n_docs, n_parts + 1).astype(np.int64)
-        delta_kw = np.zeros((n_parts, n_topics, vocab), np.int64)
-        delta_k = np.zeros((n_parts, n_topics), np.int64)
-        for sweep in range(1, 5):
-            kernels.gibbs_sweep_partitioned(sweep, doc_ptr, token_word,
-                                            doc_seed, z, n_kw, n_k, n_dk,
-                                            0.1, 0.1, bounds,
-                                            delta_kw, delta_k)
-        _assert_counts_consistent(doc_ptr, token_word, z, n_kw, n_k, n_dk)
-        runs.append(z.copy())
-    assert np.array_equal(runs[0], runs[1])
-
-
 def test_log_likelihood_matches_numpy_reference():
     doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk = _toy_state()
     alpha, beta = 0.3, 0.05

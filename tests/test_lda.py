@@ -96,19 +96,8 @@ def test_fit_seed_changes_result(small_fit):
     assert model.phi.tobytes() != other.phi.tobytes()
 
 
-def test_fit_partitioned_deterministic(small_fit):
-    dtm, config, serial = small_fit
-    runs = [lda.fit(dtm, config, n_partitions=3) for _ in range(2)]
-    assert runs[0].phi.tobytes() == runs[1].phi.tobytes()
-    assert np.allclose(runs[0].phi.sum(axis=1), 1.0, atol=1e-9)
-    assert np.allclose(runs[0].theta.sum(axis=1), 1.0, atol=1e-9)
-
-
 def test_fit_errors():
     dtm, _, _ = make_planted_dtm(n_docs=12, tokens_per_doc=10)
-    with pytest.raises(ConfigError, match="n_partitions"):
-        lda.fit(dtm, lda.LdaConfig(k=2, iterations=4, burn_in=0,
-                                   sample_every=2), n_partitions=0)
     with pytest.raises(ConfigError, match="retained"):
         lda.fit(dtm, lda.LdaConfig(k=2, iterations=5, burn_in=4,
                                    sample_every=10))
