@@ -79,9 +79,11 @@ class PipelineConfig:
         return derive_seed(self.seed, f"stage:{stage}")
 
     def meta(self) -> dict:
+        # where the files are written is not part of what they hold
+        values = {k: v for k, v in self.to_dict().items() if k != "output_dir"}
         return {
             "tool": f"petmine {__version__}",
-            "config": config_digest(self.to_dict()),
+            "config": config_digest(values),
             "seed": self.seed,
         }
 
@@ -206,7 +208,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     corpus.save_corpus(c, cfg.path("corpus.jsonl"))
     corpus.write_rejects_report(c.ingest_report, cfg.path("rejects.csv"), cfg.meta())
     log.info("ingest: %d accepted, %d rejected, %d UK signatures",
-             len(c.petitions), len(c.ingest_report.rejects),
+             len(c.ids), len(c.ingest_report.rejects),
              corpus.uk_signature_total(c))
     return 0
 
@@ -397,7 +399,7 @@ def _report_geo(cfg, model, c):
 
 
 def _report_powerlaw(cfg, c):
-    counts = np.array([p.uk_signatures() for p in c.petitions], dtype=np.int64)
+    counts = c.uk
     cc = powerlaw.ccdf(counts)
     write_csv(cfg.path("ccdf.csv"), cfg.meta(), ["x", "p"],
               zip(cc.x, cc.p))
@@ -421,7 +423,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
 
     summary: dict = {
         "corpus": {
-            "accepted": len(c.petitions),
+            "accepted": len(c.ids),
             "uk_signature_total": corpus.uk_signature_total(c),
             "window": [c.window[0].isoformat(), c.window[1].isoformat()],
         },
@@ -533,8 +535,7 @@ def cmd_grid(cfg: PipelineConfig, args) -> int:
 
 def cmd_xmin_scan(cfg: PipelineConfig, args) -> int:
     _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
-    c = corpus.load_corpus(cfg.path("corpus.jsonl"))
-    counts = np.array([p.uk_signatures() for p in c.petitions], dtype=np.int64)
+    counts = corpus.load_corpus(cfg.path("corpus.jsonl")).uk
     if args.x_mins is not None:
         candidates = args.x_mins
     else:

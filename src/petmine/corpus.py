@@ -1,4 +1,4 @@
-"""Archive ingestion and the normalized corpus model.
+"""Archive ingestion and the columnar corpus model.
 
 The input is a JSON-lines archive, one petition per line, in the shape of
 the public petitions API: ``id``, ``state``, and an ``attributes`` object
@@ -8,23 +8,40 @@ collects per-line problems into a rejects report instead of aborting, so
 one malformed line cannot kill a long run.  Only structural problems
 (unreadable file, nothing accepted at all) raise.
 
-Determinism: petitions are sorted by id, every collection in the resulting
-Corpus is ordered, and re-serializing a loaded corpus reproduces it
-byte-for-byte.
+The accepted petitions are held as columns (:class:`Corpus`): ids and
+merged texts as lists, creation day and signature totals as int64 arrays,
+and the constituency breakdowns as one sparse petitions x codes matrix.
+Validation happens once, at ingest; the snapshot written from the columns
+(:func:`save_corpus`) reloads without re-parsing any record.
+
+Determinism: petitions are sorted by id, every column is ordered, and
+re-serializing a loaded corpus reproduces it byte-for-byte.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import json
 import logging
+import re
 from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import ArchiveFormatError, EmptyCorpusError, ValidationError
 from .util import canonical_json, write_text
 
 log = logging.getLogger(__name__)
+
+# the signature column collecting codes absent from the constituency metadata
+UNKNOWN_CODE = "UNKNOWN"
+
+# signature counts stay exact in float64, which the analytics multiply
+# them in; every integer a snapshot holds is in 0.._MAX_COUNT
+_MAX_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -42,6 +59,7 @@ class ConstituencyMeta:
 
 @dataclass(frozen=True)
 class Petition:
+    """One validated archive record, before it becomes a corpus row."""
     id: str
     action: str
     background: str
@@ -51,10 +69,6 @@ class Petition:
     total_signatures: int
     signatures_by_constituency: dict[str, int]
     signatures_by_country: dict[str, int]
-
-    def uk_signatures(self) -> int:
-        """Signatures attributed to UK constituencies (overseas excluded)."""
-        return sum(self.signatures_by_constituency.values())
 
 
 def merge_text(p: Petition) -> str:
@@ -75,17 +89,84 @@ class IngestReport:
     dropped_state: int = 0
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
-    @property
-    def malformed(self) -> int:
-        return len(self.rejects)
 
-
-@dataclass
+@dataclass(eq=False)
 class Corpus:
-    petitions: tuple[Petition, ...]
+    """Accepted petitions as columns: row ``d`` of each column is petition ``d``.
+
+    ``signatures`` is an int64 petitions x ``codes`` CSR matrix with sorted
+    columns and no duplicates.  With constituency metadata its columns are
+    the metadata codes in file order, then :data:`UNKNOWN_CODE`; without,
+    the codes met in the records, sorted.  ``uk`` is its row sums: the
+    signatures attributed to UK constituencies, overseas excluded.
+    """
+    ids: list[str]
+    texts: list[str]                 # merged action, background and details
+    day: np.ndarray                  # int64 creation day, offset from window[0]
+    total: np.ndarray                # int64 platform-wide signature totals
+    uk: np.ndarray = field(init=False)
+    signatures: sp.csr_matrix
+    codes: tuple[str, ...]
     constituencies: tuple[ConstituencyMeta, ...]
     window: tuple[datetime.date, datetime.date]
     ingest_report: IngestReport | None = None
+
+    def __post_init__(self):
+        self.uk = np.asarray(self.signatures.sum(axis=1),
+                             dtype=np.int64).ravel()
+
+    @classmethod
+    def from_petitions(cls, petitions, constituencies, window) -> "Corpus":
+        """Columns of ``petitions``, kept in the order given.
+
+        With ``constituencies``, codes they do not list are summed into the
+        UNKNOWN column.  Raises ValidationError for a petition created
+        outside ``window``.
+        """
+        petitions = tuple(petitions)
+        constituencies = tuple(constituencies)
+        start, end = window
+        n = len(petitions)
+        day = np.fromiter(((p.created_at - start).days for p in petitions),
+                          dtype=np.int64, count=n)
+        outside = (day < 0) | (day > (end - start).days)
+        if outside.any():
+            p = petitions[int(np.argmax(outside))]
+            raise ValidationError(
+                f"petition {p.id} created {p.created_at} outside window "
+                f"{start}..{end}")
+
+        keys, counts, lengths = [], [], []
+        for p in petitions:
+            sig = p.signatures_by_constituency
+            keys.extend(sig)
+            counts.extend(sig.values())
+            lengths.append(len(sig))
+        if constituencies:
+            codes = tuple(m.code for m in constituencies) + (UNKNOWN_CODE,)
+        else:
+            codes = tuple(sorted(set(keys)))
+        column = {code: j for j, code in enumerate(codes)}
+        # the default is reached only with metadata, where it is UNKNOWN
+        indices = np.fromiter(
+            map(column.get, keys, itertools.repeat(len(codes) - 1)),
+            dtype=np.int64, count=len(keys))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        signatures = sp.csr_matrix(
+            (np.fromiter(counts, dtype=np.int64, count=len(counts)), indices,
+             indptr),
+            shape=(n, len(codes)))
+        signatures.sum_duplicates()    # sorts columns, merges folded codes
+        return cls(
+            ids=[p.id for p in petitions],
+            texts=[merge_text(p) for p in petitions],
+            day=day,
+            total=np.fromiter((p.total_signatures for p in petitions),
+                              dtype=np.int64, count=n),
+            signatures=signatures, codes=codes,
+            constituencies=constituencies, window=tuple(window),
+        )
 
 
 @dataclass(frozen=True)
@@ -97,9 +178,10 @@ class IngestConfig:
 
 def uk_signature_total(corpus: Corpus) -> int:
     """Total constituency-attributed signatures across the corpus."""
-    if not corpus.petitions:
+    if not corpus.ids:
         raise EmptyCorpusError("corpus has no petitions")
-    return sum(p.uk_signatures() for p in corpus.petitions)
+    # Python ints, so the sum cannot wrap
+    return sum(corpus.uk.tolist())
 
 
 def load_constituencies(path: str) -> tuple[ConstituencyMeta, ...]:
@@ -212,7 +294,7 @@ def _parse_record(obj, known_codes: frozenset[str] | None,
                 if code not in warned_codes:
                     warned_codes.add(code)
                     log.warning("unknown constituency code %s; bucketing as UNKNOWN", code)
-                folded["UNKNOWN"] = folded.get("UNKNOWN", 0) + count
+                folded[UNKNOWN_CODE] = folded.get(UNKNOWN_CODE, 0) + count
         by_const = folded
 
     total = attrs.get("signature_count")
@@ -222,6 +304,8 @@ def _parse_record(obj, known_codes: frozenset[str] | None,
         total = sum(by_country.values()) if by_country else sum(by_const.values())
     elif not isinstance(total, int) or isinstance(total, bool) or total < 0:
         raise _RecordError("signature_count is not a non-negative integer")
+    if total > _MAX_COUNT:
+        raise _RecordError("signature_count exceeds 2^53")
     if total < sum(by_const.values()):
         raise _RecordError("constituency signatures exceed the petition total")
 
@@ -234,13 +318,26 @@ def _parse_record(obj, known_codes: frozenset[str] | None,
     )
 
 
+# a \u escape into the surrogate range: the only way a parsed record can
+# hold a string that UTF-8 cannot encode
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_archive(path: str, config: IngestConfig = IngestConfig()) -> Corpus:
     """Load a JSON-lines petitions archive into a validated Corpus.
 
     Record-level problems go to ``corpus.ingest_report.rejects`` as
-    ``(line_no, reason)``; records whose state is not in
-    ``config.accepted_states`` are dropped and counted.  Raises
-    EmptyCorpusError when nothing survives.
+    ``(line_no, reason)``, lines that are not UTF-8 or not JSON included;
+    records whose state is not in ``config.accepted_states`` are dropped
+    and counted.  Raises EmptyCorpusError when nothing survives.
     """
     report = IngestReport()
     known = (
@@ -249,28 +346,29 @@ def load_archive(path: str, config: IngestConfig = IngestConfig()) -> Corpus:
     )
     warned: set[str] = set()
     petitions: dict[str, Petition] = {}
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which no UTF-8 text holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line_no == 1 and '"_meta"' in line:
-                try:
-                    head = json.loads(line)
-                except json.JSONDecodeError:
-                    head = None
-                if isinstance(head, dict) and "_meta" in head:
-                    continue
             report.total_lines += 1
+            if not line.isascii() and not _encodable(line):
+                report.rejects.append((line_no, "invalid utf-8"))
+                continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 report.rejects.append((line_no, "invalid json"))
                 continue
             try:
                 p = _parse_record(obj, known, warned)
             except _RecordError as exc:
                 report.rejects.append((line_no, str(exc)))
+                continue
+            if _SURROGATE_ESCAPE.search(line) and not _encodable(
+                    "".join([p.id, merge_text(p), *p.signatures_by_constituency])):
+                report.rejects.append((line_no, "invalid utf-8"))
                 continue
             if p.state not in config.accepted_states:
                 report.dropped_state += 1
@@ -290,16 +388,15 @@ def load_archive(path: str, config: IngestConfig = IngestConfig()) -> Corpus:
 
     if not petitions:
         raise EmptyCorpusError(f"{path}: no accepted petitions")
-    ordered = tuple(petitions[k] for k in sorted(petitions))
+    ordered = [petitions[k] for k in sorted(petitions)]
     if config.window is not None:
         window = config.window
     else:
         dates = [p.created_at for p in ordered]
         window = (min(dates), max(dates))
-    return Corpus(
-        petitions=ordered, constituencies=config.constituencies,
-        window=window, ingest_report=report,
-    )
+    corpus = Corpus.from_petitions(ordered, config.constituencies, window)
+    corpus.ingest_report = report
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -307,63 +404,128 @@ def load_archive(path: str, config: IngestConfig = IngestConfig()) -> Corpus:
 # ---------------------------------------------------------------------------
 
 _CORPUS_FORMAT = "petmine-corpus"
-_CORPUS_VERSION = 1
-
-
-def _petition_record(p: Petition) -> dict:
-    return {
-        "id": p.id,
-        "state": p.state,
-        "attributes": {
-            "action": p.action,
-            "background": p.background,
-            "additional_details": p.additional_details,
-            "created_at": p.created_at.isoformat(),
-            "signature_count": p.total_signatures,
-            "signatures_by_constituency": [
-                {"ons_code": c, "signature_count": n}
-                for c, n in sorted(p.signatures_by_constituency.items())
-            ],
-            "signatures_by_country": [
-                {"code": c, "signature_count": n}
-                for c, n in sorted(p.signatures_by_country.items())
-            ],
-        },
-    }
+_CORPUS_VERSION = 2
+# one line per column, in this order, after the _meta line
+_COLUMNS = ("ids", "texts", "day", "total", "indptr", "indices", "data")
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write a corpus snapshot: a ``_meta`` line, then one petition per line."""
+    """Write a corpus snapshot: a ``_meta`` line, then one line per column."""
     meta = {
         "_meta": {
             "format": _CORPUS_FORMAT,
             "version": _CORPUS_VERSION,
             "window": [corpus.window[0].isoformat(), corpus.window[1].isoformat()],
-            "n_petitions": len(corpus.petitions),
+            "n_petitions": len(corpus.ids),
             "constituencies": [
                 {"code": c.code, "name": c.name, "electorate": c.electorate}
                 for c in corpus.constituencies
             ],
+            "codes": list(corpus.codes),
         }
     }
+    sig = corpus.signatures
+    columns = {
+        "ids": corpus.ids, "texts": corpus.texts,
+        "day": corpus.day.tolist(), "total": corpus.total.tolist(),
+        "indptr": sig.indptr.tolist(), "indices": sig.indices.tolist(),
+        "data": sig.data.tolist(),
+    }
     lines = [canonical_json(meta)]
-    lines.extend(canonical_json(_petition_record(p)) for p in corpus.petitions)
+    lines.extend(canonical_json({name: columns[name]}) for name in _COLUMNS)
     write_text(path, "\n".join(lines) + "\n")
+
+
+def _meta_field(path: str, meta: dict, key: str, convert):
+    try:
+        return convert(meta[key])
+    except (KeyError, TypeError, ValueError, ValidationError):
+        raise ArchiveFormatError(
+            f"{path}: _meta field '{key}' is missing or malformed") from None
+
+
+def _window(value) -> tuple[datetime.date, datetime.date]:
+    lo, hi = (datetime.date.fromisoformat(d) for d in value)
+    if lo > hi:
+        raise ValueError("window ends before it starts")
+    return lo, hi
+
+
+def _count(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError("not a non-negative integer")
+    return value
+
+
+def _strings(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("not a list of strings")
+    return value
+
+
+def _constituency_list(value) -> tuple[ConstituencyMeta, ...]:
+    out = []
+    for c in value:
+        if not isinstance(c["code"], str) or not isinstance(c["name"], str):
+            raise TypeError("code and name must be strings")
+        out.append(ConstituencyMeta(code=c["code"], name=c["name"],
+                                    electorate=_count(c["electorate"])))
+    return tuple(out)
+
+
+def _string_column(path: str, line_no: int, name: str, line: bytes) -> list[str]:
+    """Parse the line ``{"<name>":["...",...]}``."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        obj = None
+    values = obj.get(name) if isinstance(obj, dict) and len(obj) == 1 else None
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ArchiveFormatError(
+            f"{path}:{line_no}: column '{name}' is not a list of strings")
+    return values
+
+
+def _int_column(path: str, line_no: int, name: str, line: bytes) -> np.ndarray:
+    """Parse the line ``{"<name>":[i,j,...]}`` of integers in 0.._MAX_COUNT.
+
+    The canonical JSON of a non-negative integer list is digits and
+    commas, which numpy reads far faster than the json module.
+    """
+    head = b'{"' + name.encode() + b'":['
+    body = line[len(head):-2]
+    values = None
+    if (line.startswith(head) and line.endswith(b"]}")
+            and not body.translate(None, b"0123456789,")):
+        try:
+            values = np.fromstring(body, dtype=np.int64, sep=",")
+        except ValueError:
+            pass
+    # a trailing comma parses short; a value past int64 parses as its max
+    if (values is None or len(values) != (body.count(b",") + 1 if body else 0)
+            or (values.size and values.max() > _MAX_COUNT)):
+        raise ArchiveFormatError(
+            f"{path}:{line_no}: column '{name}' is not a list of integers "
+            f"in 0..2^53")
+    return values
 
 
 def load_corpus(path: str) -> Corpus:
     """Load a snapshot written by :func:`save_corpus`.
 
-    Snapshots are expected to be clean: any record-level reject here means
-    the file was not produced by this package and is a hard error.
+    The records were validated at ingest, so a load parses no record; it
+    checks the format and version, that every column has the length
+    ``n_petitions`` implies, that the signature matrix is well formed and
+    its column indices name a code, and that every day falls in the
+    window.  Any fault is an ArchiveFormatError naming the file and field.
     """
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
     try:
-        head = json.loads(first) if first else None
-    except json.JSONDecodeError:
+        head = json.loads(lines[0])
+    except (ValueError, RecursionError):
         head = None
-    if not isinstance(head, dict) or "_meta" not in head:
+    if not isinstance(head, dict) or not isinstance(head.get("_meta"), dict):
         raise ArchiveFormatError(f"{path}: not a corpus snapshot (missing _meta line)")
     meta = head["_meta"]
     if meta.get("format") != _CORPUS_FORMAT:
@@ -372,22 +534,55 @@ def load_corpus(path: str) -> Corpus:
         raise ArchiveFormatError(
             f"{path}: corpus snapshot version {meta.get('version')!r} is not "
             f"supported (expected {_CORPUS_VERSION})")
-    constituencies = tuple(
-        ConstituencyMeta(code=c["code"], name=c["name"], electorate=c["electorate"])
-        for c in meta.get("constituencies", [])
+    window = _meta_field(path, meta, "window", _window)
+    n = _meta_field(path, meta, "n_petitions", _count)
+    constituencies = _meta_field(path, meta, "constituencies", _constituency_list)
+    codes = tuple(_meta_field(path, meta, "codes", _strings))
+
+    columns = {}
+    for line_no, name in enumerate(_COLUMNS, start=2):
+        line = lines[line_no - 1] if line_no <= len(lines) else b""
+        if not line.strip():
+            raise ArchiveFormatError(f"{path}:{line_no}: missing column '{name}'")
+        read = _string_column if name in ("ids", "texts") else _int_column
+        columns[name] = read(path, line_no, name, line)
+    if any(line.strip() for line in lines[len(_COLUMNS) + 1:]):
+        raise ArchiveFormatError(
+            f"{path}: unexpected content after column '{_COLUMNS[-1]}'")
+
+    indptr, indices = columns["indptr"], columns["indices"]
+    for name, size in (("ids", n), ("texts", n), ("day", n), ("total", n),
+                       ("indptr", n + 1)):
+        if len(columns[name]) != size:
+            raise ArchiveFormatError(
+                f"{path}: column '{name}' has {len(columns[name])} entries, "
+                f"expected {size} (n_petitions {n})")
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise ArchiveFormatError(
+            f"{path}: column 'indptr' does not rise monotonically from 0")
+    for name in ("indices", "data"):
+        if len(columns[name]) != indptr[-1]:
+            raise ArchiveFormatError(
+                f"{path}: column '{name}' has {len(columns[name])} entries, "
+                f"but column 'indptr' ends at {indptr[-1]}")
+    if indices.size and indices.max() >= len(codes):
+        raise ArchiveFormatError(
+            f"{path}: column 'indices' holds a value outside 0..{len(codes) - 1} "
+            f"({len(codes)} codes)")
+    day = columns["day"]
+    span = (window[1] - window[0]).days
+    if day.size and day.max() > span:
+        raise ArchiveFormatError(
+            f"{path}: column 'day' holds an offset outside the window "
+            f"{window[0]}..{window[1]} (0..{span})")
+
+    return Corpus(
+        ids=columns["ids"], texts=columns["texts"], day=day,
+        total=columns["total"],
+        signatures=sp.csr_matrix((columns["data"], indices, indptr),
+                                 shape=(n, len(codes))),
+        codes=codes, constituencies=constituencies, window=window,
     )
-    window = (
-        datetime.date.fromisoformat(meta["window"][0]),
-        datetime.date.fromisoformat(meta["window"][1]),
-    )
-    corpus = load_archive(
-        path,
-        IngestConfig(window=window, constituencies=constituencies),
-    )
-    if corpus.ingest_report and corpus.ingest_report.rejects:
-        line, reason = corpus.ingest_report.rejects[0]
-        raise ArchiveFormatError(f"{path}:{line}: corrupt snapshot record ({reason})")
-    return corpus
 
 
 def write_rejects_report(report: IngestReport, path: str, meta: dict) -> None:

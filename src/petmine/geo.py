@@ -22,16 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .corpus import ConstituencyMeta, Corpus
+from .corpus import UNKNOWN_CODE, ConstituencyMeta, Corpus
 from .errors import ConfigError, ConvergenceError, ValidationError
 from .lda import TopicModel
 
 log = logging.getLogger(__name__)
-
-UNKNOWN_CODE = "UNKNOWN"
 
 _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock"}
 
@@ -58,28 +55,21 @@ def profile_constituencies(model: TopicModel, corpus: Corpus,
     model.check_alignment(corpus)
     if not meta:
         raise ValidationError("no constituency metadata supplied")
-    index = {m.code: i for i, m in enumerate(meta)}
-    codes, vals, lengths = [], [], []
-    for p in corpus.petitions:
-        sig = p.signatures_by_constituency
-        codes.extend(sig)
-        vals.extend(sig.values())
-        lengths.append(len(sig))
-    rows = np.fromiter(map(index.get, codes, itertools.repeat(-1)),
-                       dtype=np.int64, count=len(codes))
-    listed = rows >= 0
-    for code in dict.fromkeys(codes[j] for j in np.flatnonzero(~listed)):
-        if code != UNKNOWN_CODE:
+    n_codes = len(corpus.codes)
+    listed = {m.code for m in meta}
+    signed = np.bincount(corpus.signatures.indices, minlength=n_codes) > 0
+    for code in itertools.compress(corpus.codes, signed):
+        if code not in listed and code != UNKNOWN_CODE:
             log.warning("constituency %s not in metadata; skipping", code)
-    rows = rows[listed]
-    vals = np.asarray(vals, dtype=np.int64)[listed]
-    docs = np.repeat(np.arange(len(lengths)), lengths)[listed]
-    # each row keeps its docs in ascending order, so the product adds
-    # n * theta[d] per constituency in the same order as a per-pair loop
-    mass = sp.csr_matrix((vals, (rows, docs)),
-                         shape=(len(meta), len(lengths))) @ model.theta
-    totals = np.zeros(len(meta), dtype=np.int64)
-    np.add.at(totals, rows, vals)
+    # codes x docs, each row's docs ascending, so the product adds
+    # n * theta[d] per constituency in the same order as a per-pair loop;
+    # a metadata code nobody signed reads the empty row appended last
+    by_code = corpus.signatures.T.tocsr()
+    by_code.resize((n_codes + 1, by_code.shape[1]))
+    column = {code: j for j, code in enumerate(corpus.codes)}
+    by_meta = by_code[[column.get(m.code, n_codes) for m in meta]]
+    mass = by_meta @ model.theta
+    totals = np.asarray(by_meta.sum(axis=1), dtype=np.int64).ravel()
 
     share = np.full_like(mass, np.nan)
     included = totals > 0

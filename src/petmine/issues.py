@@ -40,9 +40,8 @@ def _ranks(mass: np.ndarray) -> np.ndarray:
 def prevalence(model: TopicModel, corpus: Corpus) -> IssuePrevalence:
     """Topic mass summed over petitions, unweighted and signature-weighted."""
     model.check_alignment(corpus)
-    sigs = np.array([p.uk_signatures() for p in corpus.petitions], dtype=np.float64)
     by_p = model.theta.sum(axis=0)
-    by_s = sigs @ model.theta
+    by_s = corpus.uk.astype(np.float64) @ model.theta
     return IssuePrevalence(
         by_petitions=by_p, by_signatures=by_s,
         rank_by_petitions=_ranks(by_p), rank_by_signatures=_ranks(by_s),
@@ -63,9 +62,7 @@ def success_probability(model: TopicModel, corpus: Corpus,
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
     assigned = model.theta.argmax(axis=1)
-    hit = np.array(
-        [p.total_signatures >= threshold for p in corpus.petitions], dtype=np.float64
-    )
+    hit = (corpus.total >= threshold).astype(np.float64)
     out = np.full(model.k, np.nan)
     for t in range(model.k):
         mask = assigned == t

@@ -11,9 +11,8 @@ Determinism contract: per-document random streams are keyed by petition id
 the same inputs and config are bit-identical, and permuting document
 order leaves each document's stream unchanged.
 
-Validation mirrors two human checks: word-intrusion instances (top-5 words
-plus a low-probability intruder, shuffled) and an audit sample of
-documents assigned to a topic with high confidence.
+Validation mirrors a human check: word-intrusion instances (top-5 words
+plus a low-probability intruder, shuffled).
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class TopicModel:
 
     def check_alignment(self, corpus) -> None:
         """Raise unless the theta rows are ``corpus``'s petitions, in order."""
-        ids = tuple(p.id for p in corpus.petitions)
+        ids = tuple(corpus.ids)
         if ids != self.doc_ids:
             raise ValidationError(
                 "model and corpus are misaligned: document ids differ "
@@ -338,40 +337,6 @@ def score_intrusion(instances: list[IntrusionInstance],
         overall=correct / len(answers),
         flagged=flagged,
     )
-
-
-# ---------------------------------------------------------------------------
-# Assignment audit
-# ---------------------------------------------------------------------------
-
-def audit_assignments(model: TopicModel, threshold: float,
-                      n_per_topic: int = 10, seed: int | None = None
-                      ) -> list[tuple[str, int, float]]:
-    """Seeded sample of documents assigned to each topic above ``threshold``.
-
-    Returns ``(petition id, topic, max theta)`` rows sorted by (topic, id),
-    at most ``n_per_topic`` per topic.  Topics with fewer qualifying
-    documents contribute what they have; a warning notes the shortfall.
-    """
-    if not 0 < threshold < 1:
-        raise ConfigError("threshold must lie strictly between 0 and 1")
-    if seed is None:
-        seed = derive_seed(model.config.seed, "lda.audit")
-    assigned = model.theta.argmax(axis=1)
-    peak = model.theta.max(axis=1)
-    out = []
-    for t in range(model.k):
-        candidates = np.nonzero((assigned == t) & (peak > threshold))[0]
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"audit:{t}")))
-        take = rng.permutation(len(candidates))[:n_per_topic]
-        if len(candidates) < n_per_topic:
-            log.warning(
-                "topic %d: only %d documents exceed theta %.2f (wanted %d)",
-                t, len(candidates), threshold, n_per_topic,
-            )
-        for i in sorted(candidates[take]):
-            out.append((model.doc_ids[i], t, float(peak[i])))
-    return sorted(out, key=lambda r: (r[1], r[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -142,29 +142,3 @@ def threshold_divergence(counts, fit: PowerLawFit, thresholds) -> dict[int, floa
         model = p_tail * zeta(fit.exponent, t) / zeta(fit.exponent, fit.x_min)
         out[t] = float(np.log10(emp) - np.log10(model))
     return out
-
-
-def sample_discrete(alpha: float, x_min: int, n: int, seed: int,
-                    x_cap: int = 100_000) -> np.ndarray:
-    """Draw ``n`` values from the discrete power law, for calibration tests.
-
-    Exact inverse-CDF sampling over the probability table x_min..x_cap;
-    the tiny tail mass beyond x_cap (about 1e-4 at alpha=2, x_min=10) is
-    drawn from the continuous Pareto approximation.
-    """
-    if alpha <= 1:
-        raise ConfigError("alpha must exceed 1")
-    if x_min < 1 or x_cap <= x_min:
-        raise ConfigError("need 1 <= x_min < x_cap")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    xs = np.arange(x_min, x_cap + 1, dtype=np.float64)
-    norm = zeta(alpha, x_min)
-    cdf = np.cumsum(xs ** (-alpha) / norm)
-    u = rng.random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    out = x_min + idx
-    over = idx >= len(xs)
-    if over.any():
-        v = rng.random(int(over.sum()))
-        out[over] = np.floor(x_cap * (1.0 - v) ** (-1.0 / (alpha - 1.0))).astype(np.int64)
-    return out.astype(np.int64)

@@ -45,14 +45,17 @@ def build_series(model: TopicModel, corpus: Corpus) -> IssueSeries:
     n_days = (end - start).days + 1
     if n_days < 1:
         raise ValidationError("corpus window is empty")
+    outside = (corpus.day < 0) | (corpus.day >= n_days)
+    if outside.any():
+        d = int(np.argmax(outside))
+        created = start + datetime.timedelta(days=int(corpus.day[d]))
+        raise ValidationError(
+            f"petition {corpus.ids[d]} created {created} outside window {start}..{end}"
+        )
     values = np.zeros((n_days, model.k), dtype=np.float64)
-    for d, p in enumerate(corpus.petitions):
-        i = (p.created_at - start).days
-        if not 0 <= i < n_days:
-            raise ValidationError(
-                f"petition {p.id} created {p.created_at} outside window {start}..{end}"
-            )
-        values[i] += p.uk_signatures() * model.theta[d]
+    # unbuffered, in petition order: each day sums its petitions in the
+    # order a per-petition loop would
+    np.add.at(values, corpus.day, corpus.uk[:, None] * model.theta)
     dates = tuple(start + datetime.timedelta(days=i) for i in range(n_days))
     return IssueSeries(dates=dates, values=values)
 

@@ -25,7 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import porter
-from .corpus import merge_text
 from .errors import ConfigError, EmptyCorpusError
 from .util import load_arrays, save_arrays
 
@@ -134,23 +133,21 @@ def build_dtm(corpus, stopwords: frozenset[str],
               min_doc_fraction: float = 0.001) -> DocumentTermMatrix:
     """Clean every petition and assemble the pruned document-term matrix.
 
-    ``corpus`` provides ``petitions``, each with an ``id`` and the text
-    fields :func:`~petmine.corpus.merge_text` joins.  Raises if no term
-    survives pruning.
+    ``corpus`` provides the petitions' ``ids`` and merged ``texts``.
+    Raises if no term survives pruning.
     """
     if not 0.0 < min_doc_fraction < 1.0:
         raise ConfigError(f"min_doc_fraction must be in (0,1), got {min_doc_fraction}")
-    petitions = corpus.petitions
-    if not petitions:
+    if not corpus.ids:
         raise EmptyCorpusError("cannot build a DTM from an empty corpus")
 
     clean = _TokenCleaner(stopwords)
-    token_lists = [clean(merge_text(p)) for p in petitions]
+    token_lists = [clean(text) for text in corpus.texts]
     df: Counter[str] = Counter()
     for toks in token_lists:
         df.update(set(toks))
 
-    n_docs = len(petitions)
+    n_docs = len(corpus.ids)
     threshold = math.ceil(min_doc_fraction * n_docs)
     kept = sorted(t for t, c in df.items() if c >= threshold)
     if not kept:
@@ -191,7 +188,7 @@ def build_dtm(corpus, stopwords: frozenset[str],
     )
     return DocumentTermMatrix(
         n_docs=n_docs, vocabulary=vocab, counts=counts,
-        doc_ids=tuple(p.id for p in petitions), prune_report=report,
+        doc_ids=tuple(corpus.ids), prune_report=report,
     )
 
 

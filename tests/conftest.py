@@ -107,7 +107,7 @@ def write_fixture_archive(directory, n_petitions=60, seed=7):
     Returns (archive_path, constituencies_path, config_path, config_dict).
     """
     rnd = random.Random(seed)
-    lines = [json.dumps({"_meta": {"note": "fixture export"}})]
+    lines = []
     for i in range(n_petitions):
         vocab, action_tpl = FIXTURE_THEMES[i % 3]
         words = vocab.split()
@@ -214,11 +214,8 @@ def make_petition(pid, sigs_by_con, created="2015-06-01", action="Do thing",
 
 def make_corpus(petitions, constituencies=()):
     dates = [p.created_at for p in petitions]
-    return corpus.Corpus(
-        petitions=tuple(petitions),
-        constituencies=tuple(constituencies),
-        window=(min(dates), max(dates)),
-        ingest_report=None)
+    return corpus.Corpus.from_petitions(
+        petitions, constituencies, (min(dates), max(dates)))
 
 
 def make_model(theta, phi=None, terms=None, doc_ids=None, **config_kw):

@@ -27,6 +27,7 @@ from petmine.corpus import ConstituencyMeta
 
 from conftest import (make_corpus, make_model, make_petition,
                       make_planted_dtm, record_criterion, record_skip)
+from test_powerlaw import sample_discrete
 
 ARCHIVE_ENV = "PETMINE_ARCHIVE"
 CONS_ENV = "PETMINE_CONSTITUENCIES"
@@ -87,8 +88,7 @@ def test_criterion_03_powerlaw_recovery():
     hits = 0
     worst = 0.0
     for seed in range(100):
-        sample = powerlaw.sample_discrete(alpha=2.0, x_min=10, n=10_000,
-                                          seed=seed)
+        sample = sample_discrete(alpha=2.0, x_min=10, n=10_000, seed=seed)
         fit = powerlaw.fit_powerlaw(sample, x_min=10)
         err = abs(fit.exponent - 2.0)
         worst = max(worst, err)

@@ -305,6 +305,21 @@ def test_seed_changes_config_digest(tmp_path):
     assert "# seed: 43" in second.splitlines()[2]
 
 
+def test_output_dir_changes_no_byte(tmp_path):
+    archive, cons, config_path, config = write_fixture_archive(tmp_path)
+    outs = [tmp_path / "one", tmp_path / "elsewhere" / "two"]
+    for out in outs:
+        for command in ("ingest", "fit", "report"):
+            assert cli.main([command, "--config", str(config_path),
+                             "--output-dir", str(out), "--iterations", "20",
+                             "--burn-in", "10", "--sample-every", "5"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "summary.json" in names and "model.bin" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_window_filter_flag(tmp_path):
     archive, cons, config_path, config = write_fixture_archive(tmp_path)
     rc = cli.main(["ingest", "--config", str(config_path),

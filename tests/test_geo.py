@@ -109,14 +109,14 @@ def test_profiles_errors():
         geo.profile_constituencies(lone_model, lone, meta)
 
 
-def _profile_mass_loop(model, corpus, meta):
+def _profile_mass_loop(model, petitions, meta):
     # the per-pair accumulation, kept as the reference; also returns the
     # unlisted codes in the order they are first met
     index = {m.code: i for i, m in enumerate(meta)}
     mass = np.zeros((len(meta), model.k))
     totals = np.zeros(len(meta), dtype=np.int64)
     unlisted = []
-    for d, p in enumerate(corpus.petitions):
+    for d, p in enumerate(petitions):
         for code, n in p.signatures_by_constituency.items():
             i = index.get(code)
             if i is None:
@@ -144,21 +144,25 @@ def test_profiles_match_per_pair_loop(caplog):
             petitions.append(make_petition(d, dict(zip(chosen.tolist(),
                                                        counts.tolist()))))
         model = make_model(theta)
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="petmine.geo"):
-            profiles = geo.profile_constituencies(
-                model, make_corpus(petitions), meta)
-        mass, totals, unlisted = _profile_mass_loop(
-            model, make_corpus(petitions), meta)
-        assert [p.total_signatures for p in profiles] == totals.tolist()
-        live = totals > 0
-        shares = np.stack([p.issue_share for p in profiles])
-        assert np.array_equal(
-            shares[live], mass[live] / mass[live].sum(axis=1, keepdims=True))
-        assert np.isnan(shares[~live]).all()
-        assert [r.getMessage() for r in caplog.records] == [
-            f"constituency {code} not in metadata; skipping"
-            for code in unlisted]
+        mass, totals, unlisted = _profile_mass_loop(model, petitions, meta)
+        # without metadata the corpus keeps every code; with it, the
+        # unlisted ones are folded into UNKNOWN
+        for constituencies in ((), meta):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="petmine.geo"):
+                profiles = geo.profile_constituencies(
+                    model, make_corpus(petitions, constituencies), meta)
+            assert [p.total_signatures for p in profiles] == totals.tolist()
+            live = totals > 0
+            shares = np.stack([p.issue_share for p in profiles])
+            assert np.array_equal(
+                shares[live],
+                mass[live] / mass[live].sum(axis=1, keepdims=True))
+            assert np.isnan(shares[~live]).all()
+            # one warning per unlisted code, in code order
+            assert [r.getMessage() for r in caplog.records] == [
+                f"constituency {code} not in metadata; skipping"
+                for code in (() if constituencies else sorted(unlisted))]
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,39 @@ def test_prevalence_misaligned_corpus():
         issues.prevalence(model, corpus)
 
 
+def _random_petitions(rng, n_docs):
+    codes = ["E1", "E2", "Ross, Skye", "UNKNOWN"]
+    return [make_petition(d, {c: int(rng.pareto(1.1) * 200)
+                              for c in rng.choice(codes, int(rng.integers(0, 4)),
+                                                  replace=False).tolist()},
+                          country_extra=int(rng.integers(0, 3)) * 5_000)
+            for d in range(n_docs)]
+
+
+def test_prevalence_and_success_match_per_petition_loops():
+    rng = np.random.default_rng(11)
+    for trial in range(8):
+        n_docs, k = int(rng.integers(1, 300)), int(rng.integers(2, 12))
+        theta = rng.dirichlet(np.full(k, 0.3), size=n_docs)
+        petitions = _random_petitions(rng, n_docs)
+        model = make_model(theta)
+        corpus = make_corpus(petitions)
+        # the per-petition signature and threshold vectors, kept as the
+        # reference
+        sigs = np.array([sum(p.signatures_by_constituency.values())
+                         for p in petitions], dtype=np.float64)
+        prev = issues.prevalence(model, corpus)
+        assert np.array_equal(prev.by_signatures, sigs @ theta)
+        for t in (1, 5_000, 10_000):
+            hit = np.array([p.total_signatures >= t for p in petitions],
+                           dtype=np.float64)
+            got = issues.success_probability(model, corpus, threshold=t)
+            want = [hit[theta.argmax(axis=1) == i].mean()
+                    if (theta.argmax(axis=1) == i).any() else np.nan
+                    for i in range(k)]
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # success probability
 

@@ -295,33 +295,6 @@ def test_score_intrusion_errors():
 
 
 # ---------------------------------------------------------------------------
-# assignment audit
-
-
-def test_audit_assignments_selects_confident_docs():
-    theta = np.array([[0.97, 0.03],
-                      [0.96, 0.04],
-                      [0.20, 0.80],
-                      [0.98, 0.02],
-                      [0.60, 0.40]])
-    model = make_model(theta, doc_ids=("p1", "p2", "p3", "p4", "p5"))
-    rows = lda.audit_assignments(model, 0.95, n_per_topic=10, seed=0)
-    assert rows == [("p1", 0, 0.97), ("p2", 0, 0.96), ("p4", 0, 0.98)]
-    capped = lda.audit_assignments(model, 0.95, n_per_topic=2, seed=0)
-    assert len(capped) == 2
-    assert set(capped) <= set(rows)
-    assert capped == lda.audit_assignments(model, 0.95, n_per_topic=2, seed=0)
-
-
-def test_audit_assignments_threshold_bounds():
-    model = make_model(np.array([[0.9, 0.1]]))
-    assert lda.audit_assignments(model, 0.95) == []
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ConfigError):
-            lda.audit_assignments(model, bad)
-
-
-# ---------------------------------------------------------------------------
 # snapshots
 
 

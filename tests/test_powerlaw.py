@@ -10,6 +10,32 @@ from petmine import powerlaw
 from petmine.errors import ConfigError, ValidationError
 
 
+def sample_discrete(alpha: float, x_min: int, n: int, seed: int,
+                    x_cap: int = 100_000) -> np.ndarray:
+    """Draw ``n`` values from the discrete power law, for calibration.
+
+    Exact inverse-CDF sampling over the probability table x_min..x_cap;
+    the tiny tail mass beyond x_cap (about 1e-4 at alpha=2, x_min=10) is
+    drawn from the continuous Pareto approximation.
+    """
+    if alpha <= 1:
+        raise ConfigError("alpha must exceed 1")
+    if x_min < 1 or x_cap <= x_min:
+        raise ConfigError("need 1 <= x_min < x_cap")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    xs = np.arange(x_min, x_cap + 1, dtype=np.float64)
+    norm = zeta(alpha, x_min)
+    cdf = np.cumsum(xs ** (-alpha) / norm)
+    u = rng.random(n)
+    idx = np.searchsorted(cdf, u, side="right")
+    out = x_min + idx
+    over = idx >= len(xs)
+    if over.any():
+        v = rng.random(int(over.sum()))
+        out[over] = np.floor(x_cap * (1.0 - v) ** (-1.0 / (alpha - 1.0))).astype(np.int64)
+    return out.astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # ccdf
 
@@ -50,7 +76,7 @@ def test_ccdf_properties(counts):
 
 
 def test_fit_recovers_known_exponent():
-    sample = powerlaw.sample_discrete(alpha=1.8, x_min=10, n=30_000, seed=3)
+    sample = sample_discrete(alpha=1.8, x_min=10, n=30_000, seed=3)
     fit = powerlaw.fit_powerlaw(sample, x_min=10)
     assert fit.x_min == 10
     assert fit.n_tail == 30_000
@@ -59,7 +85,7 @@ def test_fit_recovers_known_exponent():
 
 
 def test_fit_deterministic():
-    sample = powerlaw.sample_discrete(alpha=2.2, x_min=5, n=2_000, seed=9)
+    sample = sample_discrete(alpha=2.2, x_min=5, n=2_000, seed=9)
     a = powerlaw.fit_powerlaw(sample, x_min=5)
     b = powerlaw.fit_powerlaw(sample, x_min=5)
     assert a == b
@@ -67,7 +93,7 @@ def test_fit_deterministic():
 
 def test_fit_respects_x_min():
     # junk below x_min must not influence the tail fit
-    sample = powerlaw.sample_discrete(alpha=2.0, x_min=10, n=10_000, seed=1)
+    sample = sample_discrete(alpha=2.0, x_min=10, n=10_000, seed=1)
     polluted = np.concatenate([sample, np.full(5_000, 3)])
     clean = powerlaw.fit_powerlaw(sample, x_min=10)
     dirty = powerlaw.fit_powerlaw(polluted, x_min=10)
@@ -114,7 +140,7 @@ def test_continuous_mle_closed_form():
 
 
 def test_continuous_and_discrete_agree_on_large_tail():
-    sample = powerlaw.sample_discrete(alpha=1.6, x_min=50, n=40_000, seed=5)
+    sample = sample_discrete(alpha=1.6, x_min=50, n=40_000, seed=5)
     disc = powerlaw.fit_powerlaw(sample, x_min=50).exponent
     cont = powerlaw.continuous_mle(sample, 50)
     # the continuous estimator is biased upward on discrete data but only
@@ -127,7 +153,7 @@ def test_continuous_and_discrete_agree_on_large_tail():
 
 
 def test_scan_xmin_and_best():
-    sample = powerlaw.sample_discrete(alpha=2.0, x_min=20, n=8_000, seed=11)
+    sample = sample_discrete(alpha=2.0, x_min=20, n=8_000, seed=11)
     # below the true x_min the head pollutes the fit and inflates KS
     polluted = np.concatenate([sample, np.full(4_000, 7)])
     fits = powerlaw.scan_xmin(polluted, [5, 10, 20, 40])
@@ -182,7 +208,7 @@ def test_threshold_divergence_out_of_range_nan():
 
 
 def test_threshold_divergence_detects_thin_tail():
-    sample = powerlaw.sample_discrete(alpha=1.7, x_min=10, n=20_000, seed=2)
+    sample = sample_discrete(alpha=1.7, x_min=10, n=20_000, seed=2)
     # drop the extreme tail to mimic a saturating platform
     truncated = sample[sample <= 2_000]
     fit = powerlaw.fit_powerlaw(truncated, x_min=10)
@@ -196,18 +222,18 @@ def test_threshold_divergence_detects_thin_tail():
 
 
 def test_sample_discrete_support_and_determinism():
-    s = powerlaw.sample_discrete(alpha=2.0, x_min=10, n=5_000, seed=7)
+    s = sample_discrete(alpha=2.0, x_min=10, n=5_000, seed=7)
     assert s.dtype == np.int64
     assert s.min() >= 10
-    t = powerlaw.sample_discrete(alpha=2.0, x_min=10, n=5_000, seed=7)
+    t = sample_discrete(alpha=2.0, x_min=10, n=5_000, seed=7)
     assert np.array_equal(s, t)
-    u = powerlaw.sample_discrete(alpha=2.0, x_min=10, n=5_000, seed=8)
+    u = sample_discrete(alpha=2.0, x_min=10, n=5_000, seed=8)
     assert not np.array_equal(s, u)
 
 
 def test_sample_discrete_ccdf_tracks_model():
     alpha, x_min = 2.0, 10
-    s = powerlaw.sample_discrete(alpha=alpha, x_min=x_min, n=50_000, seed=4)
+    s = sample_discrete(alpha=alpha, x_min=x_min, n=50_000, seed=4)
     for t in (10, 20, 50, 100):
         emp = (s >= t).mean()
         model = zeta(alpha, t) / zeta(alpha, x_min)
@@ -216,9 +242,9 @@ def test_sample_discrete_ccdf_tracks_model():
 
 def test_sample_discrete_validation():
     with pytest.raises(ConfigError, match="alpha"):
-        powerlaw.sample_discrete(alpha=1.0, x_min=10, n=5, seed=0)
+        sample_discrete(alpha=1.0, x_min=10, n=5, seed=0)
     with pytest.raises(ConfigError, match="x_min"):
-        powerlaw.sample_discrete(alpha=2.0, x_min=0, n=5, seed=0)
+        sample_discrete(alpha=2.0, x_min=0, n=5, seed=0)
     with pytest.raises(ConfigError, match="x_min"):
-        powerlaw.sample_discrete(alpha=2.0, x_min=50, n=5, seed=0,
+        sample_discrete(alpha=2.0, x_min=50, n=5, seed=0,
                                  x_cap=50)

@@ -1,5 +1,6 @@
 """Daily issue series, smoothing, entropy, and volatility flags."""
 
+import dataclasses
 import datetime
 
 import numpy as np
@@ -50,7 +51,8 @@ def test_build_series_conserves_mass():
     ]
     model = make_model(theta, doc_ids=tuple(str(i) for i in range(8)))
     series = temporal.build_series(model, make_corpus(petitions))
-    total_sigs = sum(p.uk_signatures() for p in petitions)
+    total_sigs = sum(sum(p.signatures_by_constituency.values())
+                     for p in petitions)
     assert series.values.sum() == pytest.approx(total_sigs)
 
 
@@ -62,10 +64,38 @@ def test_build_series_checks_alignment_and_window():
         temporal.build_series(model, bad)
     c = make_corpus([make_petition(0, {"E1": 5}, created="2015-06-01"),
                      make_petition(1, {"E1": 5}, created="2015-06-02")])
-    shrunk = type(c)(petitions=c.petitions, constituencies=(),
-                     window=(c.window[0], c.window[0]), ingest_report=None)
+    shrunk = dataclasses.replace(c, window=(c.window[0], c.window[0]))
     with pytest.raises(ValidationError, match="outside window"):
         temporal.build_series(model, shrunk)
+
+
+def _build_series_loop(model, petitions, window):
+    # the per-petition accumulation, kept as the reference
+    start, end = window
+    values = np.zeros(((end - start).days + 1, model.k))
+    for d, p in enumerate(petitions):
+        uk = sum(p.signatures_by_constituency.values())
+        values[(p.created_at - start).days] += uk * model.theta[d]
+    return values
+
+
+def test_build_series_matches_per_petition_loop():
+    rng = np.random.default_rng(17)
+    for trial in range(8):
+        n_docs, k = int(rng.integers(1, 300)), int(rng.integers(2, 12))
+        theta = rng.dirichlet(np.full(k, 0.3), size=n_docs)
+        petitions = [
+            make_petition(d, {f"E{j}": int(rng.pareto(1.1) * 100)
+                              for j in range(int(rng.integers(0, 6)))},
+                          created=str(datetime.date(2015, 6, 1)
+                                      + datetime.timedelta(
+                                          days=int(rng.integers(0, 40)))))
+            for d in range(n_docs)]
+        c = make_corpus(petitions)
+        series = temporal.build_series(make_model(theta), c)
+        assert np.array_equal(series.values,
+                              _build_series_loop(make_model(theta),
+                                                 petitions, c.window))
 
 
 # ---------------------------------------------------------------------------
