@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -41,8 +42,7 @@ NETWORK_KEEP_FRACTION = 0.2
 SILHOUETTE_K_RANGE = range(2, 11)
 
 # --k and friends override the lda section; --seed stays top-level
-_LDA_OVERRIDE_KEYS = {"k", "alpha", "beta", "iterations", "burn_in",
-                      "sample_every"}
+_LDA_OVERRIDE_KEYS = set(_LDA_DEFAULTS) - {"seed"}
 
 
 @dataclasses.dataclass
@@ -75,6 +75,15 @@ class PipelineConfig:
             fields["seed"] = derive_seed(self.seed, "stage:lda")
         return lda.LdaConfig(**fields)
 
+    def window_dates(self) -> tuple[datetime.date, datetime.date] | None:
+        if self.window is None:
+            return None
+        try:
+            return corpus.parse_window(self.window)
+        except ValueError:
+            raise ConfigError(f"window must be two ISO dates START,END in "
+                              f"order, got {self.window}") from None
+
     def stage_seed(self, stage: str) -> int:
         return derive_seed(self.seed, f"stage:{stage}")
 
@@ -91,13 +100,41 @@ class PipelineConfig:
         return os.path.join(self.output_dir, name)
 
 
+# the JSON types of the lda section; a null seed is derived from the top level
+_LDA_TYPES = dict(typing.get_type_hints(lda.LdaConfig), seed=int | None)
+
+
+def _fits(value, hint) -> bool:
+    """An int is not a bool, a float may be an int, list items are typed."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:     # a union
+        return any(_fits(value, h) for h in args)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)
+
+
+def _check_types(values: dict, hints: dict, prefix: str = "") -> None:
+    """Raise ConfigError naming a key of ``values`` that is unknown or mistyped."""
+    unknown = sorted(prefix + key for key in set(values) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for key, value in values.items():
+        if not _fits(value, hints[key]):
+            hint = hints[key]
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(
+                f"config key '{prefix}{key}' must be {name}, got {value!r}")
+
+
 def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     """Merge file values and flag overrides over the defaults.
 
-    Flag names mirror config keys; an unknown key in the file is a
-    configuration error rather than a silent no-op.
+    Flag names mirror config keys; an unknown key or a value of the wrong
+    JSON type in the file is a configuration error, not a no-op or a crash.
     """
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
     values: dict = {}
     if config_path is not None:
         if not os.path.exists(config_path):
@@ -109,31 +146,23 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
                 raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        bad_lda = set(values.get("lda", {})) - set(_LDA_DEFAULTS)
-        if bad_lda:
-            raise ConfigError(f"unknown lda config keys: {sorted(bad_lda)}")
+        _check_types(values, typing.get_type_hints(PipelineConfig))
+        _check_types(values.get("lda", {}), _LDA_TYPES, "lda.")
     for key, value in overrides.items():
         if value is None:
             continue
-        if key == "lda_seed":
-            values["lda"] = dict(values.get("lda", {}), seed=value)
-        elif key in _LDA_OVERRIDE_KEYS:
-            values["lda"] = dict(values.get("lda", {}), **{key: value})
+        if key == "lda_seed" or key in _LDA_OVERRIDE_KEYS:
+            values["lda"] = dict(values.get("lda", {}),
+                                 **{key.removeprefix("lda_"): value})
         else:
             values[key] = value
-    try:
-        cfg = PipelineConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    cfg.lda_config()    # surface bad sampler settings now, not mid-run
+    cfg = PipelineConfig(**values)
+    # surface bad sampler settings and windows now, not mid-run
+    cfg.lda_config()
+    cfg.window_dates()
     for name in ("thresholds", "smoothing_windows"):
         values = getattr(cfg, name)
-        if (not isinstance(values, list)
-                or not all(isinstance(v, int) and v > 0 for v in values)
-                or any(a >= b for a, b in zip(values, values[1:]))):
+        if any(a >= b for a, b in zip([0, *values], values)):
             raise ConfigError(
                 f"{name} must be positive and strictly ascending, got {values}")
     return cfg
@@ -198,13 +227,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     if cfg.constituencies is not None:
         constituencies = corpus.load_constituencies(
             _require_input(cfg.constituencies, "constituency CSV"))
-    window = None
-    if cfg.window is not None:
-        window = tuple(datetime.date.fromisoformat(d) for d in cfg.window)
-        if len(window) != 2 or window[0] > window[1]:
-            raise ConfigError(f"bad window {cfg.window}")
-    ingest_cfg = corpus.IngestConfig(window=window, constituencies=constituencies)
-    c = corpus.load_archive(archive, ingest_cfg)
+    c = corpus.load_archive(archive, cfg.window_dates(), constituencies)
     corpus.save_corpus(c, cfg.path("corpus.jsonl"))
     corpus.write_rejects_report(c.ingest_report, cfg.path("rejects.csv"), cfg.meta())
     log.info("ingest: %d accepted, %d rejected, %d UK signatures",
@@ -214,15 +237,17 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_fit(cfg: PipelineConfig, args) -> int:
+    # settle the names before the snapshot is read or a sampler runs
+    lda_cfg = cfg.lda_config()
+    names = _topic_names(cfg, lda_cfg.k)
     _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
     c = corpus.load_corpus(cfg.path("corpus.jsonl"))
     stopwords = textprep.load_stopwords(cfg.stopwords)
     dtm = textprep.build_dtm(c, stopwords, cfg.min_doc_fraction)
     textprep.save_dtm(dtm, cfg.path("dtm.bin"))
-    model = lda.fit(dtm, cfg.lda_config())
+    model = lda.fit(dtm, lda_cfg)
     lda.save_model(model, cfg.path("model.bin"))
 
-    names = _topic_names(cfg, model.k)
     write_csv(cfg.path("topic_names.csv"), cfg.meta(),
               ["topic_index", "name"], list(enumerate(names)))
     write_csv(cfg.path("top_words.csv"), cfg.meta(),

@@ -43,6 +43,9 @@ UNKNOWN_CODE = "UNKNOWN"
 # them in; every integer a snapshot holds is in 0.._MAX_COUNT
 _MAX_COUNT = 2**53
 
+# the only state ingest keeps; records in any other are dropped and counted
+_ACCEPTED = "accepted"
+
 
 @dataclass(frozen=True)
 class ConstituencyMeta:
@@ -59,33 +62,17 @@ class ConstituencyMeta:
 
 @dataclass(frozen=True)
 class Petition:
-    """One validated archive record, before it becomes a corpus row."""
+    """One validated archive record: a corpus row before it is a column."""
     id: str
-    action: str
-    background: str
-    additional_details: str | None
+    text: str                        # action, background and details joined
     created_at: datetime.date
-    state: str
     total_signatures: int
-    signatures_by_constituency: dict[str, int]
-    signatures_by_country: dict[str, int]
-
-
-def merge_text(p: Petition) -> str:
-    """Concatenate action, background and details with single spaces.
-
-    Empty or absent optional parts contribute nothing.
-    """
-    if not p.action:
-        raise ValidationError(f"petition {p.id}: action is empty")
-    parts = [p.action, p.background, p.additional_details or ""]
-    return " ".join(part for part in parts if part)
+    signatures_by_constituency: dict[str, int]   # raw codes, duplicates summed
 
 
 @dataclass
 class IngestReport:
     total_lines: int = 0
-    accepted: int = 0
     dropped_state: int = 0
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
@@ -116,15 +103,20 @@ class Corpus:
                              dtype=np.int64).ravel()
 
     @classmethod
-    def from_petitions(cls, petitions, constituencies, window) -> "Corpus":
+    def from_petitions(cls, petitions, constituencies=(),
+                       window=None) -> "Corpus":
         """Columns of ``petitions``, kept in the order given.
 
         With ``constituencies``, codes they do not list are summed into the
-        UNKNOWN column.  Raises ValidationError for a petition created
-        outside ``window``.
+        UNKNOWN column, with one warning per such code.  ``window``
+        defaults to the span of the creation dates.  Raises
+        ValidationError for a petition created outside ``window``.
         """
         petitions = tuple(petitions)
         constituencies = tuple(constituencies)
+        if window is None:
+            dates = [p.created_at for p in petitions]
+            window = (min(dates), max(dates))
         start, end = window
         n = len(petitions)
         day = np.fromiter(((p.created_at - start).days for p in petitions),
@@ -144,6 +136,10 @@ class Corpus:
             lengths.append(len(sig))
         if constituencies:
             codes = tuple(m.code for m in constituencies) + (UNKNOWN_CODE,)
+            # geo analyses skip the UNKNOWN column, signature totals keep it
+            for code in sorted(set(keys).difference(codes[:-1])):
+                log.warning("unknown constituency code %s; bucketing as UNKNOWN",
+                            code)
         else:
             codes = tuple(sorted(set(keys)))
         column = {code: j for j, code in enumerate(codes)}
@@ -160,20 +156,13 @@ class Corpus:
         signatures.sum_duplicates()    # sorts columns, merges folded codes
         return cls(
             ids=[p.id for p in petitions],
-            texts=[merge_text(p) for p in petitions],
+            texts=[p.text for p in petitions],
             day=day,
             total=np.fromiter((p.total_signatures for p in petitions),
                               dtype=np.int64, count=n),
             signatures=signatures, codes=codes,
             constituencies=constituencies, window=tuple(window),
         )
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    window: tuple[datetime.date, datetime.date] | None = None
-    accepted_states: frozenset[str] = frozenset({"accepted"})
-    constituencies: tuple[ConstituencyMeta, ...] = ()
 
 
 def uk_signature_total(corpus: Corpus) -> int:
@@ -207,14 +196,11 @@ def load_constituencies(path: str) -> tuple[ConstituencyMeta, ...]:
                 raise ArchiveFormatError(f"{path}:{i}: duplicate code {code}")
             seen.add(code)
             try:
-                electorate = int(row["electorate"])
-            except (TypeError, ValueError):
+                out.append(ConstituencyMeta(code=code, name=row["name"],
+                                            electorate=int(row["electorate"])))
+            except (TypeError, ValueError, ValidationError):
                 raise ArchiveFormatError(
-                    f"{path}:{i}: electorate is not an integer"
-                ) from None
-            if electorate <= 0:
-                raise ArchiveFormatError(f"{path}:{i}: electorate must be positive")
-            out.append(ConstituencyMeta(code=code, name=row["name"], electorate=electorate))
+                    f"{path}:{i}: electorate is not a positive integer") from None
     return tuple(out)
 
 
@@ -260,14 +246,13 @@ def _parse_signature_list(value, key_field: str) -> dict[str, int]:
     return out
 
 
-def _parse_record(obj, known_codes: frozenset[str] | None,
-                  warned_codes: set[str]) -> Petition:
+def _parse_record(obj) -> tuple[str, Petition]:
+    """The record's state and its petition, or _RecordError."""
     if not isinstance(obj, dict):
         raise _RecordError("record is not a JSON object")
     raw_id = obj.get("id")
     if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
         raise _RecordError("missing id")
-    pid = str(raw_id)
     state = _require_str(obj, "state")
     attrs = obj.get("attributes")
     if not isinstance(attrs, dict):
@@ -278,24 +263,8 @@ def _parse_record(obj, known_codes: frozenset[str] | None,
     if details is not None and not isinstance(details, str):
         raise _RecordError("additional_details is neither string nor null")
     created = _parse_date(attrs.get("created_at"))
-    by_const = _parse_signature_list(
-        attrs.get("signatures_by_constituency"), "ons_code"
-    )
+    by_const = _parse_signature_list(attrs.get("signatures_by_constituency"), "ons_code")
     by_country = _parse_signature_list(attrs.get("signatures_by_country"), "code")
-
-    if known_codes is not None:
-        # fold codes absent from the metadata into an UNKNOWN bucket; geo
-        # analyses skip it, signature totals keep it
-        folded: dict[str, int] = {}
-        for code, count in by_const.items():
-            if code in known_codes:
-                folded[code] = folded.get(code, 0) + count
-            else:
-                if code not in warned_codes:
-                    warned_codes.add(code)
-                    log.warning("unknown constituency code %s; bucketing as UNKNOWN", code)
-                folded[UNKNOWN_CODE] = folded.get(UNKNOWN_CODE, 0) + count
-        by_const = folded
 
     total = attrs.get("signature_count")
     if total is None:
@@ -309,13 +278,11 @@ def _parse_record(obj, known_codes: frozenset[str] | None,
     if total < sum(by_const.values()):
         raise _RecordError("constituency signatures exceed the petition total")
 
-    return Petition(
-        id=pid, action=action, background=background,
-        additional_details=details, created_at=created, state=state,
-        total_signatures=total,
-        signatures_by_constituency=by_const,
-        signatures_by_country=by_country,
-    )
+    # empty or absent optional parts contribute nothing to the text
+    text = " ".join(part for part in (action, background, details) if part)
+    return state, Petition(id=str(raw_id), text=text, created_at=created,
+                           total_signatures=total,
+                           signatures_by_constituency=by_const)
 
 
 # a \u escape into the surrogate range: the only way a parsed record can
@@ -331,23 +298,24 @@ def _encodable(text: str) -> bool:
     return True
 
 
-def load_archive(path: str, config: IngestConfig = IngestConfig()) -> Corpus:
+def load_archive(path: str,
+                 window: tuple[datetime.date, datetime.date] | None = None,
+                 constituencies: tuple[ConstituencyMeta, ...] = ()) -> Corpus:
     """Load a JSON-lines petitions archive into a validated Corpus.
 
-    Record-level problems go to ``corpus.ingest_report.rejects`` as
-    ``(line_no, reason)``, lines that are not UTF-8 or not JSON included;
-    records whose state is not in ``config.accepted_states`` are dropped
-    and counted.  Raises EmptyCorpusError when nothing survives.
+    Lines end at ``\\n`` only: a ``\\r`` before it is stripped, and one
+    elsewhere stays in the line, where JSON reads it as whitespace
+    between tokens.  Record-level problems go to
+    ``corpus.ingest_report.rejects`` as ``(line_no, reason)``, lines that
+    are not UTF-8 or not JSON included; records whose state is not
+    ``accepted`` are dropped and counted.  Raises EmptyCorpusError when
+    nothing survives.
     """
     report = IngestReport()
-    known = (
-        frozenset(c.code for c in config.constituencies)
-        if config.constituencies else None
-    )
-    warned: set[str] = set()
     petitions: dict[str, Petition] = {}
     # undecodable bytes become lone surrogates, which no UTF-8 text holds
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape",
+              newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -362,39 +330,30 @@ def load_archive(path: str, config: IngestConfig = IngestConfig()) -> Corpus:
                 report.rejects.append((line_no, "invalid json"))
                 continue
             try:
-                p = _parse_record(obj, known, warned)
+                state, p = _parse_record(obj)
             except _RecordError as exc:
                 report.rejects.append((line_no, str(exc)))
                 continue
             if _SURROGATE_ESCAPE.search(line) and not _encodable(
-                    "".join([p.id, merge_text(p), *p.signatures_by_constituency])):
+                    "".join([p.id, p.text, *p.signatures_by_constituency])):
                 report.rejects.append((line_no, "invalid utf-8"))
                 continue
-            if p.state not in config.accepted_states:
+            if state != _ACCEPTED:
                 report.dropped_state += 1
                 continue
-            if config.window is not None:
-                lo, hi = config.window
-                if not lo <= p.created_at <= hi:
-                    report.rejects.append(
-                        (line_no, "created_at outside configured window")
-                    )
-                    continue
+            if window is not None and not window[0] <= p.created_at <= window[1]:
+                report.rejects.append(
+                    (line_no, "created_at outside configured window"))
+                continue
             if p.id in petitions:
                 report.rejects.append((line_no, f"duplicate id {p.id}"))
                 continue
             petitions[p.id] = p
-            report.accepted += 1
 
     if not petitions:
         raise EmptyCorpusError(f"{path}: no accepted petitions")
-    ordered = [petitions[k] for k in sorted(petitions)]
-    if config.window is not None:
-        window = config.window
-    else:
-        dates = [p.created_at for p in ordered]
-        window = (min(dates), max(dates))
-    corpus = Corpus.from_petitions(ordered, config.constituencies, window)
+    corpus = Corpus.from_petitions(
+        [petitions[k] for k in sorted(petitions)], constituencies, window)
     corpus.ingest_report = report
     return corpus
 
@@ -444,7 +403,8 @@ def _meta_field(path: str, meta: dict, key: str, convert):
             f"{path}: _meta field '{key}' is missing or malformed") from None
 
 
-def _window(value) -> tuple[datetime.date, datetime.date]:
+def parse_window(value) -> tuple[datetime.date, datetime.date]:
+    """``[start, end]`` ISO dates as dates; ValueError unless start <= end."""
     lo, hi = (datetime.date.fromisoformat(d) for d in value)
     if lo > hi:
         raise ValueError("window ends before it starts")
@@ -534,7 +494,7 @@ def load_corpus(path: str) -> Corpus:
         raise ArchiveFormatError(
             f"{path}: corpus snapshot version {meta.get('version')!r} is not "
             f"supported (expected {_CORPUS_VERSION})")
-    window = _meta_field(path, meta, "window", _window)
+    window = _meta_field(path, meta, "window", parse_window)
     n = _meta_field(path, meta, "n_petitions", _count)
     constituencies = _meta_field(path, meta, "constituencies", _constituency_list)
     codes = tuple(_meta_field(path, meta, "codes", _strings))

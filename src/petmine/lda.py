@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .errors import (ConfigError, EmptyCorpusError, NumericalError,
-                     ValidationError)
+from .errors import (ArchiveFormatError, ConfigError, EmptyCorpusError,
+                     NumericalError, ValidationError)
 from .util import config_digest, derive_seed, load_arrays, save_arrays
 
 log = logging.getLogger(__name__)
@@ -368,13 +368,7 @@ def save_model(model: TopicModel, path: str) -> None:
 
 
 def load_model(path: str) -> TopicModel:
-    arrays, meta = load_arrays(path)
-    if meta is None or meta.get("format") != _MODEL_FORMAT:
-        raise ConfigError(f"{path} is not a model snapshot")
-    if meta.get("version") != _MODEL_VERSION:
-        raise ConfigError(
-            f"{path}: model snapshot version {meta.get('version')!r} is not "
-            f"supported (expected {_MODEL_VERSION})")
+    arrays, meta = load_arrays(path, _MODEL_FORMAT, _MODEL_VERSION)
     model = TopicModel(
         config=LdaConfig(**meta["config"]),
         phi=arrays["phi"], theta=arrays["theta"],
@@ -383,5 +377,5 @@ def load_model(path: str) -> TopicModel:
         terms=tuple(meta["terms"]), doc_ids=tuple(meta["doc_ids"]),
     )
     if model.vocab_hash != meta["vocab_hash"]:
-        raise ConfigError(f"{path}: vocabulary hash mismatch")
+        raise ArchiveFormatError(f"{path}: vocabulary hash mismatch")
     return model

@@ -221,13 +221,7 @@ def save_dtm(dtm: DocumentTermMatrix, path: str) -> None:
 
 
 def load_dtm(path: str) -> DocumentTermMatrix:
-    arrays, meta = load_arrays(path)
-    if meta is None or meta.get("format") != _DTM_FORMAT:
-        raise ConfigError(f"{path} is not a DTM snapshot")
-    if meta.get("version") != _DTM_VERSION:
-        raise ConfigError(
-            f"{path}: DTM snapshot version {meta.get('version')!r} is not "
-            f"supported (expected {_DTM_VERSION})")
+    arrays, meta = load_arrays(path, _DTM_FORMAT, _DTM_VERSION)
     n_docs = int(meta["n_docs"])
     terms = tuple(meta["terms"])
     counts = sp.csr_matrix(

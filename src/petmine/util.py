@@ -19,6 +19,8 @@ import zipfile
 
 import numpy as np
 
+from .errors import ArchiveFormatError
+
 _MASK64 = (1 << 64) - 1
 
 # fnv-1a 64-bit offset basis / prime
@@ -161,17 +163,41 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
             zf.writestr(info, buf.getvalue())
 
 
-def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict | None]:
-    """Read back an archive written by :func:`save_arrays`."""
-    arrays: dict[str, np.ndarray] = {}
+class _Members(dict):
+    """A snapshot's arrays or meta fields; an absent one is a format error."""
+
+    def __init__(self, path: str, items=()):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ArchiveFormatError(f"{self.path}: snapshot has no '{key}'")
+
+
+def load_arrays(path: str, format: str,
+                version: int) -> tuple[dict[str, np.ndarray], dict]:
+    """Read back a ``format`` ``version`` archive written by :func:`save_arrays`.
+
+    Any fault in it is an ArchiveFormatError naming ``path``.
+    """
+    arrays = _Members(path)
     meta = None
-    with zipfile.ZipFile(path, "r") as zf:
-        for name in zf.namelist():
-            with zf.open(name) as fh:
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            for name in zf.namelist():
+                data = zf.read(name)
                 if name == "meta.json":
-                    meta = json.loads(fh.read().decode("utf-8"))
+                    meta = json.loads(data)
                 elif name.endswith(".npy"):
                     arrays[name[:-4]] = np.lib.format.read_array(
-                        io.BytesIO(fh.read())
-                    )
-    return arrays, meta
+                        io.BytesIO(data))
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ArchiveFormatError(
+            f"{path}: not a readable {format} snapshot ({exc})") from None
+    if not isinstance(meta, dict) or meta.get("format") != format:
+        raise ArchiveFormatError(f"{path} is not a {format} snapshot")
+    if meta.get("version") != version:
+        raise ArchiveFormatError(
+            f"{path}: {format} snapshot version {meta.get('version')!r} is "
+            f"not supported (expected {version})")
+    return arrays, _Members(path, meta)

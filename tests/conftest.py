@@ -199,23 +199,15 @@ def pipeline_out(fixture_paths):
 
 def make_petition(pid, sigs_by_con, created="2015-06-01", action="Do thing",
                   background="", country_extra=0):
-    total = sum(sigs_by_con.values()) + country_extra
-    country = {"GB": sum(sigs_by_con.values())}
-    if country_extra:
-        country["FR"] = country_extra
     return corpus.Petition(
-        id=str(pid), action=action, background=background,
-        additional_details=None,
+        id=str(pid), text=" ".join(part for part in (action, background) if part),
         created_at=datetime.date.fromisoformat(created),
-        state="accepted", total_signatures=total,
-        signatures_by_constituency=dict(sigs_by_con),
-        signatures_by_country=country)
+        total_signatures=sum(sigs_by_con.values()) + country_extra,
+        signatures_by_constituency=dict(sigs_by_con))
 
 
 def make_corpus(petitions, constituencies=()):
-    dates = [p.created_at for p in petitions]
-    return corpus.Corpus.from_petitions(
-        petitions, constituencies, (min(dates), max(dates)))
+    return corpus.Corpus.from_petitions(petitions, constituencies)
 
 
 def make_model(theta, phi=None, terms=None, doc_ids=None, **config_kw):

@@ -281,6 +281,73 @@ def test_bad_sampler_settings_caught_at_load(tmp_path):
     assert cli.main(["report", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("values, flags, key", [
+    ({"pam_k": "2"}, [], "pam_k"),
+    ({"entropy_window_days": "7"}, [], "entropy_window_days"),
+    ({"min_doc_fraction": "0.1"}, [], "min_doc_fraction"),
+    ({"seed": "1"}, [], "seed"),
+    ({"lda": {"k": "3"}}, [], "lda.k"),
+    ({"lda": {"alpha": "x"}}, [], "lda.alpha"),
+    ({"window": "2015-01-01,2015-12-31"}, [], "window"),
+    ({}, ["--window", "2015-01-01,bad"], "window"),
+    ({}, ["--window", "2015-12-31,2015-01-01"], "window"),
+    ({"topic_names": "abc"}, [], "topic_names"),
+    ({"thresholds": [True, 5]}, [], "thresholds"),
+])
+def test_config_values_of_the_wrong_type_exit_two(
+        fixture_paths, tmp_path, capsys, values, flags, key):
+    # the archive is there, so only the bad value can stop the ingest
+    archive = str(fixture_paths[0])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(values, archive=archive,
+                                    output_dir=str(tmp_path / "out"))),
+                    encoding="utf-8")
+    assert cli.main(["ingest", "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config key '{key}'" in err or (
+        key == "window" and "config error: window" in err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_types_accept_an_int_for_a_float(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lda": {"alpha": 1, "seed": None},
+                                "min_doc_fraction": 1}), encoding="utf-8")
+    cfg = cli.load_config(str(path), {})
+    assert cfg.lda_config().alpha == 1 and cfg.min_doc_fraction == 1
+
+
+def test_fit_checks_topic_names_before_any_work(fixture_paths, tmp_path,
+                                                capsys):
+    _, _, config_path, _ = fixture_paths
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--config", str(config_path),
+                     "--output-dir", str(out)]) == 0
+    assert cli.main(["fit", "--config", str(config_path),
+                     "--output-dir", str(out), "--topic-names", "a,b"]) == 2
+    assert "2 topic names for 3 topics" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl",
+                                                     "rejects.csv"]
+
+
+@pytest.mark.parametrize("name, cut", [
+    ("model.bin", 0), ("model.bin", 2), ("dtm.bin", 0), ("dtm.bin", 2)])
+def test_damaged_snapshots_exit_one_naming_the_file(
+        pipeline_out, fixture_paths, tmp_path, capsys, name, cut):
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    for snapshot in ("corpus.jsonl", "model.bin", "dtm.bin"):
+        shutil.copy(os.path.join(out, snapshot), tmp_path / snapshot)
+    # emptied (cut 0) or cut off halfway (cut 2)
+    data = (tmp_path / name).read_bytes()
+    (tmp_path / name).write_bytes(data[:len(data) // cut] if cut else b"")
+    command = {"model.bin": ["report"], "dtm.bin": ["grid", "--k-values", "2"]}
+    assert cli.main([*command[name], "--config", str(config_path),
+                     "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "petmine: error:" in err and str(tmp_path / name) in err
+
+
 def test_flag_overrides_win_over_file(tmp_path):
     archive, cons, config_path, config = write_fixture_archive(tmp_path)
     other_out = tmp_path / "elsewhere"

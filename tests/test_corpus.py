@@ -58,7 +58,7 @@ def test_load_archive_happy_path(tmp_path):
         _record(1, created="2015-07-04", total=5, by_con=[_sig("E1", 5)]),
     ])
     c = corpus.load_archive(path)
-    assert c.ingest_report.accepted == 2
+    assert len(c.ids) == 2
     assert c.ingest_report.rejects == []
     # petitions come back sorted by id
     assert c.ids == ["1", "2"]
@@ -81,18 +81,18 @@ def test_load_archive_has_no_header_line(tmp_path):
     ])
     c = corpus.load_archive(path)
     assert c.ingest_report.total_lines == 2
-    assert c.ingest_report.accepted == 1
+    assert len(c.ids) == 1
     assert c.ingest_report.rejects == [(1, "missing id")]
 
 
-def test_load_archive_drops_unaccepted_states(tmp_path):
+def test_load_archive_drops_records_not_accepted(tmp_path):
     path = _write_archive(tmp_path / "a.jsonl", [
         _record(1, by_con=[_sig("E1", 40)]),
         _record(2, state="rejected", by_con=[_sig("E1", 40)]),
         _record(3, state="open", by_con=[_sig("E1", 40)]),
     ])
     c = corpus.load_archive(path)
-    assert c.ingest_report.accepted == 1
+    assert len(c.ids) == 1
     assert c.ingest_report.dropped_state == 2
     assert c.ingest_report.rejects == []
     assert c.ids == ["1"]
@@ -134,7 +134,7 @@ def test_load_archive_rejects_bad_records(tmp_path, mangle, reason_part):
         mangle,
     ])
     c = corpus.load_archive(path)
-    assert c.ingest_report.accepted == 1
+    assert len(c.ids) == 1
     assert len(c.ingest_report.rejects) == 1
     line_no, reason = c.ingest_report.rejects[0]
     assert line_no == 2
@@ -159,7 +159,7 @@ def test_load_archive_duplicate_id_rejected(tmp_path):
         _record(7, by_con=[_sig("E1", 1)], total=1),
     ])
     c = corpus.load_archive(path)
-    assert c.ingest_report.accepted == 1
+    assert len(c.ids) == 1
     assert c.ingest_report.rejects == [(2, "duplicate id 7")]
 
 
@@ -192,7 +192,7 @@ def test_load_archive_window_filter(tmp_path):
         _record(2, created="2016-01-01", by_con=[_sig("E1", 40)]),
         _record(3, created="2014-12-31", by_con=[_sig("E1", 40)]),
     ])
-    c = corpus.load_archive(path, corpus.IngestConfig(window=window))
+    c = corpus.load_archive(path, window=window)
     assert c.ids == ["1"]
     assert c.window == window
     assert c.day.tolist() == [151]
@@ -205,12 +205,89 @@ def test_load_archive_unknown_code_bucketed(tmp_path):
     path = _write_archive(tmp_path / "a.jsonl", [
         _record(1, by_con=[_sig("E1", 30), _sig("ZZ9", 6), _sig("XX1", 4)]),
     ])
-    c = corpus.load_archive(path, corpus.IngestConfig(constituencies=cons))
+    c = corpus.load_archive(path, constituencies=cons)
     # with metadata the columns are its codes in file order, then UNKNOWN
     assert c.codes == ("E1", "UNKNOWN")
     assert _row(c, 0) == {"E1": 30, "UNKNOWN": 10}
     # bucketed signatures still count toward the UK total
     assert c.uk.tolist() == [40]
+
+
+def test_unlisted_lone_surrogate_code_is_rejected_with_or_without_metadata(
+        tmp_path):
+    # the code reaches the corpus raw, to be folded there, so it is
+    # checked like every other kept string even when it is not listed
+    path = _write_archive(tmp_path / "a.jsonl", [
+        _record(1, by_con=[_sig("E1", 40)]),
+        _record(2, by_con=[_sig("E1", 1), _sig("E\udfff", 1)], total=2),
+    ])
+    for cons in ((), (corpus.ConstituencyMeta("E1", "Alpha", 70000),)):
+        c = corpus.load_archive(path, constituencies=cons)
+        assert c.ids == ["1"]
+        assert c.ingest_report.rejects == [(2, "invalid utf-8")]
+
+
+def test_load_archive_breaks_lines_at_newline_only(tmp_path):
+    one = json.dumps(_record(1, by_con=[_sig("E1", 40)]))
+    two = json.dumps(_record(2, by_con=[_sig("E1", 40)]))
+    path = tmp_path / "a.jsonl"
+    # a bare \r between JSON tokens is whitespace, not a line break
+    path.write_bytes(
+        "\n".join([one.replace(', "state"', ',\r"state"'), two, "not json"])
+        .encode() + b"\n")
+    c = corpus.load_archive(str(path))
+    assert c.ids == ["1", "2"]
+    assert c.ingest_report.total_lines == 3
+    assert c.ingest_report.rejects == [(3, "invalid json")]
+
+
+def test_load_archive_crlf_line_numbers(tmp_path):
+    one = json.dumps(_record(1, by_con=[_sig("E1", 40)]))
+    path = tmp_path / "a.jsonl"
+    path.write_bytes("\r\n".join([one, "not json", "", one]).encode() + b"\r\n")
+    c = corpus.load_archive(str(path))
+    assert c.ids == ["1"]
+    assert c.ingest_report.total_lines == 3     # the blank line is skipped
+    assert c.ingest_report.rejects == [(2, "invalid json"),
+                                       (4, "duplicate id 1")]
+
+
+_FOLD_CODES = ["E1", "E2", "Ross, Skye", "UNKNOWN", "Z9"]
+
+
+@given(records=st.lists(
+           st.lists(st.tuples(st.sampled_from(_FOLD_CODES),
+                              st.integers(0, 2**40)), max_size=6),
+           min_size=1, max_size=6),
+       listed=st.lists(st.sampled_from(["E1", "E2", "Ross, Skye", "Z9"]),
+                       unique=True, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_unlisted_codes_are_folded_once(tmp_path, caplog, records, listed):
+    # records hold duplicate codes, codes with commas and a code named
+    # UNKNOWN; ``listed`` is the constituency metadata
+    path = _write_archive(tmp_path / "a.jsonl", [
+        _record(d, total=None, by_con=[_sig(code, n) for code, n in entries])
+        for d, entries in enumerate(records)])
+    cons = tuple(corpus.ConstituencyMeta(code, f"Seat {code}", 1000)
+                 for code in listed)
+    bare = corpus.load_archive(path)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="petmine.corpus"):
+        folded = corpus.load_archive(path, constituencies=cons)
+    assert folded.codes == (*listed, corpus.UNKNOWN_CODE)
+    assert folded.uk.tolist() == bare.uk.tolist() == [
+        sum(n for _, n in entries) for entries in records]
+    matrix = folded.signatures.toarray()
+    for j, code in enumerate(listed):
+        assert matrix[:, j].tolist() == [
+            sum(n for c, n in entries if c == code) for entries in records]
+    assert matrix[:, -1].tolist() == [
+        sum(n for c, n in entries if c not in listed) for entries in records]
+    unlisted = {c for entries in records for c, _ in entries} - set(listed)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"unknown constituency code {c}; bucketing as UNKNOWN"
+        for c in sorted(unlisted)]
 
 
 def test_load_archive_empty_raises(tmp_path):
@@ -310,16 +387,16 @@ _lines = (st.binary(max_size=40) | st.text(max_size=40)
 def test_any_line_is_accepted_or_rejected(tmp_path, line, with_metadata):
     if isinstance(line, str):
         line = line.encode("utf-8")
-    # one line: no line break, in the universal-newlines sense ingest reads by
-    line = line.replace(b"\r", b" ").replace(b"\n", b" ")
+    # one line: ingest breaks lines at \n only, so a \r stays in the line
+    line = line.replace(b"\n", b" ")
     path = tmp_path / "a.jsonl"
     good = json.dumps(_record("0", by_con=[_sig("E1", 40)])).encode()
     path.write_bytes(good + b"\n" + line + b"\n")
     cons = (corpus.ConstituencyMeta("E1", "Alpha", 70000),) if with_metadata else ()
-    c = corpus.load_archive(str(path), corpus.IngestConfig(constituencies=cons))
+    c = corpus.load_archive(str(path), constituencies=cons)
     report = c.ingest_report
     assert report.total_lines in (1, 2)     # a blank line is not counted
-    assert report.accepted + report.dropped_state + len(report.rejects) \
+    assert len(c.ids) + report.dropped_state + len(report.rejects) \
         == report.total_lines
     assert all(line_no == 2 for line_no, _ in report.rejects)
     # whatever was accepted can be written and read back
@@ -526,8 +603,7 @@ def test_load_corpus_names_the_faulty_field(tmp_path, corrupt, field):
 
 
 def test_write_rejects_report_escapes_commas(tmp_path):
-    report = corpus.IngestReport(total_lines=2, accepted=1,
-                                 rejects=[(2, "bad, very bad")])
+    report = corpus.IngestReport(total_lines=2, rejects=[(2, "bad, very bad")])
     path = tmp_path / "rejects.csv"
     corpus.write_rejects_report(report, str(path), {"tool": "x 1"})
     text = path.read_text(encoding="utf-8")

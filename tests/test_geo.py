@@ -159,8 +159,10 @@ def test_profiles_match_per_pair_loop(caplog):
                 shares[live],
                 mass[live] / mass[live].sum(axis=1, keepdims=True))
             assert np.isnan(shares[~live]).all()
-            # one warning per unlisted code, in code order
-            assert [r.getMessage() for r in caplog.records] == [
+            # one geo warning per unlisted code, in code order; the corpus
+            # logs its own warning where it folds them
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "petmine.geo"] == [
                 f"constituency {code} not in metadata; skipping"
                 for code in (() if constituencies else sorted(unlisted))]
 

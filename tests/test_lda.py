@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from petmine import lda, textprep, util
-from petmine.errors import ConfigError, EmptyCorpusError
+from petmine.errors import ArchiveFormatError, ConfigError, EmptyCorpusError
 
 from conftest import make_model, make_planted_dtm
 
@@ -323,7 +323,7 @@ def test_model_snapshot_bytes_deterministic(tmp_path, small_fit):
 def test_load_model_rejects_foreign_file(tmp_path):
     path = str(tmp_path / "other.bin")
     util.save_arrays(path, {"x": np.arange(3)}, meta={"format": "other"})
-    with pytest.raises(ConfigError, match="not a model snapshot"):
+    with pytest.raises(ArchiveFormatError, match="not a petmine-lda snapshot"):
         lda.load_model(path)
 
 
@@ -331,9 +331,9 @@ def test_load_model_rejects_unknown_version(tmp_path, small_fit):
     _, _, model = small_fit
     path = str(tmp_path / "model.bin")
     lda.save_model(model, path)
-    arrays, meta = util.load_arrays(path)
+    arrays, meta = util.load_arrays(path, "petmine-lda", 1)
     util.save_arrays(path, arrays, meta=dict(meta, version=2))
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ArchiveFormatError) as err:
         lda.load_model(path)
     assert path in str(err.value)
     assert "version 2" in str(err.value) and "expected 1" in str(err.value)
@@ -343,9 +343,9 @@ def test_load_model_checks_vocab_hash(tmp_path, small_fit):
     _, _, model = small_fit
     path = str(tmp_path / "model.bin")
     lda.save_model(model, path)
-    arrays, meta = util.load_arrays(path)
+    arrays, meta = util.load_arrays(path, "petmine-lda", 1)
     meta["terms"] = list(meta["terms"])
     meta["terms"][0] = "tampered"
     util.save_arrays(path, arrays, meta=meta)
-    with pytest.raises(ConfigError, match="hash mismatch"):
+    with pytest.raises(ArchiveFormatError, match="hash mismatch"):
         lda.load_model(path)

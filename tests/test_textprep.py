@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from petmine import porter, textprep, util
-from petmine.errors import ConfigError, EmptyCorpusError
+from petmine.errors import ArchiveFormatError, ConfigError, EmptyCorpusError
 from conftest import make_petition, make_corpus
 
 
@@ -142,9 +142,9 @@ def test_save_load_dtm_roundtrip(tmp_path, stopwords):
 def test_load_dtm_rejects_unknown_version(tmp_path, stopwords):
     path = str(tmp_path / "dtm.bin")
     textprep.save_dtm(textprep.build_dtm(_tiny_corpus(), stopwords, 0.01), path)
-    arrays, meta = util.load_arrays(path)
+    arrays, meta = util.load_arrays(path, "petmine-dtm", 1)
     util.save_arrays(path, arrays, meta=dict(meta, version=2))
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ArchiveFormatError) as err:
         textprep.load_dtm(path)
     assert path in str(err.value)
     assert "version 2" in str(err.value) and "expected 1" in str(err.value)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from petmine import util
+from petmine.errors import ArchiveFormatError
 
 
 def test_fnv1a64_reference_values():
@@ -80,7 +81,7 @@ def test_save_load_arrays_roundtrip(tmp_path):
         "matrix": np.eye(3),
     }
     util.save_arrays(path, arrays, {"format": "test", "version": 1})
-    loaded, meta = util.load_arrays(path)
+    loaded, meta = util.load_arrays(path, "test", 1)
     assert meta == {"format": "test", "version": 1}
     assert set(loaded) == set(arrays)
     for name in arrays:
@@ -96,11 +97,42 @@ def test_save_arrays_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_load_arrays_rejects_junk(tmp_path):
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:-30])
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda p: p.write_bytes(b"not a zip at all"), "not a readable test"),
+    (lambda p: p.write_bytes(b""), "not a readable test"),
+    (_truncated, "not a readable test"),
+    (lambda p: util.save_arrays(str(p), {"x": np.arange(3)}), "not a test"),
+    (lambda p: util.save_arrays(str(p), {"x": np.arange(3)},
+                                {"format": "other", "version": 1}),
+     "not a test"),
+    (lambda p: util.save_arrays(str(p), {"x": np.arange(3)},
+                                {"format": "test", "version": 2}),
+     r"version 2 is not supported \(expected 1\)"),
+], ids=["junk", "empty", "truncated", "no-meta", "other-format",
+        "other-version"])
+def test_load_arrays_rejects_junk(tmp_path, damage, message):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a zip at all")
-    with pytest.raises(Exception):
-        util.load_arrays(str(path))
+    util.save_arrays(str(path), {"x": np.arange(3)},
+                     {"format": "test", "version": 1})
+    damage(path)
+    with pytest.raises(ArchiveFormatError, match=message) as err:
+        util.load_arrays(str(path), "test", 1)
+    assert str(path) in str(err.value)
+
+
+def test_load_arrays_names_a_missing_member(tmp_path):
+    path = str(tmp_path / "a.bin")
+    util.save_arrays(path, {"x": np.arange(3)}, {"format": "test", "version": 1})
+    arrays, meta = util.load_arrays(path, "test", 1)
+    with pytest.raises(ArchiveFormatError, match="has no 'y'") as err:
+        arrays["y"]
+    assert path in str(err.value)
+    with pytest.raises(ArchiveFormatError, match="has no 'n_docs'"):
+        meta["n_docs"]
 
 
 def test_failed_writes_keep_the_old_file(tmp_path, monkeypatch):
