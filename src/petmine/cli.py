@@ -237,12 +237,13 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_fit(cfg: PipelineConfig, args) -> int:
-    # settle the names before the snapshot is read or a sampler runs
+    # settle the names and stopwords before the snapshot is read or a
+    # sampler runs
     lda_cfg = cfg.lda_config()
     names = _topic_names(cfg, lda_cfg.k)
+    stopwords = textprep.load_stopwords(cfg.stopwords)
     _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
     c = corpus.load_corpus(cfg.path("corpus.jsonl"))
-    stopwords = textprep.load_stopwords(cfg.stopwords)
     dtm = textprep.build_dtm(c, stopwords, cfg.min_doc_fraction)
     textprep.save_dtm(dtm, cfg.path("dtm.bin"))
     model = lda.fit(dtm, lda_cfg)

@@ -194,6 +194,10 @@ def load_constituencies(path: str) -> tuple[ConstituencyMeta, ...]:
                 raise ArchiveFormatError(f"{path}:{i}: empty constituency code")
             if code in seen:
                 raise ArchiveFormatError(f"{path}:{i}: duplicate code {code}")
+            if code == UNKNOWN_CODE:
+                # the name of the column that sums unlisted codes
+                raise ArchiveFormatError(
+                    f"{path}:{i}: code {UNKNOWN_CODE} is reserved")
             seen.add(code)
             try:
                 out.append(ConstituencyMeta(code=code, name=row["name"],

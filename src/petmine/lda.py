@@ -367,10 +367,26 @@ def save_model(model: TopicModel, path: str) -> None:
     )
 
 
+def _stored_config(path: str, values) -> LdaConfig:
+    """The sampler config of a model snapshot; a fault names ``path``."""
+    if not isinstance(values, dict):
+        raise ArchiveFormatError(f"{path}: snapshot field 'config' is not an object")
+    fields = {f.name for f in dataclasses.fields(LdaConfig)}
+    for key in values:
+        if key not in fields:
+            raise ArchiveFormatError(
+                f"{path}: snapshot field 'config' has unknown key '{key}'")
+    try:
+        return LdaConfig(**values)
+    except (TypeError, ConfigError) as exc:
+        raise ArchiveFormatError(
+            f"{path}: snapshot field 'config' is invalid: {exc}") from None
+
+
 def load_model(path: str) -> TopicModel:
     arrays, meta = load_arrays(path, _MODEL_FORMAT, _MODEL_VERSION)
     model = TopicModel(
-        config=LdaConfig(**meta["config"]),
+        config=_stored_config(path, meta["config"]),
         phi=arrays["phi"], theta=arrays["theta"],
         log_likelihood_trace=[float(x) for x in arrays["trace"]],
         trace_sweeps=[int(x) for x in arrays["trace_sweeps"]],

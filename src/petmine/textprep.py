@@ -9,6 +9,13 @@ deleted so "re-elect" splits into two tokens instead of fusing.
 Vocabulary pruning keeps terms whose document frequency is at least
 ``ceil(min_doc_fraction * n_docs)``.  All-zero rows are retained so DTM
 rows stay aligned with corpus petitions.
+
+The matrix is assembled from integers.  Each distinct raw token is judged
+and stemmed once and coded as the id of its kept stem, or -1 when a rule
+drops it; the corpus's codes are gathered into one array.  The unpruned
+matrix has one column per stem id; document frequency is its nonzeros
+per column, and pruning maps the surviving ids onto columns in the
+terms' lexicographic order.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import itertools
 import logging
 import math
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,7 +53,9 @@ _STRIP = _StripMap()
 def load_stopwords(path: str | None = None) -> frozenset[str]:
     """Load a stopword file: one word per line, ``#`` comments allowed.
 
-    With no path, loads the packaged Snowball English list.
+    With no path, loads the packaged Snowball English list.  A file that
+    cannot be read, is not UTF-8 or lists no word is a ConfigError naming
+    ``path``.
     """
     if path is None:
         text = (
@@ -55,23 +63,35 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
             .read_text(encoding="utf-8")
         )
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(
+                f"stopwords file cannot be read: {path} ({exc.strerror})"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"stopwords file is not UTF-8: {path} (byte {exc.start})"
+            ) from None
     words = set()
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             # tokens are matched after lowercasing, so store lowercase
             words.add(line.lower())
+    if not words:
+        raise ConfigError(f"stopwords file lists no word: {path}")
     return frozenset(words)
 
 
-class _TokenCleaner(dict):
-    """Cleans documents into stems, judging each distinct token once.
+class _TokenCoder(dict):
+    """Codes raw tokens as stem ids, judging each distinct token once.
 
-    Calling it on a text returns the text's stems in order.  As a dict it
-    is the memo: raw token to its kept stem, or "" when the digit,
-    stopword or length rule drops it.
+    As a dict it is the memo: raw token to the id of its kept stem, or -1
+    when the digit, stopword or length rule drops it.  ``stem_ids`` maps
+    each kept stem to its id; ids count up from 0 in order of first
+    appearance, so ``list(stem_ids)`` is indexed by id.
     """
 
     def __init__(self, stopwords: frozenset[str]):
@@ -79,24 +99,30 @@ class _TokenCleaner(dict):
             raise ConfigError("stopword set must be non-empty")
         super().__init__()
         self.stopwords = stopwords
+        self.stem_ids: dict[str, int] = {}
 
     def __missing__(self, tok):
-        stemmed = ""
-        if not any(ch.isdigit() for ch in tok) and tok not in self.stopwords:
+        code = -1
+        # no letter is a digit, so an all-letter token skips the digit scan
+        if ((tok.isalpha() or not any(ch.isdigit() for ch in tok))
+                and tok not in self.stopwords):
             stemmed = porter.stem(tok)
-            if len(stemmed) < 2:
-                stemmed = ""
-        self[tok] = stemmed
-        return stemmed
+            if len(stemmed) >= 2:
+                code = self.stem_ids.setdefault(stemmed, len(self.stem_ids))
+        self[tok] = code
+        return code
 
-    def __call__(self, text: str) -> list[str]:
-        tokens = text.lower().translate(_STRIP).split()
-        return [s for s in map(self.__getitem__, tokens) if s]
+    def __call__(self, text: str) -> list[int]:
+        """The codes of ``text``'s raw tokens, in order, dropped ones included."""
+        return list(map(self.__getitem__, text.lower().translate(_STRIP).split()))
 
 
 def clean_tokens(text: str, stopwords: frozenset[str]) -> list[str]:
     """Clean one document into its list of stems (order preserved)."""
-    return _TokenCleaner(stopwords)(text)
+    coder = _TokenCoder(stopwords)
+    codes = coder(text)
+    stems = list(coder.stem_ids)
+    return [stems[c] for c in codes if c >= 0]
 
 
 @dataclass
@@ -129,6 +155,13 @@ class DocumentTermMatrix:
     prune_report: PruneReport | None = None
 
 
+def _kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Row pointer of the entries ``keep`` selects from rows bounded by ``indptr``."""
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[indptr]
+
+
 def build_dtm(corpus, stopwords: frozenset[str],
               min_doc_fraction: float = 0.001) -> DocumentTermMatrix:
     """Clean every petition and assemble the pruned document-term matrix.
@@ -141,40 +174,51 @@ def build_dtm(corpus, stopwords: frozenset[str],
     if not corpus.ids:
         raise EmptyCorpusError("cannot build a DTM from an empty corpus")
 
-    clean = _TokenCleaner(stopwords)
-    token_lists = [clean(text) for text in corpus.texts]
-    df: Counter[str] = Counter()
-    for toks in token_lists:
-        df.update(set(toks))
-
+    coder = _TokenCoder(stopwords)
+    doc_codes = [coder(text) for text in corpus.texts]
     n_docs = len(corpus.ids)
+    doc_ends = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, doc_codes), dtype=np.int64, count=n_docs),
+              out=doc_ends[1:])
+    codes = np.fromiter(itertools.chain.from_iterable(doc_codes),
+                        dtype=np.int64, count=int(doc_ends[-1]))
+    kept = codes >= 0
+
+    # one entry per kept token, column = stem id; sum_duplicates sorts each
+    # row's columns and turns repeats into counts
+    stems = list(coder.stem_ids)
+    total_before = int(kept.sum())
+    unpruned = sp.csr_matrix(
+        (np.ones(total_before, dtype=np.int32), codes[kept],
+         _kept_indptr(kept, doc_ends)),
+        shape=(n_docs, len(stems)),
+    )
+    unpruned.sum_duplicates()
+    df = np.bincount(unpruned.indices, minlength=len(stems))
+
     threshold = math.ceil(min_doc_fraction * n_docs)
-    kept = sorted(t for t, c in df.items() if c >= threshold)
-    if not kept:
+    order = sorted(np.flatnonzero(df >= threshold).tolist(),
+                   key=stems.__getitem__)
+    if not order:
         raise EmptyCorpusError(
             f"no term meets the document-frequency threshold {threshold}"
         )
-    index = {t: i for i, t in enumerate(kept)}
-
-    # one entry per kept token; sum_duplicates sorts each row's columns
-    # and turns repeats into counts
-    cols = [[index[t] for t in toks if t in index] for toks in token_lists]
-    indptr = np.cumsum([0] + [len(c) for c in cols])
-    total_after = int(indptr[-1])
+    column = np.full(len(stems), -1, dtype=np.int64)
+    column[order] = np.arange(len(order))
+    cols = column[unpruned.indices]
+    keep = cols >= 0
     counts = sp.csr_matrix(
-        (np.ones(total_after, dtype=np.int32),
-         np.fromiter(itertools.chain.from_iterable(cols), dtype=np.int64,
-                     count=total_after),
-         indptr),
-        shape=(n_docs, len(kept)),
+        (unpruned.data[keep], cols[keep], _kept_indptr(keep, unpruned.indptr)),
+        shape=(n_docs, len(order)),
     )
-    counts.sum_duplicates()
+    counts.sort_indices()
+    total_after = int(counts.data.sum())
 
     report = PruneReport(
-        raw_vocab_size=len(df),
-        pruned_vocab_size=len(kept),
+        raw_vocab_size=len(stems),
+        pruned_vocab_size=len(order),
         df_threshold=threshold,
-        mean_tokens_before=sum(len(t) for t in token_lists) / n_docs,
+        mean_tokens_before=total_before / n_docs,
         mean_tokens_after=total_after / n_docs,
     )
     log.info(
@@ -183,8 +227,8 @@ def build_dtm(corpus, stopwords: frozenset[str],
         report.mean_tokens_before, report.mean_tokens_after,
     )
     vocab = Vocabulary(
-        terms=tuple(kept),
-        doc_frequency=np.asarray([df[t] for t in kept], dtype=np.int64),
+        terms=tuple(stems[i] for i in order),
+        doc_frequency=df[order].astype(np.int64),
     )
     return DocumentTermMatrix(
         n_docs=n_docs, vocabulary=vocab, counts=counts,

@@ -9,7 +9,7 @@ import shutil
 import jsonschema
 import pytest
 
-from petmine import cli, lda
+from petmine import cli, lda, util
 
 from conftest import write_fixture_archive
 
@@ -346,6 +346,39 @@ def test_damaged_snapshots_exit_one_naming_the_file(
                      "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "petmine: error:" in err and str(tmp_path / name) in err
+
+
+def test_unknown_model_config_key_exits_one_naming_the_file(
+        pipeline_out, fixture_paths, tmp_path, capsys):
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    shutil.copy(os.path.join(out, "corpus.jsonl"), tmp_path / "corpus.jsonl")
+    path = str(tmp_path / "model.bin")
+    arrays, meta = util.load_arrays(os.path.join(out, "model.bin"),
+                                    "petmine-lda", 1)
+    util.save_arrays(path, arrays,
+                     meta=dict(meta, config=dict(meta["config"], bogus=1)))
+    assert cli.main(["report", "--config", str(config_path),
+                     "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "petmine: error:" in err and path in err and "'bogus'" in err
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "cannot be read"),
+    (b"ok\n\xff\xfe stop\n", "not UTF-8"),
+    (b"# comments only\n\n", "lists no word"),
+], ids=["missing", "not-utf8", "no-word"])
+def test_unreadable_stopwords_exit_two_before_snapshot_read(
+        tmp_path, capsys, content, reason):
+    # no corpus.jsonl exists, so a check that ran after the load would exit 1
+    stopwords = tmp_path / "stopwords.txt"
+    if content is not None:
+        stopwords.write_bytes(content)
+    assert cli.main(["fit", "--output-dir", str(tmp_path / "out"),
+                     "--stopwords", str(stopwords)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and reason in err and str(stopwords) in err
 
 
 def test_flag_overrides_win_over_file(tmp_path):

@@ -337,6 +337,17 @@ def test_load_constituencies_errors(tmp_path, body):
         corpus.load_constituencies(str(path))
 
 
+def test_load_constituencies_reserves_unknown(tmp_path):
+    # a listed UNKNOWN would be a second column of that name beside the
+    # bucket for unlisted codes
+    path = tmp_path / "c.csv"
+    path.write_text("code,name,electorate\nE1,Alpha,70000\n"
+                    "UNKNOWN,Beta,68000\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError) as err:
+        corpus.load_constituencies(str(path))
+    assert str(err.value) == f"{path}:3: code UNKNOWN is reserved"
+
+
 def test_constituency_meta_validates_electorate():
     with pytest.raises(Exception):
         corpus.ConstituencyMeta("E1", "Alpha", -5)

@@ -349,3 +349,28 @@ def test_load_model_checks_vocab_hash(tmp_path, small_fit):
     util.save_arrays(path, arrays, meta=meta)
     with pytest.raises(ArchiveFormatError, match="hash mismatch"):
         lda.load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["config"].update(bogus=1), "unknown key 'bogus'"),
+    (lambda meta: meta.update(config=[3]), "'config' is not an object"),
+    (lambda meta: meta["config"].pop("k"), "'config' is invalid"),
+    (lambda meta: meta["config"].update(k="3"), "'config' is invalid"),
+    (lambda meta: meta["config"].update(k=0), "k must be at least 1"),
+    (lambda meta: meta.pop("config"), "no 'config'"),
+    (lambda meta: meta.pop("terms"), "no 'terms'"),
+    (lambda meta: meta.pop("vocab_hash"), "no 'vocab_hash'"),
+], ids=["unknown-key", "not-object", "no-k", "string-k", "zero-k",
+        "no-config", "no-terms", "no-vocab-hash"])
+def test_load_model_names_file_and_field_of_bad_meta(tmp_path, small_fit,
+                                                     edit, message):
+    _, _, model = small_fit
+    path = str(tmp_path / "model.bin")
+    lda.save_model(model, path)
+    arrays, meta = util.load_arrays(path, "petmine-lda", 1)
+    meta = dict(meta, config=dict(meta["config"]))
+    edit(meta)
+    util.save_arrays(path, arrays, meta=meta)
+    with pytest.raises(ArchiveFormatError) as err:
+        lda.load_model(path)
+    assert path in str(err.value) and message in str(err.value)

@@ -1,5 +1,6 @@
 """Token cleaning and document-term matrix construction."""
 
+import math
 import pathlib
 from collections import Counter
 
@@ -164,6 +165,16 @@ def _clean_tokens_loop(text, stopwords):
     return out
 
 
+def _dtm_vocabulary_loop(token_lists, min_doc_fraction):
+    # the per-document set/Counter document frequency, kept as the reference
+    df = Counter()
+    for toks in token_lists:
+        df.update(set(toks))
+    threshold = math.ceil(min_doc_fraction * len(token_lists))
+    kept = sorted(t for t, c in df.items() if c >= threshold)
+    return kept, [df[t] for t in kept], len(df)
+
+
 def _dtm_counts_loop(token_lists, kept):
     # the per-document Counter assembly, kept as the reference
     index = {t: i for i, t in enumerate(kept)}
@@ -194,6 +205,9 @@ def _random_texts(rng, n_docs, stopwords):
 def test_clean_tokens_and_build_dtm_match_per_token_loop(stopwords):
     rng = np.random.default_rng(11)
     texts = _random_texts(rng, 60, stopwords)
+    # documents that keep no token, first, amid and last: their all-zero
+    # rows must stay aligned with the petitions
+    texts = ["", *texts[:30], "the of and", "2016 covid19 a", *texts[30:], ""]
     for text in texts:
         assert textprep.clean_tokens(text, stopwords) == \
             _clean_tokens_loop(text, stopwords)
@@ -202,13 +216,21 @@ def test_clean_tokens_and_build_dtm_match_per_token_loop(stopwords):
     dtm = textprep.build_dtm(make_corpus(petitions), stopwords, 0.05)
     token_lists = [_clean_tokens_loop("x " + text, stopwords)
                    for text in texts]
-    want = _dtm_counts_loop(token_lists, dtm.vocabulary.terms)
+    kept, df, raw_vocab_size = _dtm_vocabulary_loop(token_lists, 0.05)
+    assert dtm.vocabulary.terms == tuple(kept)
+    assert dtm.vocabulary.doc_frequency.dtype == np.int64
+    assert dtm.vocabulary.doc_frequency.tolist() == df
+    want = _dtm_counts_loop(token_lists, kept)
     for name in ("data", "indices", "indptr"):
         got_arr, want_arr = getattr(dtm.counts, name), getattr(want, name)
         assert got_arr.dtype == want_arr.dtype
         assert np.array_equal(got_arr, want_arr)
-    assert dtm.prune_report.mean_tokens_before == \
+    assert not dtm.counts[0].nnz and not dtm.counts[-1].nnz
+    report = dtm.prune_report
+    assert report.raw_vocab_size == raw_vocab_size
+    assert report.mean_tokens_before == \
         sum(map(len, token_lists)) / len(texts)
+    assert report.mean_tokens_after == want.sum() / len(texts)
 
 
 def test_build_dtm_stems_each_distinct_token_once(stopwords, monkeypatch):
