@@ -28,14 +28,12 @@ from .util import config_digest, derive_seed, write_csv, write_text
 
 log = logging.getLogger(__name__)
 
+# the sampler's own defaults, but the pipeline's k; a None seed is derived
+# from the top-level seed
 _LDA_DEFAULTS = {
+    **{f.name: f.default for f in dataclasses.fields(lda.LdaConfig)},
     "k": 10,
-    "alpha": 0.1,
-    "beta": 0.1,
-    "iterations": 1000,
-    "burn_in": 200,
-    "sample_every": 10,
-    "seed": None,      # None = derive from the top-level seed
+    "seed": None,
 }
 
 NETWORK_KEEP_FRACTION = 0.2
@@ -290,22 +288,20 @@ def _report_networks(cfg, model, prev, names):
               ["topic", "name", "signatures"],
               [[k, names[k], prev.by_signatures[k]] for k in range(model.k)])
     nets = {
-        "network_cooccurrence": issues.co_occurrence_network(
-            model, prev.by_signatures),
-        "network_worddist": issues.word_distribution_network(
-            model, prev.by_signatures),
+        "network_cooccurrence": issues.co_occurrence_network(model),
+        "network_worddist": issues.word_distribution_network(model),
     }
     strongest = {}
-    for stem, net in nets.items():
+    for stem, weights in nets.items():
+        edges = issues.edge_list(weights)
         write_csv(cfg.path(f"{stem}_edges.csv"), cfg.meta(),
-                  ["source", "target", "weight"], issues.edge_list(net))
-        pruned = issues.prune_network(net, NETWORK_KEEP_FRACTION)
+                  ["source", "target", "weight"], edges)
+        pruned = issues.prune_network(weights, NETWORK_KEEP_FRACTION)
         write_csv(cfg.path(f"{stem}_edges_pruned.csv"), cfg.meta(),
                   ["source", "target", "weight"], issues.edge_list(pruned))
-        edges = issues.edge_list(net)
         if edges:
             i, j, _ = max(edges, key=lambda e: (e[2], -e[0], -e[1]))
-            strongest[stem] = [int(i), int(j)]
+            strongest[stem] = [i, j]
         else:
             strongest[stem] = None
     return strongest
@@ -369,55 +365,55 @@ def _report_temporal(cfg, model, c):
 def _report_geo(cfg, model, c):
     profiles = geo.profile_constituencies(model, c, c.constituencies)
     k_issues = model.k
-    n_with = sum(1 for p in profiles if p.total_signatures > 0)
+    n_with = int(np.count_nonzero(profiles.totals))
     scaling = {}
     for mode in ("raw", "binned"):
-        fit = geo.scaling_fit(profiles, mode, n_bins=min(10, n_with))
+        fit = geo.scaling_fit(profiles.electorate, profiles.totals, mode,
+                              n_bins=min(10, n_with))
         scaling[mode] = dataclasses.asdict(fit)
         _write_json(cfg, f"scaling_{mode}.json", scaling[mode])
 
-    result = geo.pam_cluster(profiles, cfg.pam_k, metric=cfg.pam_metric)
+    rows = np.flatnonzero(profiles.clustered)
+    z = profiles.z[rows]
+    codes = [profiles.meta[i].code for i in rows]
+    result = geo.pam_cluster(z, cfg.pam_k, metric=cfg.pam_metric)
+    labels = result.labels.tolist()
     write_csv(cfg.path("clusters.csv"), cfg.meta(), ["code", "cluster"],
-              sorted(result.assignments.items()))
-    shares = geo.cluster_issue_profile(result, profiles)
+              sorted(zip(codes, labels)))
+    shares = geo.cluster_issue_profile(profiles.share[rows], result.labels,
+                                       cfg.pam_k)
     write_csv(cfg.path("cluster_issue_shares.csv"), cfg.meta(),
               ["cluster"] + [f"share_{k}" for k in range(k_issues)],
               [[i, *row] for i, row in enumerate(shares)])
 
-    n_included = sum(1 for p in profiles
-                     if np.all(np.isfinite(p.z_scores)))
-    ks = [k for k in SILHOUETTE_K_RANGE if k < n_included]
-    sweep = geo.silhouette_sweep(profiles, ks, cfg.pam_metric) if ks else {}
+    ks = [k for k in SILHOUETTE_K_RANGE if k < len(rows)]
+    sweep = geo.silhouette_sweep(z, ks, cfg.pam_metric) if ks else {}
     write_csv(cfg.path("silhouette.csv"), cfg.meta(), ["k", "score"],
               sorted(sweep.items()))
 
+    cluster = [""] * len(profiles.meta)
+    for i, label in zip(rows.tolist(), labels):
+        cluster[i] = label
+    per_elector = profiles.per_elector
     write_csv(cfg.path("constituency_profiles.csv"), cfg.meta(),
               ["code", "name", "electorate", "total_signatures", "per_elector"]
               + [f"share_{k}" for k in range(k_issues)]
               + [f"z_{k}" for k in range(k_issues)] + ["cluster"],
-              [[p.meta.code, p.meta.name, p.meta.electorate,
-                p.total_signatures, p.per_elector,
-                *p.issue_share, *p.z_scores,
-                "" if p.cluster is None else p.cluster]
-               for p in profiles])
+              [[m.code, m.name, m.electorate, total, pe, *share, *z_row, cl]
+               for m, total, pe, share, z_row, cl in zip(
+                   profiles.meta, profiles.totals.tolist(),
+                   per_elector.tolist(), profiles.share.tolist(),
+                   profiles.z.tolist(), cluster)])
 
-    sizes = [0] * result.k
-    for cluster_id in result.assignments.values():
-        sizes[cluster_id] += 1
-    totals = [p.total_signatures for p in profiles]
     stats = {
         "scaling": scaling,
-        "mean_signatures_per_constituency":
-            float(np.mean(totals)) if totals else None,
-        "mean_per_elector":
-            float(np.mean([p.per_elector for p in profiles])) if profiles
-            else None,
+        "mean_signatures_per_constituency": float(np.mean(profiles.totals)),
+        "mean_per_elector": float(np.mean(per_elector)),
         "clusters": {
-            "k": result.k,
-            "sizes": sizes,
+            "k": cfg.pam_k,
+            "sizes": np.bincount(result.labels, minlength=cfg.pam_k).tolist(),
             "total_cost": result.total_cost,
-            "medoid_codes": [profiles[i].meta.code
-                             for i in result.medoid_indices],
+            "medoid_codes": [codes[i] for i in result.medoid_indices],
         },
         "silhouette": {str(k): v for k, v in sorted(sweep.items())},
     }
@@ -444,6 +440,10 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
     _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
     _require_snapshot(cfg.path("model.bin"), "model snapshot")
     c = corpus.load_corpus(cfg.path("corpus.jsonl"))
+    if not c.constituencies:
+        raise ConfigError(
+            "report needs constituency metadata: set 'constituencies' "
+            "(--constituencies) and re-run ingest")
     model = lda.load_model(cfg.path("model.bin"))
     names = _topic_names(cfg, model.k)
 

@@ -9,9 +9,12 @@ seeding followed by best-improvement SWAP steps until no single
 medoid/non-medoid exchange lowers the total distance-to-medoid cost, which
 makes the result 1-swap-optimal by construction.
 
-Constituencies with zero signatures have undefined shares and Z-scores;
-they are excluded from the standardization and from clustering, and keep
-``cluster=None``.
+The profiles are one column table, :class:`Profiles`, with a row per
+constituency in metadata order.  The clustering and scaling functions take
+its arrays and return new values; none of them writes into its inputs.
+Constituencies with zero signatures have NaN share and Z-score rows; they
+are left out of the standardization, and ``Profiles.clustered`` leaves
+them out of clustering.
 """
 
 from __future__ import annotations
@@ -31,21 +34,36 @@ from .lda import TopicModel
 log = logging.getLogger(__name__)
 
 _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock"}
+# up to this many candidate medoid subsets, PAM enumerates them all
+_EXACT_BUDGET = 20_000
 
 
-@dataclass
-class ConstituencyProfile:
-    meta: ConstituencyMeta
-    total_signatures: int
-    per_elector: float
-    issue_share: np.ndarray          # K floats, NaN when no signatures
-    z_scores: np.ndarray             # K floats, NaN when no signatures
-    cluster: int | None = None
+@dataclass(frozen=True)
+class Profiles:
+    """Per-constituency columns, one row per ``meta`` entry, in its order."""
+
+    meta: tuple[ConstituencyMeta, ...]
+    totals: np.ndarray               # int64 signatures
+    share: np.ndarray                # (C, K), NaN rows where no signatures
+    z: np.ndarray                    # (C, K), NaN rows where no signatures
+
+    @property
+    def electorate(self) -> np.ndarray:
+        return np.array([m.electorate for m in self.meta], dtype=np.int64)
+
+    @property
+    def per_elector(self) -> np.ndarray:
+        return self.totals / self.electorate
+
+    @property
+    def clustered(self) -> np.ndarray:
+        """Rows whose Z-scores are all finite: the ones PAM clusters."""
+        return np.isfinite(self.z).all(axis=1)
 
 
 def profile_constituencies(model: TopicModel, corpus: Corpus,
                            meta: list[ConstituencyMeta] | tuple[ConstituencyMeta, ...],
-                           ) -> list[ConstituencyProfile]:
+                           ) -> Profiles:
     """Issue shares and Z-scores for every constituency in ``meta``.
 
     Signature mass under codes missing from ``meta`` (including the
@@ -84,16 +102,7 @@ def profile_constituencies(model: TopicModel, corpus: Corpus,
     if np.any(sigma == 0):
         log.warning("issue(s) with zero share variance: Z-scores undefined there")
 
-    return [
-        ConstituencyProfile(
-            meta=m,
-            total_signatures=int(totals[i]),
-            per_elector=float(totals[i] / m.electorate),
-            issue_share=share[i],
-            z_scores=z[i],
-        )
-        for i, m in enumerate(meta)
-    ]
+    return Profiles(meta=tuple(meta), totals=totals, share=share, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +118,28 @@ class ScalingFit:
     n: int
 
 
-def scaling_fit(profiles: list[ConstituencyProfile], mode: str = "raw",
+def scaling_fit(electorate: np.ndarray, totals: np.ndarray, mode: str = "raw",
                 n_bins: int = 10) -> ScalingFit:
-    """OLS of ln(signatures) on ln(electorate).
+    """OLS of ln(signatures) on ln(electorate), over constituencies that signed.
 
-    ``binned`` mode sorts constituencies by electorate, splits them into
-    ``n_bins`` equal-count groups, and regresses on the logs of each
-    group's arithmetic-mean electorate and signatures.
+    ``electorate`` and ``totals`` are aligned per constituency.  ``binned``
+    mode sorts constituencies by electorate, splits them into ``n_bins``
+    equal-count groups, and regresses on the logs of each group's
+    arithmetic-mean electorate and signatures.
     """
     if mode not in ("raw", "binned"):
         raise ConfigError(f"unknown scaling mode {mode!r}")
-    pts = [(p.meta.electorate, p.total_signatures) for p in profiles
-           if p.total_signatures > 0]
-    if len(pts) < 3:
+    totals = np.asarray(totals)
+    signed = totals > 0
+    e, s = np.asarray(electorate)[signed], totals[signed]
+    if len(e) < 3:
         raise ValidationError("need at least 3 constituencies with signatures")
-    pts.sort()
-    e = np.array([a for a, _ in pts], dtype=np.float64)
-    s = np.array([b for _, b in pts], dtype=np.float64)
+    order = np.lexsort((s, e))      # by electorate, then signatures
+    e = e[order].astype(np.float64)
+    s = s[order].astype(np.float64)
     if mode == "binned":
-        if len(pts) < n_bins:
-            raise ValidationError(f"{len(pts)} points cannot fill {n_bins} bins")
+        if len(e) < n_bins:
+            raise ValidationError(f"{len(e)} points cannot fill {n_bins} bins")
         e = np.array([c.mean() for c in np.array_split(e, n_bins)])
         s = np.array([c.mean() for c in np.array_split(s, n_bins)])
     x = np.log(e)
@@ -154,11 +165,15 @@ def scaling_fit(profiles: list[ConstituencyProfile], mode: str = "raw",
 
 @dataclass
 class ClusterResult:
-    k: int
-    medoid_indices: tuple[int, ...]  # indices into the profiles list
-    assignments: dict[str, int]      # constituency code -> cluster id
+    labels: np.ndarray               # cluster id per input row
+    medoid_indices: tuple[int, ...]  # input rows of the medoids, ascending
     total_cost: float
-    metric: str
+
+
+def _distances(z: np.ndarray, metric: str) -> np.ndarray:
+    if metric not in _METRICS:
+        raise ConfigError(f"metric must be one of {sorted(_METRICS)}")
+    return cdist(z, z, metric=_METRICS[metric])
 
 
 def _pam_build(dist: np.ndarray, k: int) -> list[int]:
@@ -247,60 +262,42 @@ def _pam_exact(dist: np.ndarray, k: int) -> tuple[list[int], float]:
     return list(best), best_cost
 
 
-def _solve_medoids(dist: np.ndarray, k: int,
-                   exact_budget: int) -> tuple[list[int], float]:
-    if math.comb(dist.shape[0], k) <= exact_budget:
+def _solve_medoids(dist: np.ndarray, k: int) -> tuple[list[int], float]:
+    if math.comb(dist.shape[0], k) <= _EXACT_BUDGET:
         return _pam_exact(dist, k)
     return _pam_swap(dist, _pam_build(dist, k))
 
 
-def pam_cluster(profiles: list[ConstituencyProfile], k: int,
-                metric: str = "euclidean",
-                exact_budget: int = 20_000) -> ClusterResult:
-    """Cluster constituencies by k-medoids over their Z-score vectors.
+def pam_cluster(z: np.ndarray, k: int,
+                metric: str = "euclidean") -> ClusterResult:
+    """Cluster the rows of ``z`` (finite Z-score vectors) by k-medoids.
 
-    Fills in ``profile.cluster`` for the clustered constituencies and
-    returns the result.  When the number of candidate medoid subsets is
-    at most ``exact_budget`` the global optimum is found by enumeration;
-    larger instances fall back to BUILD plus best-improvement SWAP.
-    Fully deterministic given the input order: cost ties break toward
-    the lowest index.
+    When the number of candidate medoid subsets is at most
+    ``_EXACT_BUDGET`` the global optimum is found by enumeration; larger
+    instances fall back to BUILD plus best-improvement SWAP.  Fully
+    deterministic given the row order: cost ties break toward the lowest
+    row.
     """
-    if metric not in _METRICS:
-        raise ConfigError(f"metric must be one of {sorted(_METRICS)}")
-    included = [i for i, p in enumerate(profiles) if np.all(np.isfinite(p.z_scores))]
-    n = len(included)
-    if not 0 < k < n:
-        raise ConfigError(f"k must satisfy 0 < k < {n}, got {k}")
-    z = np.stack([profiles[i].z_scores for i in included])
-    dist = cdist(z, z, metric=_METRICS[metric])
-    medoids, cost = _solve_medoids(dist, k, exact_budget)
+    dist = _distances(z, metric)
+    if not 0 < k < len(dist):
+        raise ConfigError(f"k must satisfy 0 < k < {len(dist)}, got {k}")
+    medoids, cost = _solve_medoids(dist, k)
     labels = np.argmin(dist[:, medoids], axis=1)
-    assignments: dict[str, int] = {}
-    for local, i in enumerate(included):
-        profiles[i].cluster = int(labels[local])
-        assignments[profiles[i].meta.code] = int(labels[local])
-    return ClusterResult(
-        k=k,
-        medoid_indices=tuple(included[m] for m in medoids),
-        assignments=assignments,
-        total_cost=cost,
-        metric=metric,
-    )
+    return ClusterResult(labels=labels, medoid_indices=tuple(medoids),
+                         total_cost=cost)
 
 
-def cluster_issue_profile(result: ClusterResult,
-                          profiles: list[ConstituencyProfile]) -> np.ndarray:
-    """Mean issue share per cluster, a (k, K) matrix."""
-    by_code = {p.meta.code: p for p in profiles}
-    groups: dict[int, list[np.ndarray]] = {c: [] for c in range(result.k)}
-    for code, cl in result.assignments.items():
-        groups[cl].append(by_code[code].issue_share)
-    n_issues = len(next(iter(by_code.values())).issue_share)
-    out = np.full((result.k, n_issues), np.nan)
-    for cl, shares in groups.items():
-        if shares:
-            out[cl] = np.mean(shares, axis=0)
+def cluster_issue_profile(share: np.ndarray, labels: np.ndarray,
+                          k: int) -> np.ndarray:
+    """Mean issue share per cluster, a (k, K) matrix.
+
+    ``share`` rows align with ``labels``; a cluster with no rows gets NaN.
+    """
+    out = np.full((k, share.shape[1]), np.nan)
+    for cl in range(k):
+        rows = share[labels == cl]
+        if len(rows):
+            out[cl] = np.mean(rows, axis=0)
     return out
 
 
@@ -329,21 +326,15 @@ def silhouette_score(dist: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def silhouette_sweep(profiles: list[ConstituencyProfile],
-                     k_values=range(5, 11),
-                     metric: str = "euclidean",
-                     exact_budget: int = 20_000) -> dict[int, float]:
-    """Mean silhouette of the PAM clustering at each candidate k."""
-    if metric not in _METRICS:
-        raise ConfigError(f"metric must be one of {sorted(_METRICS)}")
-    included = [i for i, p in enumerate(profiles) if np.all(np.isfinite(p.z_scores))]
-    z = np.stack([profiles[i].z_scores for i in included])
-    dist = cdist(z, z, metric=_METRICS[metric])
+def silhouette_sweep(z: np.ndarray, k_values=range(5, 11),
+                     metric: str = "euclidean") -> dict[int, float]:
+    """Mean silhouette of the PAM clustering of the rows of ``z`` at each k."""
+    dist = _distances(z, metric)
     out = {}
     for k in k_values:
-        if not 0 < k < len(included):
+        if not 0 < k < len(z):
             continue
-        medoids, _ = _solve_medoids(dist, k, exact_budget)
+        medoids, _ = _solve_medoids(dist, k)
         labels = np.argmin(dist[:, medoids], axis=1)
         out[int(k)] = silhouette_score(dist, labels)
     return out

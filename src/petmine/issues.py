@@ -10,17 +10,13 @@ petitions share issues) and one over phi rows (which issues share words).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import ConfigError, ValidationError
 from .lda import TopicModel
-
-CO_OCCURRENCE = "co_occurrence"
-WORD_DISTRIBUTION = "word_distribution"
-
 
 @dataclass
 class IssuePrevalence:
@@ -86,13 +82,6 @@ def cosine(u, v) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-@dataclass
-class IssueNetwork:
-    kind: str                        # CO_OCCURRENCE or WORD_DISTRIBUTION
-    weights: np.ndarray              # (K, K) symmetric, unit diagonal
-    node_sizes: np.ndarray           # signatures per issue (zeros if unknown)
-
-
 def _cosine_gram(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     unit = rows / norms
@@ -103,24 +92,21 @@ def _cosine_gram(rows: np.ndarray) -> np.ndarray:
     return g
 
 
-def co_occurrence_network(model: TopicModel,
-                          node_sizes: np.ndarray | None = None) -> IssueNetwork:
-    """Issue similarity as cosine between theta columns across petitions."""
-    weights = _cosine_gram(model.theta.T.copy())
-    sizes = np.zeros(model.k) if node_sizes is None else np.asarray(node_sizes, float)
-    return IssueNetwork(kind=CO_OCCURRENCE, weights=weights, node_sizes=sizes)
+def co_occurrence_network(model: TopicModel) -> np.ndarray:
+    """Issue similarity as cosine between theta columns across petitions.
+
+    A (K, K) symmetric weight matrix with a unit diagonal.
+    """
+    return _cosine_gram(model.theta.T.copy())
 
 
-def word_distribution_network(model: TopicModel,
-                              node_sizes: np.ndarray | None = None) -> IssueNetwork:
-    """Issue similarity as cosine between phi rows."""
-    weights = _cosine_gram(model.phi)
-    sizes = np.zeros(model.k) if node_sizes is None else np.asarray(node_sizes, float)
-    return IssueNetwork(kind=WORD_DISTRIBUTION, weights=weights, node_sizes=sizes)
+def word_distribution_network(model: TopicModel) -> np.ndarray:
+    """Issue similarity as cosine between phi rows, a (K, K) weight matrix."""
+    return _cosine_gram(model.phi)
 
 
-def prune_network(net: IssueNetwork, keep_fraction: float) -> IssueNetwork:
-    """Zero out all but the strongest off-diagonal edges.
+def prune_network(weights: np.ndarray, keep_fraction: float) -> np.ndarray:
+    """A copy of ``weights`` with all but the strongest off-diagonal edges zeroed.
 
     Keeps the ``ceil(keep_fraction * K(K-1)/2)`` largest weights; edges
     tied with the cutoff value are all retained, so the result can hold a
@@ -128,26 +114,20 @@ def prune_network(net: IssueNetwork, keep_fraction: float) -> IssueNetwork:
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ConfigError("keep_fraction must be in (0, 1]")
-    k = net.weights.shape[0]
-    iu = np.triu_indices(k, k=1)
-    edges = net.weights[iu]
+    edges = weights[np.triu_indices(weights.shape[0], k=1)]
     if edges.size == 0:
-        return replace(net, weights=net.weights.copy())
+        return weights.copy()
     n_keep = int(np.ceil(keep_fraction * edges.size))
     cutoff = np.sort(edges)[::-1][n_keep - 1]
-    pruned = np.where(net.weights >= cutoff, net.weights, 0.0)
+    pruned = np.where(weights >= cutoff, weights, 0.0)
     np.fill_diagonal(pruned, 1.0)
-    return replace(net, weights=pruned)
+    return pruned
 
 
-def edge_list(net: IssueNetwork, include_zero: bool = False
-              ) -> list[tuple[int, int, float]]:
-    """Upper-triangle edges as (source, target, weight), source < target."""
-    k = net.weights.shape[0]
-    out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = float(net.weights[i, j])
-            if include_zero or w != 0.0:
-                out.append((i, j, w))
-    return out
+def edge_list(weights: np.ndarray) -> list[tuple[int, int, float]]:
+    """Nonzero upper-triangle edges as (source, target, weight), source < target."""
+    source, target = np.triu_indices(weights.shape[0], k=1)
+    w = weights[source, target]
+    keep = w != 0.0
+    return list(zip(source[keep].tolist(), target[keep].tolist(),
+                    w[keep].tolist()))

@@ -143,14 +143,7 @@ def test_criterion_05_pam_optimality():
         k = int(rng.integers(2, 4))
         k = min(k, n - 1)
         z = rng.normal(size=(n, 3))
-        profiles = [
-            geo.ConstituencyProfile(
-                meta=ConstituencyMeta(f"E{i}", f"E{i}", 50_000),
-                total_signatures=10, per_elector=0.0,
-                issue_share=z[i].copy(), z_scores=z[i])
-            for i in range(n)
-        ]
-        result = geo.pam_cluster(profiles, k=k)
+        result = geo.pam_cluster(z, k=k)
         from scipy.spatial.distance import cdist
         dist = cdist(z, z)
         brute = min(
@@ -196,7 +189,7 @@ def test_criterion_06_z_score_standardization():
         profiles = geo.profile_constituencies(
             model, make_corpus(petitions),
             [ConstituencyMeta(c, c, 60_000) for c in codes])
-        z = np.stack([p.z_scores for p in profiles])
+        z = profiles.z
         mean_ok = np.all(np.abs(z.mean(axis=0)) <= 1e-9)
         sd_ok = np.all(np.abs(z.std(axis=0, ddof=1) - 1.0) <= 1e-9)
         if not (mean_ok and sd_ok):
@@ -209,15 +202,8 @@ def test_criterion_06_z_score_standardization():
 def test_criterion_07_scaling_regression_exact():
     description = ("log-log regression on an exactly collinear fixture "
                    "recovers the exponent to 1e-9 with R squared 1")
-    electorates = [100, 200, 400, 800, 1600]
-    profiles = [
-        geo.ConstituencyProfile(
-            meta=ConstituencyMeta(f"E{e}", f"E{e}", e),
-            total_signatures=3 * e * e, per_elector=3.0 * e,
-            issue_share=np.array([1.0]), z_scores=np.array([0.0]))
-        for e in electorates
-    ]
-    fit = geo.scaling_fit(profiles)
+    electorates = np.array([100, 200, 400, 800, 1600])
+    fit = geo.scaling_fit(electorates, 3 * electorates ** 2)
     exp_ok = abs(fit.exponent - 2.0) <= 1e-9
     r2_ok = abs(fit.r_squared - 1.0) <= 1e-12
     if not (exp_ok and r2_ok):
@@ -233,8 +219,7 @@ def test_criterion_08_share_and_z_hand_fixture():
     model = make_model(np.eye(2), doc_ids=("1", "2"))
     meta = [ConstituencyMeta(c, c, 70_000) for c in ("E1", "E2", "E3")]
     profiles = geo.profile_constituencies(model, make_corpus(petitions), meta)
-    shares = np.stack([p.issue_share for p in profiles])
-    z = np.stack([p.z_scores for p in profiles])
+    shares, z = profiles.share, profiles.z
     shares_ok = np.array_equal(
         shares, [[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]])
     z_ok = np.array_equal(z, [[1.0, -1.0], [0.0, 0.0], [-1.0, 1.0]])

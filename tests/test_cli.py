@@ -391,6 +391,25 @@ def test_flag_overrides_win_over_file(tmp_path):
     assert not pathlib.Path(config["output_dir"], "corpus.jsonl").exists()
 
 
+def test_report_without_constituency_metadata_exits_two_writing_nothing(
+        tmp_path, capsys):
+    archive, cons, config_path, config = write_fixture_archive(tmp_path)
+    del config["constituencies"]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    for command in ("ingest", "fit"):
+        assert cli.main([command, "--config", str(config_path),
+                         "--iterations", "20", "--burn-in", "10",
+                         "--sample-every", "5"]) == 0, command
+    out = pathlib.Path(config["output_dir"])
+    before = sorted(p.name for p in out.iterdir())
+    assert cli.main(["report", "--config", str(config_path)]) == 2
+    assert "'constituencies'" in capsys.readouterr().err
+    # not one report artifact, not even the ones before the geo stage
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert not set(before) & {"prevalence.csv", "summary.json",
+                              "powerlaw.json", "scaling_raw.json"}
+
+
 def test_seed_changes_config_digest(tmp_path):
     archive, cons, config_path, config = write_fixture_archive(tmp_path)
     assert cli.main(["ingest", "--config", str(config_path)]) == 0

@@ -17,20 +17,6 @@ def _meta(code, electorate=70_000):
     return ConstituencyMeta(code, f"Seat {code}", electorate)
 
 
-def _zprofile(code, z, electorate=70_000, total=100):
-    z = np.asarray(z, dtype=np.float64)
-    return geo.ConstituencyProfile(
-        meta=_meta(code, electorate), total_signatures=total,
-        per_elector=total / electorate, issue_share=z.copy(), z_scores=z)
-
-
-def _sig_profile(electorate, total):
-    return geo.ConstituencyProfile(
-        meta=_meta(f"E{electorate}", electorate), total_signatures=total,
-        per_elector=total / electorate,
-        issue_share=np.array([1.0]), z_scores=np.array([0.0]))
-
-
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -46,14 +32,16 @@ def _two_petition_setup():
 def test_profiles_hand_case_exact():
     model, corpus, meta = _two_petition_setup()
     profiles = geo.profile_constituencies(model, corpus, meta)
-    shares = np.stack([p.issue_share for p in profiles])
-    assert np.array_equal(shares, [[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]])
-    z = np.stack([p.z_scores for p in profiles])
+    assert profiles.meta == tuple(meta)
+    assert np.array_equal(profiles.share,
+                          [[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]])
     # shares are equally spaced so the Z-scores come out exactly integral
-    assert np.array_equal(z, [[1.0, -1.0], [0.0, 0.0], [-1.0, 1.0]])
-    assert [p.total_signatures for p in profiles] == [40, 20, 40]
-    assert profiles[1].per_elector == pytest.approx(20 / 50_000)
-    assert all(p.cluster is None for p in profiles)
+    assert np.array_equal(profiles.z, [[1.0, -1.0], [0.0, 0.0], [-1.0, 1.0]])
+    assert profiles.totals.dtype == np.int64
+    assert profiles.totals.tolist() == [40, 20, 40]
+    assert profiles.electorate.tolist() == [70_000, 50_000, 70_000]
+    assert profiles.per_elector[1] == 20 / 50_000
+    assert profiles.clustered.tolist() == [True, True, True]
 
 
 def test_profiles_standardization():
@@ -67,24 +55,23 @@ def test_profiles_standardization():
     model = make_model(theta, doc_ids=tuple(str(d) for d in range(6)))
     profiles = geo.profile_constituencies(model, make_corpus(petitions),
                                           [_meta(c) for c in codes])
-    z = np.stack([p.z_scores for p in profiles])
-    assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-12)
-    shares = np.stack([p.issue_share for p in profiles])
-    assert np.allclose(shares.sum(axis=1), 1.0)
+    assert np.allclose(profiles.z.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(profiles.z.std(axis=0, ddof=1), 1.0, atol=1e-12)
+    assert np.allclose(profiles.share.sum(axis=1), 1.0)
 
 
 def test_profiles_zero_signature_constituency_nan():
     model, corpus, meta = _two_petition_setup()
     meta = meta + [_meta("E9")]
     profiles = geo.profile_constituencies(model, corpus, meta)
-    ghost = profiles[3]
-    assert ghost.total_signatures == 0
-    assert np.isnan(ghost.issue_share).all()
-    assert np.isnan(ghost.z_scores).all()
+    assert profiles.totals[3] == 0
+    assert profiles.per_elector[3] == 0.0
+    assert np.isnan(profiles.share[3]).all()
+    assert np.isnan(profiles.z[3]).all()
+    assert profiles.clustered.tolist() == [True, True, True, False]
     # the live constituencies standardize exactly as before
-    z = np.stack([p.z_scores for p in profiles[:3]])
-    assert np.array_equal(z, [[1.0, -1.0], [0.0, 0.0], [-1.0, 1.0]])
+    assert np.array_equal(profiles.z[:3],
+                          [[1.0, -1.0], [0.0, 0.0], [-1.0, 1.0]])
 
 
 def test_profiles_skip_unlisted_codes():
@@ -93,7 +80,7 @@ def test_profiles_skip_unlisted_codes():
     model = make_model(np.eye(2), doc_ids=("1", "2"))
     profiles = geo.profile_constituencies(
         model, make_corpus(petitions), [_meta("E1"), _meta("E2")])
-    assert [p.total_signatures for p in profiles] == [40, 40]
+    assert profiles.totals.tolist() == [40, 40]
 
 
 def test_profiles_errors():
@@ -152,9 +139,9 @@ def test_profiles_match_per_pair_loop(caplog):
             with caplog.at_level("WARNING", logger="petmine.geo"):
                 profiles = geo.profile_constituencies(
                     model, make_corpus(petitions, constituencies), meta)
-            assert [p.total_signatures for p in profiles] == totals.tolist()
+            assert np.array_equal(profiles.totals, totals)
             live = totals > 0
-            shares = np.stack([p.issue_share for p in profiles])
+            shares = profiles.share
             assert np.array_equal(
                 shares[live],
                 mass[live] / mass[live].sum(axis=1, keepdims=True))
@@ -172,9 +159,8 @@ def test_profiles_match_per_pair_loop(caplog):
 
 
 def test_scaling_fit_exact_power_law():
-    electorates = [100, 200, 400, 800, 1600]
-    profiles = [_sig_profile(e, 3 * e * e) for e in electorates]
-    fit = geo.scaling_fit(profiles)
+    electorates = np.array([100, 200, 400, 800, 1600])
+    fit = geo.scaling_fit(electorates, 3 * electorates ** 2)
     assert fit.mode == "raw"
     assert fit.n == 5
     assert fit.exponent == pytest.approx(2.0, abs=1e-12)
@@ -184,10 +170,9 @@ def test_scaling_fit_exact_power_law():
 
 def test_scaling_fit_binned():
     rng = np.random.default_rng(9)
-    electorates = rng.integers(40_000, 110_000, size=40)
-    profiles = [_sig_profile(2 * int(e), int(e)) for e in electorates]
-    raw = geo.scaling_fit(profiles)
-    binned = geo.scaling_fit(profiles, mode="binned", n_bins=8)
+    totals = rng.integers(40_000, 110_000, size=40)
+    raw = geo.scaling_fit(2 * totals, totals)
+    binned = geo.scaling_fit(2 * totals, totals, mode="binned", n_bins=8)
     assert binned.mode == "binned"
     assert binned.n == 8
     # proportional data keeps slope 1 under both treatments
@@ -196,38 +181,44 @@ def test_scaling_fit_binned():
 
 
 def test_scaling_fit_ignores_silent_constituencies():
-    profiles = [_sig_profile(e, 2 * e) for e in (100, 200, 400)]
-    profiles.append(_sig_profile(800, 0))
-    fit = geo.scaling_fit(profiles)
+    fit = geo.scaling_fit(np.array([100, 200, 400, 800]),
+                          np.array([200, 400, 800, 0]))
     assert fit.n == 3
 
 
+def test_scaling_fit_sorts_by_electorate_then_signatures():
+    electorate = np.array([400, 100, 200, 200, 100, 300])
+    totals = np.array([90, 5, 40, 30, 7, 60])
+    order = sorted(range(6), key=lambda i: (electorate[i], totals[i]))
+    for mode in ("raw", "binned"):
+        got = geo.scaling_fit(electorate, totals, mode, n_bins=3)
+        want = geo.scaling_fit(electorate[order], totals[order], mode,
+                               n_bins=3)
+        assert got == want
+
+
 def test_scaling_fit_errors():
-    good = [_sig_profile(e, e) for e in (100, 200, 400)]
+    good = np.array([100, 200, 400])
     with pytest.raises(ConfigError, match="unknown scaling mode"):
-        geo.scaling_fit(good, mode="magic")
+        geo.scaling_fit(good, good, mode="magic")
     with pytest.raises(ValidationError, match="at least 3"):
-        geo.scaling_fit(good[:2])
+        geo.scaling_fit(good[:2], good[:2])
     with pytest.raises(ValidationError, match="cannot fill"):
-        geo.scaling_fit(good, mode="binned", n_bins=10)
-    flat = [_sig_profile(500, s) for s in (10, 20, 30)]
+        geo.scaling_fit(good, good, mode="binned", n_bins=10)
     with pytest.raises(ValidationError, match="all equal"):
-        geo.scaling_fit(flat)
+        geo.scaling_fit(np.full(3, 500), np.array([10, 20, 30]))
 
 
 # ---------------------------------------------------------------------------
 # clustering
 
 
-def _blob_profiles(n_per=6, spread=0.05, seed=0):
+def _blobs(n_per=6, spread=0.05, seed=0):
+    # two tight blobs of Z-score rows: n_per rows each, the first blob first
     rng = np.random.default_rng(seed)
     centers = [np.array([3.0, 0.0, -1.0]), np.array([-2.0, 1.5, 2.0])]
-    profiles = []
-    for b, center in enumerate(centers):
-        for i in range(n_per):
-            z = center + rng.normal(0.0, spread, size=3)
-            profiles.append(_zprofile(f"B{b}N{i}", z))
-    return profiles
+    return np.array([center + rng.normal(0.0, spread, size=3)
+                     for center in centers for _ in range(n_per)])
 
 
 def _brute_medoid_cost(dist, k):
@@ -321,25 +312,23 @@ def test_pam_exact_working_set_is_quadratic():
 
 
 def test_pam_separates_blobs():
-    profiles = _blob_profiles()
-    result = geo.pam_cluster(profiles, k=2)
-    assert result.k == 2
-    assert result.metric == "euclidean"
-    first = [result.assignments[f"B0N{i}"] for i in range(6)]
-    second = [result.assignments[f"B1N{i}"] for i in range(6)]
-    assert len(set(first)) == 1
-    assert len(set(second)) == 1
-    assert set(first) != set(second)
-    for p in profiles:
-        assert p.cluster == result.assignments[p.meta.code]
+    z = _blobs()
+    before = z.copy()
+    result = geo.pam_cluster(z, k=2)
+    assert result.labels.shape == (12,)
+    assert len(set(result.labels[:6].tolist())) == 1
+    assert len(set(result.labels[6:].tolist())) == 1
+    assert result.labels[0] != result.labels[6]
+    # each medoid sits in its own cluster, and the input is untouched
+    assert result.labels[list(result.medoid_indices)].tolist() == [0, 1]
+    assert np.array_equal(z, before)
 
 
 def test_pam_matches_brute_force():
     rng = np.random.default_rng(12)
     for trial in range(10):
-        profiles = [_zprofile(f"E{i}", rng.normal(size=3)) for i in range(9)]
-        result = geo.pam_cluster(profiles, k=3)
-        z = np.stack([p.z_scores for p in profiles])
+        z = rng.normal(size=(9, 3))
+        result = geo.pam_cluster(z, k=3)
         from scipy.spatial.distance import cdist
         dist = cdist(z, z)
         assert result.total_cost == pytest.approx(
@@ -348,17 +337,15 @@ def test_pam_matches_brute_force():
 
 def test_pam_swap_path_is_one_swap_optimal():
     rng = np.random.default_rng(33)
-    profiles = [_zprofile(f"E{i}", rng.normal(size=3)) for i in range(14)]
-    # force the heuristic path and verify no single exchange improves it
-    result = geo.pam_cluster(profiles, k=3, exact_budget=0)
-    z = np.stack([p.z_scores for p in profiles])
+    z = rng.normal(size=(14, 3))
     from scipy.spatial.distance import cdist
     dist = cdist(z, z)
-    medoids = list(result.medoid_indices)
+    # the heuristic path, checked for no improving single exchange
+    medoids, cost = geo._pam_swap(dist, geo._pam_build(dist, 3))
     base = float(dist[:, medoids].min(axis=1).sum())
-    assert result.total_cost == pytest.approx(base)
+    assert cost == pytest.approx(base)
     for pos in range(len(medoids)):
-        for cand in range(len(profiles)):
+        for cand in range(len(z)):
             if cand in medoids:
                 continue
             trial = medoids.copy()
@@ -367,54 +354,53 @@ def test_pam_swap_path_is_one_swap_optimal():
 
 
 def test_pam_deterministic():
-    profiles_a = _blob_profiles(seed=5)
-    profiles_b = _blob_profiles(seed=5)
-    a = geo.pam_cluster(profiles_a, k=2)
-    b = geo.pam_cluster(profiles_b, k=2)
+    a = geo.pam_cluster(_blobs(seed=5), k=2)
+    b = geo.pam_cluster(_blobs(seed=5), k=2)
     assert a.medoid_indices == b.medoid_indices
-    assert a.assignments == b.assignments
+    assert np.array_equal(a.labels, b.labels)
     assert a.total_cost == b.total_cost
 
 
-def test_pam_skips_nan_profiles():
-    profiles = _blob_profiles(n_per=4)
-    ghost = _zprofile("GHOST", [0.0, 0.0, 0.0])
-    ghost.z_scores = np.full(3, np.nan)
-    ghost.issue_share = np.full(3, np.nan)
-    profiles.append(ghost)
-    result = geo.pam_cluster(profiles, k=2)
-    assert "GHOST" not in result.assignments
-    assert ghost.cluster is None
-    assert len(result.assignments) == 8
+def test_pam_clusters_the_finite_profile_rows():
+    model, corpus, meta = _two_petition_setup()
+    meta = meta + [_meta("E9")]
+    profiles = geo.profile_constituencies(model, corpus, meta)
+    rows = np.flatnonzero(profiles.clustered)
+    assert rows.tolist() == [0, 1, 2]
+    result = geo.pam_cluster(profiles.z[rows], k=2)
+    assert result.labels.shape == (3,)
+    assert result.labels[0] != result.labels[2]
 
 
 def test_pam_manhattan_metric():
-    profiles = _blob_profiles()
-    result = geo.pam_cluster(profiles, k=2, metric="manhattan")
-    assert result.metric == "manhattan"
-    assert len(set(result.assignments.values())) == 2
+    result = geo.pam_cluster(_blobs(), k=2, metric="manhattan")
+    assert len(set(result.labels.tolist())) == 2
 
 
 def test_pam_validation():
-    profiles = _blob_profiles(n_per=2)
+    z = _blobs(n_per=2)
     with pytest.raises(ConfigError, match="metric"):
-        geo.pam_cluster(profiles, k=2, metric="cosine")
+        geo.pam_cluster(z, k=2, metric="cosine")
     with pytest.raises(ConfigError, match="k must satisfy"):
-        geo.pam_cluster(profiles, k=0)
+        geo.pam_cluster(z, k=0)
     with pytest.raises(ConfigError, match="k must satisfy"):
-        geo.pam_cluster(profiles, k=4)
+        geo.pam_cluster(z, k=4)
 
 
 def test_cluster_issue_profile_means():
-    profiles = [_zprofile("A", [1.0, 0.0]), _zprofile("B", [0.8, 0.2]),
-                _zprofile("C", [0.0, 1.0])]
-    for p, share in zip(profiles, ([1.0, 0.0], [0.8, 0.2], [0.0, 1.0])):
-        p.issue_share = np.array(share)
-    result = geo.pam_cluster(profiles, k=2)
-    means = geo.cluster_issue_profile(result, profiles)
-    ab = result.assignments["A"]
-    assert means[ab] == pytest.approx([0.9, 0.1])
-    assert means[result.assignments["C"]] == pytest.approx([0.0, 1.0])
+    share = np.array([[1.0, 0.0], [0.8, 0.2], [0.0, 1.0]])
+    result = geo.pam_cluster(share, k=2)
+    means = geo.cluster_issue_profile(share, result.labels, 2)
+    assert means[result.labels[0]] == pytest.approx([0.9, 0.1])
+    assert means[result.labels[2]] == pytest.approx([0.0, 1.0])
+
+
+def test_cluster_issue_profile_empty_cluster_is_nan():
+    share = np.array([[1.0, 0.0], [0.5, 0.5]])
+    means = geo.cluster_issue_profile(share, np.array([0, 2]), 3)
+    assert means[0].tolist() == [1.0, 0.0]
+    assert np.isnan(means[1]).all()
+    assert means[2].tolist() == [0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +408,7 @@ def test_cluster_issue_profile_means():
 
 
 def test_silhouette_separated_blobs_near_one():
-    profiles = _blob_profiles(spread=0.01)
-    z = np.stack([p.z_scores for p in profiles])
+    z = _blobs(spread=0.01)
     from scipy.spatial.distance import cdist
     dist = cdist(z, z)
     labels = np.array([0] * 6 + [1] * 6)
@@ -441,19 +426,19 @@ def test_silhouette_singletons_score_zero():
 
 
 def test_silhouette_sweep_shape_and_range():
-    profiles = _blob_profiles()
-    sweep = geo.silhouette_sweep(profiles, k_values=range(2, 15))
+    z = _blobs()
+    sweep = geo.silhouette_sweep(z, k_values=range(2, 15))
     # k values at or above the point count are dropped
     assert sorted(sweep) == list(range(2, 12))
     assert all(-1.0 <= v <= 1.0 for v in sweep.values())
     assert max(sweep, key=sweep.get) == 2
-    again = geo.silhouette_sweep(profiles, k_values=range(2, 15))
+    again = geo.silhouette_sweep(z, k_values=range(2, 15))
     assert sweep == again
 
 
 def test_silhouette_sweep_metric_validation():
     with pytest.raises(ConfigError):
-        geo.silhouette_sweep(_blob_profiles(), metric="cosine")
+        geo.silhouette_sweep(_blobs(), metric="cosine")
 
 
 def _silhouette_loop(dist, labels):
@@ -477,7 +462,7 @@ def _silhouette_loop(dist, labels):
 
 def test_silhouette_matches_per_point_loop():
     from scipy.spatial.distance import cdist
-    z = np.stack([p.z_scores for p in _blob_profiles()])
+    z = _blobs()
     cases = [
         (cdist(z, z), np.array([0] * 6 + [1] * 6)),
         (cdist(z, z, "cityblock"), np.arange(12) % 5),

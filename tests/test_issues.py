@@ -185,39 +185,29 @@ def _sample_model():
     return make_model(theta, phi=phi)
 
 
-@pytest.mark.parametrize("build,kind", [
-    (issues.co_occurrence_network, issues.CO_OCCURRENCE),
-    (issues.word_distribution_network, issues.WORD_DISTRIBUTION),
+@pytest.mark.parametrize("build", [
+    issues.co_occurrence_network, issues.word_distribution_network,
 ])
-def test_network_well_formed(build, kind):
+def test_network_well_formed(build):
     model = _sample_model()
-    net = build(model)
+    weights = build(model)
     k = model.k
-    assert net.kind == kind
-    assert net.weights.shape == (k, k)
-    assert np.array_equal(net.weights, net.weights.T)
-    assert np.array_equal(np.diag(net.weights), np.ones(k))
-    assert (net.weights >= -1).all() and (net.weights <= 1).all()
-    assert np.array_equal(net.node_sizes, np.zeros(k))
+    assert weights.shape == (k, k)
+    assert np.array_equal(weights, weights.T)
+    assert np.array_equal(np.diag(weights), np.ones(k))
+    assert (weights >= -1).all() and (weights <= 1).all()
 
 
 def test_network_weights_match_cosine():
     model = _sample_model()
-    net = issues.word_distribution_network(model)
+    weights = issues.word_distribution_network(model)
     for i in range(model.k):
         for j in range(i + 1, model.k):
             want = issues.cosine(model.phi[i], model.phi[j])
-            assert net.weights[i, j] == pytest.approx(want, abs=1e-12)
+            assert weights[i, j] == pytest.approx(want, abs=1e-12)
     co = issues.co_occurrence_network(model)
     want01 = issues.cosine(model.theta[:, 0], model.theta[:, 1])
-    assert co.weights[0, 1] == pytest.approx(want01, abs=1e-12)
-
-
-def test_network_node_sizes_carried():
-    model = _sample_model()
-    sizes = np.array([4.0, 3.0, 2.0, 1.0])
-    net = issues.co_occurrence_network(model, node_sizes=sizes)
-    assert np.array_equal(net.node_sizes, sizes)
+    assert co[0, 1] == pytest.approx(want01, abs=1e-12)
 
 
 def test_prune_keeps_strongest_edges():
@@ -227,54 +217,54 @@ def test_prune_keeps_strongest_edges():
         [0.2, 0.3, 1.0, 0.1],
         [0.5, 0.8, 0.1, 1.0],
     ])
-    net = issues.IssueNetwork(kind=issues.CO_OCCURRENCE, weights=weights,
-                              node_sizes=np.zeros(4))
-    pruned = issues.prune_network(net, 0.34)   # ceil(0.34 * 6) = 3 edges
+    pruned = issues.prune_network(weights, 0.34)   # ceil(0.34 * 6) = 3 edges
     kept = issues.edge_list(pruned)
     assert kept == [(0, 1, 0.9), (0, 3, 0.5), (1, 3, 0.8)]
-    assert np.array_equal(np.diag(pruned.weights), np.ones(4))
-    assert np.array_equal(pruned.weights, pruned.weights.T)
+    assert np.array_equal(np.diag(pruned), np.ones(4))
+    assert np.array_equal(pruned, pruned.T)
     # the original is untouched
-    assert net.weights[0, 2] == 0.2
+    assert weights[0, 2] == 0.2
 
 
 def test_prune_retains_cutoff_ties():
     weights = np.ones((3, 3)) * 0.6
     np.fill_diagonal(weights, 1.0)
-    net = issues.IssueNetwork(kind=issues.CO_OCCURRENCE, weights=weights,
-                              node_sizes=np.zeros(3))
-    pruned = issues.prune_network(net, 0.34)   # nominal 1 edge, all tied
+    pruned = issues.prune_network(weights, 0.34)   # nominal 1 edge, all tied
     assert len(issues.edge_list(pruned)) == 3
 
 
 def test_prune_full_fraction_is_identity():
-    model = _sample_model()
-    net = issues.co_occurrence_network(model)
-    pruned = issues.prune_network(net, 1.0)
-    assert np.array_equal(pruned.weights, net.weights)
+    weights = issues.co_occurrence_network(_sample_model())
+    pruned = issues.prune_network(weights, 1.0)
+    assert np.array_equal(pruned, weights)
 
 
 def test_prune_fraction_bounds():
-    net = issues.co_occurrence_network(_sample_model())
+    weights = issues.co_occurrence_network(_sample_model())
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ConfigError):
-            issues.prune_network(net, bad)
+            issues.prune_network(weights, bad)
 
 
 def test_prune_single_node():
-    net = issues.IssueNetwork(kind=issues.CO_OCCURRENCE,
-                              weights=np.ones((1, 1)),
-                              node_sizes=np.zeros(1))
-    pruned = issues.prune_network(net, 0.5)
-    assert pruned.weights.tolist() == [[1.0]]
+    weights = np.ones((1, 1))
+    pruned = issues.prune_network(weights, 0.5)
+    assert pruned.tolist() == [[1.0]]
+    assert pruned is not weights
 
 
-def test_edge_list_skips_zeros_by_default():
+def test_edge_list_skips_zeros():
     weights = np.array([[1.0, 0.0, 0.4],
                         [0.0, 1.0, 0.0],
                         [0.4, 0.0, 1.0]])
-    net = issues.IssueNetwork(kind=issues.CO_OCCURRENCE, weights=weights,
-                              node_sizes=np.zeros(3))
-    assert issues.edge_list(net) == [(0, 2, 0.4)]
-    assert issues.edge_list(net, include_zero=True) == [
-        (0, 1, 0.0), (0, 2, 0.4), (1, 2, 0.0)]
+    assert issues.edge_list(weights) == [(0, 2, 0.4)]
+
+
+def test_edge_list_matches_upper_triangle_loop():
+    rng = np.random.default_rng(5)
+    weights = np.where(rng.random((7, 7)) < 0.3, 0.0, rng.random((7, 7)))
+    want = [(i, j, float(weights[i, j]))
+            for i in range(7) for j in range(i + 1, 7) if weights[i, j] != 0.0]
+    got = issues.edge_list(weights)
+    assert got == want
+    assert all(type(v) is int for e in got for v in e[:2])
