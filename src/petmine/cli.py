@@ -363,7 +363,7 @@ def _report_temporal(cfg, model, c):
 
 
 def _report_geo(cfg, model, c):
-    profiles = geo.profile_constituencies(model, c, c.constituencies)
+    profiles = geo.profile_constituencies(model, c)
     k_issues = model.k
     n_with = int(np.count_nonzero(profiles.totals))
     scaling = {}

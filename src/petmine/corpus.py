@@ -11,8 +11,9 @@ one malformed line cannot kill a long run.  Only structural problems
 The accepted petitions are held as columns (:class:`Corpus`): ids and
 merged texts as lists, creation day and signature totals as int64 arrays,
 and the constituency breakdowns as one sparse petitions x codes matrix.
-Validation happens once, at ingest; the snapshot written from the columns
-(:func:`save_corpus`) reloads without re-parsing any record.
+Records are validated once, at ingest; the snapshot written from the
+columns (:func:`save_corpus`) reloads without re-parsing any record.  The
+columns' layout is checked once, by the :class:`Corpus` constructor.
 
 Determinism: petitions are sorted by id, every column is ordered, and
 re-serializing a loaded corpus reproduces it byte-for-byte.
@@ -85,7 +86,8 @@ class Corpus:
     columns and no duplicates.  With constituency metadata its columns are
     the metadata codes in file order, then :data:`UNKNOWN_CODE`; without,
     the codes met in the records, sorted.  ``uk`` is its row sums: the
-    signatures attributed to UK constituencies, overseas excluded.
+    signatures attributed to UK constituencies, overseas excluded.  The
+    constructor checks this layout and that each ``day`` is in the window.
     """
     ids: list[str]
     texts: list[str]                 # merged action, background and details
@@ -99,6 +101,26 @@ class Corpus:
     ingest_report: IngestReport | None = None
 
     def __post_init__(self):
+        rows, cols = self.signatures.shape
+        for name, size in (("ids", rows), ("texts", rows), ("day", rows),
+                           ("total", rows), ("codes", cols)):
+            if len(getattr(self, name)) != size:
+                raise ValidationError(
+                    f"'{name}' has {len(getattr(self, name))} entries, "
+                    f"expected {size} for a {rows} x {cols} signature matrix")
+        start, end = self.window
+        outside = (self.day < 0) | (self.day > (end - start).days)
+        if outside.any():
+            d = int(np.argmax(outside))
+            raise ValidationError(
+                f"column 'day': petition {self.ids[d]} created "
+                f"{np.datetime64(start) + self.day[d]} outside window "
+                f"{start}..{end}")
+        if self.constituencies and self.codes != (
+                *(m.code for m in self.constituencies), UNKNOWN_CODE):
+            raise ValidationError(
+                "codes are not the constituency metadata codes, then "
+                f"{UNKNOWN_CODE}")
         self.uk = np.asarray(self.signatures.sum(axis=1),
                              dtype=np.int64).ravel()
 
@@ -109,24 +131,17 @@ class Corpus:
 
         With ``constituencies``, codes they do not list are summed into the
         UNKNOWN column, with one warning per such code.  ``window``
-        defaults to the span of the creation dates.  Raises
-        ValidationError for a petition created outside ``window``.
+        defaults to the span of the creation dates; the constructor raises
+        ValidationError for a petition created outside it.
         """
         petitions = tuple(petitions)
         constituencies = tuple(constituencies)
         if window is None:
             dates = [p.created_at for p in petitions]
             window = (min(dates), max(dates))
-        start, end = window
         n = len(petitions)
-        day = np.fromiter(((p.created_at - start).days for p in petitions),
+        day = np.fromiter(((p.created_at - window[0]).days for p in petitions),
                           dtype=np.int64, count=n)
-        outside = (day < 0) | (day > (end - start).days)
-        if outside.any():
-            p = petitions[int(np.argmax(outside))]
-            raise ValidationError(
-                f"petition {p.id} created {p.created_at} outside window "
-                f"{start}..{end}")
 
         keys, counts, lengths = [], [], []
         for p in petitions:
@@ -478,10 +493,9 @@ def load_corpus(path: str) -> Corpus:
     """Load a snapshot written by :func:`save_corpus`.
 
     The records were validated at ingest, so a load parses no record; it
-    checks the format and version, that every column has the length
-    ``n_petitions`` implies, that the signature matrix is well formed and
-    its column indices name a code, and that every day falls in the
-    window.  Any fault is an ArchiveFormatError naming the file and field.
+    checks the format and version and that the signature matrix is well
+    formed, and the :class:`Corpus` constructor checks the columns' layout.
+    Any fault is an ArchiveFormatError naming the file and field.
     """
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
@@ -515,12 +529,10 @@ def load_corpus(path: str) -> Corpus:
             f"{path}: unexpected content after column '{_COLUMNS[-1]}'")
 
     indptr, indices = columns["indptr"], columns["indices"]
-    for name, size in (("ids", n), ("texts", n), ("day", n), ("total", n),
-                       ("indptr", n + 1)):
-        if len(columns[name]) != size:
-            raise ArchiveFormatError(
-                f"{path}: column '{name}' has {len(columns[name])} entries, "
-                f"expected {size} (n_petitions {n})")
+    if len(indptr) != n + 1:
+        raise ArchiveFormatError(
+            f"{path}: column 'indptr' has {len(indptr)} entries, "
+            f"expected {n + 1} (n_petitions {n})")
     if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
         raise ArchiveFormatError(
             f"{path}: column 'indptr' does not rise monotonically from 0")
@@ -533,20 +545,17 @@ def load_corpus(path: str) -> Corpus:
         raise ArchiveFormatError(
             f"{path}: column 'indices' holds a value outside 0..{len(codes) - 1} "
             f"({len(codes)} codes)")
-    day = columns["day"]
-    span = (window[1] - window[0]).days
-    if day.size and day.max() > span:
-        raise ArchiveFormatError(
-            f"{path}: column 'day' holds an offset outside the window "
-            f"{window[0]}..{window[1]} (0..{span})")
 
-    return Corpus(
-        ids=columns["ids"], texts=columns["texts"], day=day,
-        total=columns["total"],
-        signatures=sp.csr_matrix((columns["data"], indices, indptr),
-                                 shape=(n, len(codes))),
-        codes=codes, constituencies=constituencies, window=window,
-    )
+    try:
+        return Corpus(
+            ids=columns["ids"], texts=columns["texts"], day=columns["day"],
+            total=columns["total"],
+            signatures=sp.csr_matrix((columns["data"], indices, indptr),
+                                     shape=(n, len(codes))),
+            codes=codes, constituencies=constituencies, window=window,
+        )
+    except ValidationError as exc:
+        raise ArchiveFormatError(f"{path}: {exc}") from None
 
 
 def write_rejects_report(report: IngestReport, path: str, meta: dict) -> None:

@@ -10,8 +10,10 @@ medoid/non-medoid exchange lowers the total distance-to-medoid cost, which
 makes the result 1-swap-optimal by construction.
 
 The profiles are one column table, :class:`Profiles`, with a row per
-constituency in metadata order.  The clustering and scaling functions take
-its arrays and return new values; none of them writes into its inputs.
+constituency in metadata order: the corpus's first signature columns,
+which the ``Corpus`` constructor checks are the metadata codes in order.
+The clustering and scaling functions take its arrays and return new
+values; none of them writes into its inputs.
 Constituencies with zero signatures have NaN share and Z-score rows; they
 are left out of the standardization, and ``Profiles.clustered`` leaves
 them out of clustering.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .corpus import UNKNOWN_CODE, ConstituencyMeta, Corpus
+from .corpus import ConstituencyMeta, Corpus
 from .errors import ConfigError, ConvergenceError, ValidationError
 from .lda import TopicModel
 
@@ -61,31 +63,20 @@ class Profiles:
         return np.isfinite(self.z).all(axis=1)
 
 
-def profile_constituencies(model: TopicModel, corpus: Corpus,
-                           meta: list[ConstituencyMeta] | tuple[ConstituencyMeta, ...],
-                           ) -> Profiles:
-    """Issue shares and Z-scores for every constituency in ``meta``.
+def profile_constituencies(model: TopicModel, corpus: Corpus) -> Profiles:
+    """Issue shares and Z-scores for every constituency in the corpus metadata.
 
-    Signature mass under codes missing from ``meta`` (including the
-    UNKNOWN bucket) is skipped with a warning; it still counts toward
+    Signature mass under the UNKNOWN column, where ingest folds the codes
+    the metadata does not list, is skipped; it still counts toward
     corpus-level totals elsewhere, just not toward any profile here.
     """
     model.check_alignment(corpus)
+    meta = corpus.constituencies
     if not meta:
         raise ValidationError("no constituency metadata supplied")
-    n_codes = len(corpus.codes)
-    listed = {m.code for m in meta}
-    signed = np.bincount(corpus.signatures.indices, minlength=n_codes) > 0
-    for code in itertools.compress(corpus.codes, signed):
-        if code not in listed and code != UNKNOWN_CODE:
-            log.warning("constituency %s not in metadata; skipping", code)
-    # codes x docs, each row's docs ascending, so the product adds
-    # n * theta[d] per constituency in the same order as a per-pair loop;
-    # a metadata code nobody signed reads the empty row appended last
-    by_code = corpus.signatures.T.tocsr()
-    by_code.resize((n_codes + 1, by_code.shape[1]))
-    column = {code: j for j, code in enumerate(corpus.codes)}
-    by_meta = by_code[[column.get(m.code, n_codes) for m in meta]]
+    # metadata codes x docs, each row's docs ascending, so the product adds
+    # n * theta[d] per constituency in the same order as a per-pair loop
+    by_meta = corpus.signatures[:, :len(meta)].T.tocsr()
     mass = by_meta @ model.theta
     totals = np.asarray(by_meta.sum(axis=1), dtype=np.int64).ravel()
 
@@ -102,7 +93,7 @@ def profile_constituencies(model: TopicModel, corpus: Corpus,
     if np.any(sigma == 0):
         log.warning("issue(s) with zero share variance: Z-scores undefined there")
 
-    return Profiles(meta=tuple(meta), totals=totals, share=share, z=z)
+    return Profiles(meta=meta, totals=totals, share=share, z=z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Hot sampling loops, compiled with numba or run without a compiler.
 
-Mode is chosen once at import time: numba is used when it is importable
-unless the environment variable ``PETMINE_NUMBA`` is set to ``0`` (or
-``false``/``off``/``no``).  ``NUMBA_ENABLED`` reports which mode is active.
+Mode is chosen once at import time: numba is used when it is importable.
+``NUMBA_ENABLED`` reports which mode is active.
 Without numba, ``init_assignments``, ``gibbs_sweep`` and ``infer_doc`` are
 rewrites over plain Python ints, floats and lists (see "Kernels without a
 compiler" below), and ``draw_uniform`` runs the numba source over numpy
@@ -22,24 +21,17 @@ does not depend on where it sits in the corpus.
 from __future__ import annotations
 
 import functools
-import os
 from bisect import bisect_right
 from itertools import accumulate
 from operator import mul, truediv
 
 import numpy as np
 
-_env = os.environ.get("PETMINE_NUMBA", "").strip().lower()
-_want_numba = _env not in ("0", "false", "off", "no")
-
-NUMBA_ENABLED = False
-if _want_numba:
-    try:
-        import numba
-    except ImportError:
-        numba = None
-    else:
-        NUMBA_ENABLED = True
+try:
+    import numba
+except ImportError:
+    numba = None
+NUMBA_ENABLED = numba is not None
 
 if NUMBA_ENABLED:
     def _jit(fn):

@@ -384,13 +384,23 @@ def _stored_config(path: str, values) -> LdaConfig:
 
 
 def load_model(path: str) -> TopicModel:
+    """Read a snapshot written by :func:`save_model`.
+
+    A field of the wrong type or shape, or out of step with another, is
+    an ArchiveFormatError naming the file and the field.
+    """
     arrays, meta = load_arrays(path, _MODEL_FORMAT, _MODEL_VERSION)
+    config = _stored_config(path, meta["config"])
+    terms = meta.strings("terms")
+    doc_ids = meta.strings("doc_ids")
+    trace = arrays.array("trace", "float", (None,))
+    sweeps = arrays.array("trace_sweeps", "integer", trace.shape)
     model = TopicModel(
-        config=_stored_config(path, meta["config"]),
-        phi=arrays["phi"], theta=arrays["theta"],
-        log_likelihood_trace=[float(x) for x in arrays["trace"]],
-        trace_sweeps=[int(x) for x in arrays["trace_sweeps"]],
-        terms=tuple(meta["terms"]), doc_ids=tuple(meta["doc_ids"]),
+        config=config,
+        phi=arrays.array("phi", "float", (config.k, len(terms))),
+        theta=arrays.array("theta", "float", (len(doc_ids), config.k)),
+        log_likelihood_trace=trace.tolist(), trace_sweeps=sweeps.tolist(),
+        terms=terms, doc_ids=doc_ids,
     )
     if model.vocab_hash != meta["vocab_hash"]:
         raise ArchiveFormatError(f"{path}: vocabulary hash mismatch")

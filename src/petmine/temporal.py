@@ -11,6 +11,9 @@ Missing-data convention: a window containing no signature mass has
 undefined entropy (NaN), not zero, since zero entropy means concentration
 on one issue.  Percentage changes touching an undefined or zero entropy
 are themselves undefined and are excluded from the volatility statistics.
+
+The ``Corpus`` constructor checks that every creation day lies in the
+window, so the series are built without checking it again.
 """
 
 from __future__ import annotations
@@ -43,15 +46,6 @@ def build_series(model: TopicModel, corpus: Corpus) -> IssueSeries:
     model.check_alignment(corpus)
     start, end = corpus.window
     n_days = (end - start).days + 1
-    if n_days < 1:
-        raise ValidationError("corpus window is empty")
-    outside = (corpus.day < 0) | (corpus.day >= n_days)
-    if outside.any():
-        d = int(np.argmax(outside))
-        created = start + datetime.timedelta(days=int(corpus.day[d]))
-        raise ValidationError(
-            f"petition {corpus.ids[d]} created {created} outside window {start}..{end}"
-        )
     values = np.zeros((n_days, model.k), dtype=np.float64)
     # unbuffered, in petition order: each day sums its petitions in the
     # order a per-petition loop would

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import porter
-from .errors import ConfigError, EmptyCorpusError
+from .errors import ArchiveFormatError, ConfigError, EmptyCorpusError
 from .util import load_arrays, save_arrays
 
 log = logging.getLogger(__name__)
@@ -129,12 +129,6 @@ def clean_tokens(text: str, stopwords: frozenset[str]) -> list[str]:
 class Vocabulary:
     terms: tuple[str, ...]          # unique, sorted lexicographically
     doc_frequency: np.ndarray       # int64, aligned with terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.terms)}
 
 
 @dataclass
@@ -265,15 +259,26 @@ def save_dtm(dtm: DocumentTermMatrix, path: str) -> None:
 
 
 def load_dtm(path: str) -> DocumentTermMatrix:
+    """Read a snapshot written by :func:`save_dtm`.
+
+    A field of the wrong type or shape, or out of step with another, is
+    an ArchiveFormatError naming the file and the field.
+    """
     arrays, meta = load_arrays(path, _DTM_FORMAT, _DTM_VERSION)
-    n_docs = int(meta["n_docs"])
-    terms = tuple(meta["terms"])
-    counts = sp.csr_matrix(
-        (arrays["count"].astype(np.int32), (arrays["row"], arrays["col"])),
-        shape=(n_docs, len(terms)),
-    )
-    vocab = Vocabulary(terms=terms, doc_frequency=arrays["doc_frequency"])
-    return DocumentTermMatrix(
-        n_docs=n_docs, vocabulary=vocab, counts=counts,
-        doc_ids=tuple(meta["doc_ids"]),
-    )
+    n_docs = meta.count("n_docs")
+    terms = meta.strings("terms")
+    doc_ids = meta.strings("doc_ids")
+    if n_docs != len(doc_ids):
+        raise ArchiveFormatError(
+            f"{path}: snapshot field 'n_docs' is {n_docs}, but 'doc_ids' "
+            f"has {len(doc_ids)} entries")
+    row = arrays.array("row", "integer", (None,), (0, n_docs))
+    col = arrays.array("col", "integer", row.shape, (0, len(terms)))
+    # counts are held as int32
+    count = arrays.array("count", "integer", row.shape, (1, 2**31))
+    counts = sp.csr_matrix((count.astype(np.int32), (row, col)),
+                           shape=(n_docs, len(terms)))
+    vocab = Vocabulary(terms=terms, doc_frequency=arrays.array(
+        "doc_frequency", "integer", (len(terms),)))
+    return DocumentTermMatrix(n_docs=n_docs, vocabulary=vocab, counts=counts,
+                              doc_ids=doc_ids)

@@ -164,7 +164,8 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
 
 
 class _Members(dict):
-    """A snapshot's arrays or meta fields; an absent one is a format error."""
+    """A snapshot's arrays or meta fields; an absent or ill-typed one is a
+    format error naming the file and the field."""
 
     def __init__(self, path: str, items=()):
         super().__init__(items)
@@ -172,6 +173,48 @@ class _Members(dict):
 
     def __missing__(self, key):
         raise ArchiveFormatError(f"{self.path}: snapshot has no '{key}'")
+
+    def _fault(self, key, problem):
+        return ArchiveFormatError(
+            f"{self.path}: snapshot field '{key}' {problem}")
+
+    def count(self, key: str) -> int:
+        """The field ``key``, a non-negative integer."""
+        value = self[key]
+        if type(value) is not int or value < 0:
+            raise self._fault(key, "is not a non-negative integer")
+        return value
+
+    def strings(self, key: str) -> tuple[str, ...]:
+        """The field ``key``, a list of strings, as a tuple."""
+        value = self[key]
+        if type(value) is not list or not set(map(type, value)) <= {str}:
+            raise self._fault(key, "is not a list of strings")
+        return tuple(value)
+
+    def array(self, key: str, kind: str, shape: tuple,
+              bounds: tuple[int, int] | None = None) -> np.ndarray:
+        """The ``kind`` ("integer" or "float") array ``key`` of ``shape``,
+        where a ``None`` extent matches any length; with ``bounds``, every
+        value ``v`` must satisfy ``bounds[0] <= v < bounds[1]``."""
+        value = self[key]
+        if (value.dtype.kind not in _DTYPE_KINDS[kind]
+                or len(value.shape) != len(shape)
+                or any(want not in (None, got)
+                       for got, want in zip(value.shape, shape))):
+            expected = tuple("n" if n is None else n for n in shape)
+            raise self._fault(
+                key, f"is a {value.dtype} array of shape {value.shape}, "
+                     f"expected a {kind} array of shape {expected}")
+        if bounds is not None and value.size and (
+                value.min() < bounds[0] or value.max() >= bounds[1]):
+            raise self._fault(
+                key, f"holds a value outside {bounds[0]}..{bounds[1] - 1}")
+        return value
+
+
+# numpy dtype kind codes of the array kinds a snapshot holds
+_DTYPE_KINDS = {"integer": "iu", "float": "f"}
 
 
 def load_arrays(path: str, format: str,

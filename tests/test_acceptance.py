@@ -186,9 +186,8 @@ def test_criterion_06_z_score_standardization():
         ]
         model = make_model(theta, doc_ids=tuple(str(d)
                                                 for d in range(n_docs)))
-        profiles = geo.profile_constituencies(
-            model, make_corpus(petitions),
-            [ConstituencyMeta(c, c, 60_000) for c in codes])
+        profiles = geo.profile_constituencies(model, make_corpus(
+            petitions, [ConstituencyMeta(c, c, 60_000) for c in codes]))
         z = profiles.z
         mean_ok = np.all(np.abs(z.mean(axis=0)) <= 1e-9)
         sd_ok = np.all(np.abs(z.std(axis=0, ddof=1) - 1.0) <= 1e-9)
@@ -218,7 +217,7 @@ def test_criterion_08_share_and_z_hand_fixture():
                  make_petition(2, {"E1": 10, "E2": 10, "E3": 30})]
     model = make_model(np.eye(2), doc_ids=("1", "2"))
     meta = [ConstituencyMeta(c, c, 70_000) for c in ("E1", "E2", "E3")]
-    profiles = geo.profile_constituencies(model, make_corpus(petitions), meta)
+    profiles = geo.profile_constituencies(model, make_corpus(petitions, meta))
     shares, z = profiles.share, profiles.z
     shares_ok = np.array_equal(
         shares, [[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]])

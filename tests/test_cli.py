@@ -7,6 +7,7 @@ import pathlib
 import shutil
 
 import jsonschema
+import numpy as np
 import pytest
 
 from petmine import cli, lda, util
@@ -346,6 +347,24 @@ def test_damaged_snapshots_exit_one_naming_the_file(
                      "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "petmine: error:" in err and str(tmp_path / name) in err
+
+
+def test_grid_on_an_inconsistent_dtm_exits_one_naming_the_field(
+        tmp_path, capsys):
+    # a count row past n_docs: scipy would raise a bare ValueError
+    out = tmp_path / "out"
+    util.save_arrays(
+        str(out / "dtm.bin"),
+        {"row": np.array([0, 5]), "col": np.array([0, 1]),
+         "count": np.array([1, 1]), "doc_frequency": np.array([1, 1])},
+        meta={"format": "petmine-dtm", "version": 1, "n_docs": 2,
+              "terms": ["a", "b"], "doc_ids": ["1", "2"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": str(out)}), encoding="utf-8")
+    assert cli.main(["grid", "--config", str(path), "--k-values", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "petmine: error:" in err
+    assert str(out / "dtm.bin") in err and "'row'" in err
 
 
 def test_unknown_model_config_key_exits_one_naming_the_file(

@@ -1,6 +1,7 @@
 """Archive ingestion, validation, and corpus snapshots."""
 
 import csv
+import dataclasses
 import datetime
 import json
 
@@ -10,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from petmine import corpus
-from petmine.errors import ArchiveFormatError, EmptyCorpusError
+from petmine.errors import (ArchiveFormatError, EmptyCorpusError,
+                            ValidationError)
 
 from conftest import make_corpus, make_petition
 
@@ -311,6 +313,52 @@ def test_uk_signature_total(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Corpus invariants, checked by the constructor
+
+
+@pytest.mark.parametrize("name", ["ids", "texts", "day", "total", "codes"])
+def test_corpus_rejects_a_column_of_the_wrong_length(name):
+    # without metadata, so that shortening codes trips the length check
+    c = dataclasses.replace(_sample_corpus(), constituencies=())
+    expected = 3 if name == "codes" else 2
+    with pytest.raises(ValidationError, match=f"'{name}' has {expected - 1} "
+                       f"entries, expected {expected} for a 2 x 3 signature"):
+        dataclasses.replace(c, **{name: getattr(c, name)[:-1]})
+
+
+def test_corpus_rejects_a_day_outside_the_window():
+    c = make_corpus([make_petition(0, {"E1": 5}, created="2015-06-01"),
+                     make_petition(1, {"E1": 5}, created="2015-06-02")])
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(c, window=(c.window[0], c.window[0]))
+    assert str(err.value) == ("column 'day': petition 1 created 2015-06-02 "
+                              "outside window 2015-06-01..2015-06-01")
+    late = (datetime.date(2015, 6, 2), datetime.date(2015, 6, 9))
+    with pytest.raises(ValidationError,
+                       match="petition 0 created 2015-06-01 outside"):
+        corpus.Corpus.from_petitions(
+            [make_petition(0, {"E1": 5}, created="2015-06-01")], (), late)
+    # an offset past any date still names the day column
+    with pytest.raises(ValidationError, match="column 'day': petition 1"):
+        dataclasses.replace(c, day=np.array([0, 2**53]))
+
+
+_NOT_THE_METADATA_CODES = "codes are not the constituency metadata codes"
+
+
+def test_corpus_rejects_codes_out_of_step_with_constituencies():
+    c = _sample_corpus()
+    with pytest.raises(ValidationError, match=_NOT_THE_METADATA_CODES):
+        dataclasses.replace(c, codes=("E2", "E1", "UNKNOWN"))
+    with pytest.raises(ValidationError, match=_NOT_THE_METADATA_CODES):
+        dataclasses.replace(c, constituencies=c.constituencies[::-1])
+    # without metadata the codes are whatever the records held
+    loose = dataclasses.replace(c, codes=("E2", "E1", "UNKNOWN"),
+                                constituencies=())
+    assert loose.uk.tolist() == c.uk.tolist()
+
+
+# ---------------------------------------------------------------------------
 # load_constituencies
 
 
@@ -595,6 +643,7 @@ def _set_meta(lines, key, value):
     (lambda ls: _set_meta(ls, "n_petitions", "2"), "n_petitions"),
     (lambda ls: _set_meta(ls, "n_petitions", 3), "n_petitions"),
     (lambda ls: _set_meta(ls, "codes", "E1"), "codes"),
+    (lambda ls: _set_meta(ls, "codes", ["E2", "E1", "UNKNOWN"]), "codes"),
     (lambda ls: _set_meta(ls, "constituencies", [{"code": "E1"}]),
      "constituencies"),
     (lambda ls: _set_meta(ls, "constituencies",

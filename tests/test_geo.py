@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from petmine import geo
-from petmine.corpus import ConstituencyMeta
+from petmine.corpus import UNKNOWN_CODE, ConstituencyMeta
 from petmine.errors import ConfigError, ValidationError
 
 from conftest import make_corpus, make_model, make_petition
@@ -21,17 +21,17 @@ def _meta(code, electorate=70_000):
 # profiles
 
 
-def _two_petition_setup():
+def _two_petition_setup(*extra_meta):
     petitions = [make_petition(1, {"E1": 30, "E2": 10, "E3": 10}),
                  make_petition(2, {"E1": 10, "E2": 10, "E3": 30})]
     model = make_model(np.eye(2), doc_ids=("1", "2"))
-    meta = [_meta("E1"), _meta("E2", 50_000), _meta("E3")]
-    return model, make_corpus(petitions), meta
+    meta = [_meta("E1"), _meta("E2", 50_000), _meta("E3"), *extra_meta]
+    return model, make_corpus(petitions, meta), meta
 
 
 def test_profiles_hand_case_exact():
     model, corpus, meta = _two_petition_setup()
-    profiles = geo.profile_constituencies(model, corpus, meta)
+    profiles = geo.profile_constituencies(model, corpus)
     assert profiles.meta == tuple(meta)
     assert np.array_equal(profiles.share,
                           [[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]])
@@ -53,17 +53,16 @@ def test_profiles_standardization():
         for d in range(6)
     ]
     model = make_model(theta, doc_ids=tuple(str(d) for d in range(6)))
-    profiles = geo.profile_constituencies(model, make_corpus(petitions),
-                                          [_meta(c) for c in codes])
+    profiles = geo.profile_constituencies(
+        model, make_corpus(petitions, [_meta(c) for c in codes]))
     assert np.allclose(profiles.z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(profiles.z.std(axis=0, ddof=1), 1.0, atol=1e-12)
     assert np.allclose(profiles.share.sum(axis=1), 1.0)
 
 
 def test_profiles_zero_signature_constituency_nan():
-    model, corpus, meta = _two_petition_setup()
-    meta = meta + [_meta("E9")]
-    profiles = geo.profile_constituencies(model, corpus, meta)
+    model, corpus, _ = _two_petition_setup(_meta("E9"))
+    profiles = geo.profile_constituencies(model, corpus)
     assert profiles.totals[3] == 0
     assert profiles.per_elector[3] == 0.0
     assert np.isnan(profiles.share[3]).all()
@@ -78,37 +77,42 @@ def test_profiles_skip_unlisted_codes():
     petitions = [make_petition(1, {"E1": 30, "UNKNOWN": 500, "E2": 10}),
                  make_petition(2, {"E1": 10, "E2": 30, "ZZZ": 99})]
     model = make_model(np.eye(2), doc_ids=("1", "2"))
-    profiles = geo.profile_constituencies(
-        model, make_corpus(petitions), [_meta("E1"), _meta("E2")])
+    corpus = make_corpus(petitions, [_meta("E1"), _meta("E2")])
+    # ingest folds the unlisted codes into the last column ...
+    assert corpus.codes == ("E1", "E2", "UNKNOWN")
+    assert corpus.signatures[:, 2].toarray().ravel().tolist() == [500, 99]
+    # ... which the profiles skip
+    profiles = geo.profile_constituencies(model, corpus)
     assert profiles.totals.tolist() == [40, 40]
 
 
 def test_profiles_errors():
     model, corpus, meta = _two_petition_setup()
+    bare = make_corpus([make_petition(1, {"E1": 30}),
+                        make_petition(2, {"E3": 30})])
     with pytest.raises(ValidationError, match="no constituency metadata"):
-        geo.profile_constituencies(model, corpus, [])
+        geo.profile_constituencies(model, bare)
     other = make_model(np.eye(2), doc_ids=("8", "9"))
     with pytest.raises(ValidationError, match="misaligned"):
-        geo.profile_constituencies(other, corpus, meta)
-    lone = make_corpus([make_petition(1, {"E1": 5})])
+        geo.profile_constituencies(other, corpus)
+    lone = make_corpus([make_petition(1, {"E1": 5})], meta)
     lone_model = make_model(np.eye(1), doc_ids=("1",))
     with pytest.raises(ValidationError, match="at least 2"):
-        geo.profile_constituencies(lone_model, lone, meta)
+        geo.profile_constituencies(lone_model, lone)
 
 
 def _profile_mass_loop(model, petitions, meta):
     # the per-pair accumulation, kept as the reference; also returns the
-    # unlisted codes in the order they are first met
+    # codes met that the metadata does not list
     index = {m.code: i for i, m in enumerate(meta)}
     mass = np.zeros((len(meta), model.k))
     totals = np.zeros(len(meta), dtype=np.int64)
-    unlisted = []
+    unlisted = set()
     for d, p in enumerate(petitions):
         for code, n in p.signatures_by_constituency.items():
             i = index.get(code)
             if i is None:
-                if code != geo.UNKNOWN_CODE and code not in unlisted:
-                    unlisted.append(code)
+                unlisted.add(code)
                 continue
             mass[i] += n * model.theta[d]
             totals[i] += n
@@ -117,7 +121,7 @@ def _profile_mass_loop(model, petitions, meta):
 
 def test_profiles_match_per_pair_loop(caplog):
     rng = np.random.default_rng(21)
-    codes = [f"E{i}" for i in range(40)] + [geo.UNKNOWN_CODE]
+    codes = [f"E{i}" for i in range(40)] + [UNKNOWN_CODE]
     # E35..E39 and UNKNOWN are unlisted; E99 is listed but never signed
     meta = [_meta(c) for c in codes[:35]] + [_meta("E99")]
     for trial in range(6):
@@ -132,26 +136,22 @@ def test_profiles_match_per_pair_loop(caplog):
                                                        counts.tolist()))))
         model = make_model(theta)
         mass, totals, unlisted = _profile_mass_loop(model, petitions, meta)
-        # without metadata the corpus keeps every code; with it, the
-        # unlisted ones are folded into UNKNOWN
-        for constituencies in ((), meta):
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="petmine.geo"):
-                profiles = geo.profile_constituencies(
-                    model, make_corpus(petitions, constituencies), meta)
-            assert np.array_equal(profiles.totals, totals)
-            live = totals > 0
-            shares = profiles.share
-            assert np.array_equal(
-                shares[live],
-                mass[live] / mass[live].sum(axis=1, keepdims=True))
-            assert np.isnan(shares[~live]).all()
-            # one geo warning per unlisted code, in code order; the corpus
-            # logs its own warning where it folds them
-            assert [r.getMessage() for r in caplog.records
-                    if r.name == "petmine.geo"] == [
-                f"constituency {code} not in metadata; skipping"
-                for code in (() if constituencies else sorted(unlisted))]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            corpus = make_corpus(petitions, meta)
+            profiles = geo.profile_constituencies(model, corpus)
+        assert np.array_equal(profiles.totals, totals)
+        live = totals > 0
+        shares = profiles.share
+        assert np.array_equal(
+            shares[live], mass[live] / mass[live].sum(axis=1, keepdims=True))
+        assert np.isnan(shares[~live]).all()
+        # ingest warns once per unlisted code, in code order, as it folds
+        # them into UNKNOWN; the profiles skip that column without a word
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("petmine.corpus",
+             f"unknown constituency code {code}; bucketing as UNKNOWN")
+            for code in sorted(unlisted)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +362,8 @@ def test_pam_deterministic():
 
 
 def test_pam_clusters_the_finite_profile_rows():
-    model, corpus, meta = _two_petition_setup()
-    meta = meta + [_meta("E9")]
-    profiles = geo.profile_constituencies(model, corpus, meta)
+    model, corpus, _ = _two_petition_setup(_meta("E9"))
+    profiles = geo.profile_constituencies(model, corpus)
     rows = np.flatnonzero(profiles.clustered)
     assert rows.tolist() == [0, 1, 2]
     result = geo.pam_cluster(profiles.z[rows], k=2)

@@ -1,10 +1,5 @@
 """Sampling kernels: counter RNG, count bookkeeping, compiled/fallback parity."""
 
-import os
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,51 +220,34 @@ def test_kernel_mode_binds_fast_kernels_without_numba():
         assert _reference(b) is not f
 
 
-_PARITY_SCRIPT = textwrap.dedent("""
-    import hashlib, sys
-    import numpy as np
-    from petmine import kernels
-    rng = np.random.default_rng(3)
-    n_docs, vocab, n_topics = 30, 25, 3
-    lengths = rng.integers(5, 20, size=n_docs)
-    doc_ptr = np.zeros(n_docs + 1, np.int64)
-    doc_ptr[1:] = np.cumsum(lengths)
-    token_word = rng.integers(0, vocab, size=doc_ptr[-1]).astype(np.int32)
-    doc_seed = rng.integers(0, 2**63, size=n_docs).astype(np.uint64)
-    z = np.zeros(doc_ptr[-1], np.int32)
-    n_kw = np.zeros((n_topics, vocab), np.int64)
-    n_k = np.zeros(n_topics, np.int64)
-    n_dk = np.zeros((n_docs, n_topics), np.int64)
-    kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
-                             z, n_kw, n_k, n_dk)
-    cum = np.empty(n_topics, np.float64)
-    for sweep in range(1, 31):
-        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z,
-                            n_kw, n_k, n_dk, 0.1, 0.1, cum)
-    ll = kernels.log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, 0.1, 0.1)
-    digest = hashlib.sha256(z.tobytes() + n_kw.tobytes()).hexdigest()
-    print(kernels.NUMBA_ENABLED, digest, repr(float(ll)))
-""")
-
-
-def _run_parity(numba_flag):
-    # the child imports the same petmine as this process
-    package_root = os.path.dirname(os.path.dirname(kernels.__file__))
-    path = os.pathsep.join(filter(None, [package_root,
-                                         os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PETMINE_NUMBA=numba_flag, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", _PARITY_SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip().split()
-
-
+@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba is not installed")
 def test_compiled_and_fallback_modes_bit_identical():
-    # same chain whether or not the jit compiler is available
-    enabled, digest_c, ll_c = _run_parity("1")
-    disabled, digest_f, ll_f = _run_parity("0")
-    assert disabled == "False"
-    assert digest_c == digest_f
-    assert ll_c == ll_f
-    if enabled != "True":
-        pytest.skip("compiler unavailable; fallback self-parity only")
+    # the compiled kernels and their rewrites, on the same inputs
+    n_topics, vocab, n_docs = 3, 25, 30
+    doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 20, 3)
+    compiled = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
+    rewrite = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
+    cum = np.empty(n_topics, np.float64)
+    kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
+                             *compiled)
+    kernels._init_assignments_fast(doc_ptr, token_word, doc_seed, n_topics,
+                                   *rewrite)
+    for sweep in range(31):
+        if sweep:
+            kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
+                                *compiled, 0.1, 0.1, cum)
+            kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
+                                      *rewrite, 0.1, 0.1, cum)
+        for a, b in zip(compiled, rewrite):
+            assert a.tobytes() == b.tobytes()
+
+    phi = np.random.default_rng(3).dirichlet(np.ones(vocab), size=n_topics)
+    words = token_word[:40]
+    acc_c = np.zeros(n_topics)
+    acc_r = np.zeros(n_topics)
+    n_c = kernels.infer_doc(words, np.uint64(2**63 + 5), phi, 0.2, 50, 10, 4,
+                            acc_c)
+    n_r = kernels._infer_doc_fast(words, np.uint64(2**63 + 5), phi, 0.2, 50,
+                                  10, 4, acc_r)
+    assert n_c == n_r == 10
+    assert acc_c.tobytes() == acc_r.tobytes()

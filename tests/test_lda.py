@@ -351,6 +351,48 @@ def test_load_model_checks_vocab_hash(tmp_path, small_fit):
         lda.load_model(path)
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"theta": np.full((5, 2), 0.5)}, "theta"),
+    ({"theta": np.full((2, 3), 1 / 3)}, "theta"),
+    ({"theta": np.ones((2, 2), dtype=np.int64)}, "theta"),
+    ({"phi": np.full((3, 8), 1 / 8)}, "phi"),
+    ({"phi": np.full((2, 7), 1 / 7)}, "phi"),
+    ({"phi": np.full(16, 1 / 8)}, "phi"),
+    ({"trace": np.array([-2.0, -1.0])}, "trace_sweeps"),
+    ({"trace": np.array([[-1.0]])}, "trace"),
+    ({"trace_sweeps": np.array([1.0])}, "trace_sweeps"),
+    ({"doc_ids": ["0", 1]}, "doc_ids"),
+    ({"doc_ids": "01"}, "doc_ids"),
+    ({"terms": None}, "terms"),
+], ids=["theta-rows", "theta-k", "theta-int", "phi-k", "phi-terms",
+        "phi-1d", "trace-long", "trace-2d", "trace_sweeps-float",
+        "doc_ids-int", "doc_ids-string", "terms-null"])
+def test_load_model_names_file_and_field_of_a_shape_fault(tmp_path, changes,
+                                                          field):
+    path = str(tmp_path / "model.bin")
+    lda.save_model(make_model(np.eye(2)), path)
+    arrays, meta = util.load_arrays(path, "petmine-lda", 1)
+    arrays.update((k, v) for k, v in changes.items()
+                  if isinstance(v, np.ndarray))
+    meta.update((k, v) for k, v in changes.items()
+                if not isinstance(v, np.ndarray))
+    util.save_arrays(path, arrays, meta=meta)
+    with pytest.raises(ArchiveFormatError) as err:
+        lda.load_model(path)
+    assert path in str(err.value) and f"'{field}'" in str(err.value)
+
+
+def test_load_model_checks_k_against_the_config(tmp_path):
+    path = str(tmp_path / "model.bin")
+    lda.save_model(make_model(np.eye(2)), path)
+    arrays, meta = util.load_arrays(path, "petmine-lda", 1)
+    util.save_arrays(path, arrays,
+                     meta=dict(meta, config=dict(meta["config"], k=3)))
+    with pytest.raises(ArchiveFormatError,
+                       match=r"'phi'.*expected.*\(3, 8\)"):
+        lda.load_model(path)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: meta["config"].update(bogus=1), "unknown key 'bogus'"),
     (lambda meta: meta.update(config=[3]), "'config' is not an object"),

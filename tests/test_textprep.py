@@ -151,6 +151,60 @@ def test_load_dtm_rejects_unknown_version(tmp_path, stopwords):
     assert "version 2" in str(err.value) and "expected 1" in str(err.value)
 
 
+def _write_dtm_snapshot(path, **changes):
+    # a 2-document, 2-term dtm.bin, with arrays or meta fields replaced
+    fields = {
+        "row": np.array([0, 1, 1]), "col": np.array([0, 0, 1]),
+        "count": np.array([1, 2, 3]), "doc_frequency": np.array([2, 1]),
+        "n_docs": 2, "terms": ["a", "b"], "doc_ids": ["1", "2"],
+    }
+    fields.update(changes)
+    arrays = {k: v for k, v in fields.items() if isinstance(v, np.ndarray)}
+    meta = {k: v for k, v in fields.items() if k not in arrays}
+    util.save_arrays(path, arrays,
+                     meta=dict(meta, format="petmine-dtm", version=1))
+
+
+def test_load_dtm_reads_the_hand_snapshot(tmp_path):
+    path = str(tmp_path / "dtm.bin")
+    _write_dtm_snapshot(path)
+    dtm = textprep.load_dtm(path)
+    assert dtm.counts.toarray().tolist() == [[1, 0], [2, 3]]
+    assert dtm.counts.dtype == np.int32
+    assert dtm.doc_ids == ("1", "2") and dtm.vocabulary.terms == ("a", "b")
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"row": np.array([0, 1, 5])}, "row"),
+    ({"row": np.array([0, -1, 1])}, "row"),
+    ({"row": np.array([[0, 1, 1]])}, "row"),
+    ({"row": np.array([0.0, 1.0, 1.0])}, "row"),
+    ({"col": np.array([0, 0, 2])}, "col"),
+    ({"col": np.array([0, 0])}, "col"),
+    ({"count": np.array([1, 0, 3])}, "count"),
+    ({"count": np.array([1, 2**31, 3])}, "count"),
+    ({"count": np.array([1, 2])}, "count"),
+    ({"doc_frequency": np.array([2])}, "doc_frequency"),
+    ({"n_docs": "two"}, "n_docs"),
+    ({"n_docs": -1}, "n_docs"),
+    ({"n_docs": True}, "n_docs"),
+    ({"n_docs": 3}, "n_docs"),
+    ({"doc_ids": ["1"]}, "doc_ids"),
+    ({"doc_ids": ["1", 2]}, "doc_ids"),
+    ({"terms": "ab"}, "terms"),
+], ids=["row-past-n_docs", "row-negative", "row-2d", "row-float",
+        "col-past-terms", "col-short", "count-zero", "count-past-int32",
+        "count-short", "doc_frequency-short", "n_docs-string",
+        "n_docs-negative", "n_docs-bool", "n_docs-past-doc_ids",
+        "doc_ids-short", "doc_ids-int", "terms-string"])
+def test_load_dtm_names_file_and_field_of_a_fault(tmp_path, changes, field):
+    path = str(tmp_path / "dtm.bin")
+    _write_dtm_snapshot(path, **changes)
+    with pytest.raises(ArchiveFormatError) as err:
+        textprep.load_dtm(path)
+    assert path in str(err.value) and f"'{field}'" in str(err.value)
+
+
 def _clean_tokens_loop(text, stopwords):
     # the per-token definition, kept as the reference for the memo
     out = []
