@@ -155,7 +155,7 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
         else:
             values[key] = value
     cfg = PipelineConfig(**values)
-    # surface bad sampler settings and windows now, not mid-run
+    # surface bad sampler settings, windows and counts now, not mid-run
     cfg.lda_config()
     cfg.window_dates()
     for name in ("thresholds", "smoothing_windows"):
@@ -163,6 +163,10 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
         if any(a >= b for a, b in zip([0, *values], values)):
             raise ConfigError(
                 f"{name} must be positive and strictly ascending, got {values}")
+    for name in ("pam_k", "entropy_window_days", "powerlaw_x_min"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(
+                f"{name} must be at least 1, got {getattr(cfg, name)}")
     return cfg
 
 
@@ -639,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="petmine",
-        description="Petition archive opinion-mining pipeline.")
+        description="Opinion-mining pipeline for petition archives.")
     parser.add_argument("--version", action="version",
                         version=f"petmine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,8 @@ one malformed line cannot kill a long run.  Only structural problems
 The accepted petitions are held as columns (:class:`Corpus`): ids and
 merged texts as lists, creation day and signature totals as int64 arrays,
 and the constituency breakdowns as one sparse petitions x codes matrix.
-Records are validated once, at ingest; the snapshot written from the
+Each record is validated once, at ingest, straight into these columns;
+there is no per-petition row type.  The snapshot written from the
 columns (:func:`save_corpus`) reloads without re-parsing any record.  The
 columns' layout is checked once, by the :class:`Corpus` constructor.
 
@@ -21,6 +22,7 @@ re-serializing a loaded corpus reproduces it byte-for-byte.
 
 from __future__ import annotations
 
+import collections
 import csv
 import datetime
 import itertools
@@ -61,16 +63,6 @@ class ConstituencyMeta:
             )
 
 
-@dataclass(frozen=True)
-class Petition:
-    """One validated archive record: a corpus row before it is a column."""
-    id: str
-    text: str                        # action, background and details joined
-    created_at: datetime.date
-    total_signatures: int
-    signatures_by_constituency: dict[str, int]   # raw codes, duplicates summed
-
-
 @dataclass
 class IngestReport:
     total_lines: int = 0
@@ -87,7 +79,8 @@ class Corpus:
     the metadata codes in file order, then :data:`UNKNOWN_CODE`; without,
     the codes met in the records, sorted.  ``uk`` is its row sums: the
     signatures attributed to UK constituencies, overseas excluded.  The
-    constructor checks this layout and that each ``day`` is in the window.
+    constructor checks this layout, that no code repeats and that each
+    ``day`` is in the window.
     """
     ids: list[str]
     texts: list[str]                 # merged action, background and details
@@ -116,6 +109,10 @@ class Corpus:
                 f"column 'day': petition {self.ids[d]} created "
                 f"{np.datetime64(start) + self.day[d]} outside window "
                 f"{start}..{end}")
+        repeated = sorted(code for code, n in
+                          collections.Counter(self.codes).items() if n > 1)
+        if repeated:
+            raise ValidationError(f"codes repeat {repeated}")
         if self.constituencies and self.codes != (
                 *(m.code for m in self.constituencies), UNKNOWN_CODE):
             raise ValidationError(
@@ -123,61 +120,6 @@ class Corpus:
                 f"{UNKNOWN_CODE}")
         self.uk = np.asarray(self.signatures.sum(axis=1),
                              dtype=np.int64).ravel()
-
-    @classmethod
-    def from_petitions(cls, petitions, constituencies=(),
-                       window=None) -> "Corpus":
-        """Columns of ``petitions``, kept in the order given.
-
-        With ``constituencies``, codes they do not list are summed into the
-        UNKNOWN column, with one warning per such code.  ``window``
-        defaults to the span of the creation dates; the constructor raises
-        ValidationError for a petition created outside it.
-        """
-        petitions = tuple(petitions)
-        constituencies = tuple(constituencies)
-        if window is None:
-            dates = [p.created_at for p in petitions]
-            window = (min(dates), max(dates))
-        n = len(petitions)
-        day = np.fromiter(((p.created_at - window[0]).days for p in petitions),
-                          dtype=np.int64, count=n)
-
-        keys, counts, lengths = [], [], []
-        for p in petitions:
-            sig = p.signatures_by_constituency
-            keys.extend(sig)
-            counts.extend(sig.values())
-            lengths.append(len(sig))
-        if constituencies:
-            codes = tuple(m.code for m in constituencies) + (UNKNOWN_CODE,)
-            # geo analyses skip the UNKNOWN column, signature totals keep it
-            for code in sorted(set(keys).difference(codes[:-1])):
-                log.warning("unknown constituency code %s; bucketing as UNKNOWN",
-                            code)
-        else:
-            codes = tuple(sorted(set(keys)))
-        column = {code: j for j, code in enumerate(codes)}
-        # the default is reached only with metadata, where it is UNKNOWN
-        indices = np.fromiter(
-            map(column.get, keys, itertools.repeat(len(codes) - 1)),
-            dtype=np.int64, count=len(keys))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        signatures = sp.csr_matrix(
-            (np.fromiter(counts, dtype=np.int64, count=len(counts)), indices,
-             indptr),
-            shape=(n, len(codes)))
-        signatures.sum_duplicates()    # sorts columns, merges folded codes
-        return cls(
-            ids=[p.id for p in petitions],
-            texts=[p.text for p in petitions],
-            day=day,
-            total=np.fromiter((p.total_signatures for p in petitions),
-                              dtype=np.int64, count=n),
-            signatures=signatures, codes=codes,
-            constituencies=constituencies, window=tuple(window),
-        )
 
 
 def uk_signature_total(corpus: Corpus) -> int:
@@ -244,13 +186,14 @@ def _parse_date(value) -> datetime.date:
         raise _RecordError("missing or malformed created_at") from None
 
 
-def _parse_signature_list(value, key_field: str) -> dict[str, int]:
+def _parse_signature_list(value, key_field: str) -> tuple[list[str], list[int]]:
+    """The breakdown's codes and counts, in record order, repeats kept."""
     # absent or null breakdowns are treated as empty
     if value is None:
-        return {}
+        return [], []
     if not isinstance(value, list):
         raise _RecordError(f"signature breakdown keyed by '{key_field}' is not a list")
-    out: dict[str, int] = {}
+    codes, counts = [], []
     for entry in value:
         if not isinstance(entry, dict):
             raise _RecordError(f"signature entry under '{key_field}' is not an object")
@@ -260,13 +203,13 @@ def _parse_signature_list(value, key_field: str) -> dict[str, int]:
             raise _RecordError(f"signature entry missing '{key_field}'")
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise _RecordError(f"signature entry for {code}: bad signature_count")
-        # duplicate codes within one record are summed
-        out[code] = out.get(code, 0) + count
-    return out
+        codes.append(code)
+        counts.append(count)
+    return codes, counts
 
 
-def _parse_record(obj) -> tuple[str, Petition]:
-    """The record's state and its petition, or _RecordError."""
+def _parse_record(obj):
+    """(state, id, text, created, total, constituency codes, their counts)."""
     if not isinstance(obj, dict):
         raise _RecordError("record is not a JSON object")
     raw_id = obj.get("id")
@@ -282,26 +225,27 @@ def _parse_record(obj) -> tuple[str, Petition]:
     if details is not None and not isinstance(details, str):
         raise _RecordError("additional_details is neither string nor null")
     created = _parse_date(attrs.get("created_at"))
-    by_const = _parse_signature_list(attrs.get("signatures_by_constituency"), "ons_code")
-    by_country = _parse_signature_list(attrs.get("signatures_by_country"), "code")
+    codes, counts = _parse_signature_list(
+        attrs.get("signatures_by_constituency"), "ons_code")
+    _, by_country = _parse_signature_list(
+        attrs.get("signatures_by_country"), "code")
+    uk = sum(counts)
 
     total = attrs.get("signature_count")
     if total is None:
         # no explicit total in the record: country sums include overseas
         # signers, so prefer them over the constituency sum
-        total = sum(by_country.values()) if by_country else sum(by_const.values())
+        total = sum(by_country) if by_country else uk
     elif not isinstance(total, int) or isinstance(total, bool) or total < 0:
         raise _RecordError("signature_count is not a non-negative integer")
     if total > _MAX_COUNT:
         raise _RecordError("signature_count exceeds 2^53")
-    if total < sum(by_const.values()):
+    if total < uk:
         raise _RecordError("constituency signatures exceed the petition total")
 
     # empty or absent optional parts contribute nothing to the text
     text = " ".join(part for part in (action, background, details) if part)
-    return state, Petition(id=str(raw_id), text=text, created_at=created,
-                           total_signatures=total,
-                           signatures_by_constituency=by_const)
+    return state, str(raw_id), text, created, total, codes, counts
 
 
 # a \u escape into the surrogate range: the only way a parsed record can
@@ -322,16 +266,23 @@ def load_archive(path: str,
                  constituencies: tuple[ConstituencyMeta, ...] = ()) -> Corpus:
     """Load a JSON-lines petitions archive into a validated Corpus.
 
-    Lines end at ``\\n`` only: a ``\\r`` before it is stripped, and one
-    elsewhere stays in the line, where JSON reads it as whitespace
-    between tokens.  Record-level problems go to
+    Each record is validated straight into flat column buffers, whose rows
+    are then sorted by id once.  Lines end at ``\\n`` only: a ``\\r``
+    before it is stripped, and one elsewhere stays in the line, where JSON
+    reads it as whitespace between tokens.  Record-level problems go to
     ``corpus.ingest_report.rejects`` as ``(line_no, reason)``, lines that
     are not UTF-8 or not JSON included; records whose state is not
-    ``accepted`` are dropped and counted.  Raises EmptyCorpusError when
-    nothing survives.
+    ``accepted`` are dropped and counted.  ``window`` defaults to the span
+    of the creation dates.  A record's repeated codes are summed, and so,
+    with ``constituencies``, are the codes they do not list, into the
+    UNKNOWN column with one warning per code.  Raises EmptyCorpusError
+    when nothing survives.
     """
     report = IngestReport()
-    petitions: dict[str, Petition] = {}
+    rows: dict[str, int] = {}       # id -> its row in the buffers below
+    texts, days, totals = [], [], []
+    # every record's run of constituency codes and counts, end to end
+    keys, counts, ends = [], [], []
     # undecodable bytes become lone surrogates, which no UTF-8 text holds
     with open(path, encoding="utf-8", errors="surrogateescape",
               newline="\n") as fh:
@@ -349,32 +300,66 @@ def load_archive(path: str,
                 report.rejects.append((line_no, "invalid json"))
                 continue
             try:
-                state, p = _parse_record(obj)
+                (state, pid, text, created, total, run_codes,
+                 run_counts) = _parse_record(obj)
             except _RecordError as exc:
                 report.rejects.append((line_no, str(exc)))
                 continue
             if _SURROGATE_ESCAPE.search(line) and not _encodable(
-                    "".join([p.id, p.text, *p.signatures_by_constituency])):
+                    "".join([pid, text, *run_codes])):
                 report.rejects.append((line_no, "invalid utf-8"))
                 continue
             if state != _ACCEPTED:
                 report.dropped_state += 1
                 continue
-            if window is not None and not window[0] <= p.created_at <= window[1]:
+            if window is not None and not window[0] <= created <= window[1]:
                 report.rejects.append(
                     (line_no, "created_at outside configured window"))
                 continue
-            if p.id in petitions:
-                report.rejects.append((line_no, f"duplicate id {p.id}"))
+            if pid in rows:
+                report.rejects.append((line_no, f"duplicate id {pid}"))
                 continue
-            petitions[p.id] = p
+            rows[pid] = len(rows)
+            texts.append(text)
+            days.append(created.toordinal())
+            totals.append(total)
+            keys.extend(run_codes)
+            counts.extend(run_counts)
+            ends.append(len(keys))
 
-    if not petitions:
+    if not rows:
         raise EmptyCorpusError(f"{path}: no accepted petitions")
-    corpus = Corpus.from_petitions(
-        [petitions[k] for k in sorted(petitions)], constituencies, window)
-    corpus.ingest_report = report
-    return corpus
+    if constituencies:
+        codes = tuple(m.code for m in constituencies) + (UNKNOWN_CODE,)
+        # geo analyses skip the UNKNOWN column, signature totals keep it
+        for code in sorted(set(keys).difference(codes[:-1])):
+            log.warning("unknown constituency code %s; bucketing as UNKNOWN",
+                        code)
+    else:
+        codes = tuple(sorted(set(keys)))
+    column = {code: j for j, code in enumerate(codes)}
+    signatures = sp.csr_matrix(
+        (np.array(counts, dtype=np.int64),
+         # the default is reached only with metadata, where it is UNKNOWN
+         np.fromiter(map(column.get, keys, itertools.repeat(len(codes) - 1)),
+                     dtype=np.int64, count=len(keys)),
+         np.array([0, *ends], dtype=np.int64)),
+        shape=(len(rows), len(codes)))
+
+    ids = sorted(rows)
+    order = [rows[pid] for pid in ids]
+    signatures = signatures[order]
+    signatures.sum_duplicates()    # sorts columns; merges repeated, folded codes
+    if window is None:
+        window = tuple(map(datetime.date.fromordinal, (min(days), max(days))))
+    return Corpus(
+        ids=ids, texts=[texts[d] for d in order],
+        day=np.array(days, dtype=np.int64)[order] - window[0].toordinal(),
+        total=np.array(totals, dtype=np.int64)[order],
+        signatures=signatures, codes=codes,
+        constituencies=tuple(constituencies), window=tuple(window),
+        ingest_report=report,
+    )
 
 
 # ---------------------------------------------------------------------------

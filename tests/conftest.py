@@ -1,8 +1,9 @@
 """Shared fixtures: synthetic corpora, planted topics, pipeline runs."""
 
-import datetime
 import json
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -199,15 +200,38 @@ def pipeline_out(fixture_paths):
 
 def make_petition(pid, sigs_by_con, created="2015-06-01", action="Do thing",
                   background="", country_extra=0):
-    return corpus.Petition(
-        id=str(pid), text=" ".join(part for part in (action, background) if part),
-        created_at=datetime.date.fromisoformat(created),
-        total_signatures=sum(sigs_by_con.values()) + country_extra,
-        signatures_by_constituency=dict(sigs_by_con))
+    """An accepted archive record signed ``country_extra`` times overseas."""
+    return {"id": pid, "state": "accepted", "attributes": {
+        "action": action,
+        "background": background,
+        "additional_details": None,
+        "created_at": created,
+        "signature_count": sum(sigs_by_con.values()) + country_extra,
+        "signatures_by_constituency": [
+            {"ons_code": code, "signature_count": n}
+            for code, n in sigs_by_con.items()],
+    }}
 
 
-def make_corpus(petitions, constituencies=()):
-    return corpus.Corpus.from_petitions(petitions, constituencies)
+def constituency_signatures(record):
+    """The constituency breakdown of a ``make_petition`` record, by code."""
+    return {s["ons_code"]: s["signature_count"]
+            for s in record["attributes"]["signatures_by_constituency"]}
+
+
+def make_corpus(petitions, constituencies=(), window=None):
+    """The corpus that ingest makes of ``petitions``, every one accepted.
+
+    Ingest sorts the rows by id.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "archive.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(p) + "\n" for p in petitions)
+        c = corpus.load_archive(path, window, tuple(constituencies))
+    report = c.ingest_report
+    assert len(c.ids) == report.total_lines, report
+    return c
 
 
 def make_model(theta, phi=None, terms=None, doc_ids=None, **config_kw):

@@ -519,3 +519,20 @@ def test_report_stage_config_error_exits_two(pipeline_out, fixture_paths,
     assert cli.main(["report", "--config", str(config_path),
                      "--output-dir", str(tmp_path), "--pam-k", "99"]) == 2
     assert "config error: geo: k must satisfy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--pam-k", "--entropy-window-days",
+                                  "--powerlaw-x-min"])
+def test_counts_below_one_exit_two_before_report_writes(
+        pipeline_out, fixture_paths, tmp_path, capsys, flag):
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    for name in ("corpus.jsonl", "model.bin"):
+        shutil.copy(os.path.join(out, name), tmp_path / name)
+    assert cli.main(["report", "--config", str(config_path),
+                     "--output-dir", str(tmp_path), flag, "0"]) == 2
+    # not one report artifact beside the two snapshots
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
+                                                          "model.bin"]
+    key = flag[2:].replace("-", "_")
+    assert f"config error: {key} must be at least 1" in capsys.readouterr().err

@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import datetime
 import json
+import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +46,7 @@ def _sig(code, n):
 
 
 def _row(c, d):
-    """Petition ``d``'s signatures by code, read from the columns."""
+    """The signatures of petition ``d`` by code, read from the columns."""
     row = c.signatures[d]
     return {c.codes[j]: n for j, n in zip(row.indices.tolist(),
                                           row.data.tolist())}
@@ -292,6 +294,33 @@ def test_unlisted_codes_are_folded_once(tmp_path, caplog, records, listed):
         for c in sorted(unlisted)]
 
 
+@pytest.mark.parametrize("with_metadata", [False, True])
+def test_load_archive_ignores_line_order(tmp_path, with_metadata):
+    # ids 1..12 sort as strings, so no line order below is the id order;
+    # ZZ9 is unlisted and petition 5 lists E2 twice
+    records = [_record(d, created=f"2015-06-{d:02d}", total=None, by_con=[
+        _sig("E1", d), _sig("ZZ9", 2 * d), _sig("E2", 3 * d)]
+        + ([_sig("E2", 7)] if d == 5 else []))
+        for d in range(1, 13)]
+    cons = ((corpus.ConstituencyMeta("E1", "Alpha", 70000),
+             corpus.ConstituencyMeta("E2", "Beta", 68000))
+            if with_metadata else ())
+    shuffled = records[:]
+    random.Random(3).shuffle(shuffled)
+    snapshots = set()
+    for i, order in enumerate((records, records[::-1], shuffled)):
+        c = corpus.load_archive(
+            _write_archive(tmp_path / f"{i}.jsonl", order),
+            constituencies=cons)
+        corpus.save_corpus(c, str(tmp_path / f"{i}.snap"))
+        snapshots.add((tmp_path / f"{i}.snap").read_bytes())
+    assert len(snapshots) == 1
+    assert c.ids == sorted(str(d) for d in range(1, 13))
+    assert _row(c, c.ids.index("5")) == (
+        {"E1": 5, "E2": 22, "UNKNOWN": 10} if with_metadata
+        else {"E1": 5, "E2": 22, "ZZ9": 10})
+
+
 def test_load_archive_empty_raises(tmp_path):
     path = _write_archive(tmp_path / "a.jsonl", [
         _record(1, state="closed", by_con=[_sig("E1", 1)], total=1),
@@ -307,7 +336,8 @@ def test_uk_signature_total(tmp_path):
     ])
     # overseas signatures are excluded from the UK total
     assert corpus.uk_signature_total(c) == 18
-    empty = corpus.Corpus.from_petitions([], (), c.window)
+    empty = dataclasses.replace(c, ids=[], texts=[], day=c.day[:0],
+                                total=c.total[:0], signatures=c.signatures[:0])
     with pytest.raises(EmptyCorpusError):
         corpus.uk_signature_total(empty)
 
@@ -336,8 +366,7 @@ def test_corpus_rejects_a_day_outside_the_window():
     late = (datetime.date(2015, 6, 2), datetime.date(2015, 6, 9))
     with pytest.raises(ValidationError,
                        match="petition 0 created 2015-06-01 outside"):
-        corpus.Corpus.from_petitions(
-            [make_petition(0, {"E1": 5}, created="2015-06-01")], (), late)
+        dataclasses.replace(c, window=late, day=c.day - 1)
     # an offset past any date still names the day column
     with pytest.raises(ValidationError, match="column 'day': petition 1"):
         dataclasses.replace(c, day=np.array([0, 2**53]))
@@ -506,33 +535,44 @@ _CODES = ["E1", "E2", "Ross, Skye and Lochaber", "UNKNOWN", 'Say "hi"',
 
 @st.composite
 def _corpora(draw):
+    """A corpus built straight from drawn columns, and its signature rows."""
     n = draw(st.integers(0, 8))
-    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=n,
-                        max_size=n, unique=True))
-    start = datetime.date(2015, 5, 7)
-    petitions = [
-        make_petition(
-            pid,
-            draw(st.dictionaries(st.sampled_from(_CODES),
-                                 st.integers(0, 2**40), max_size=4)),
-            created=str(start + datetime.timedelta(days=draw(st.integers(0, 60)))),
-            action=draw(st.text(min_size=1, max_size=20)),
-            background=draw(st.text(max_size=20)),
-            country_extra=draw(st.integers(0, 50)))
-        for pid in ids]
     listed = draw(st.lists(st.sampled_from(_CODES[:3] + _CODES[4:]),
                            unique=True, max_size=4))
     cons = tuple(corpus.ConstituencyMeta(code, f"Seat, {code}", 1000 + i)
                  for i, code in enumerate(listed))
-    end = start + datetime.timedelta(days=draw(st.integers(60, 90)))
-    return corpus.Corpus.from_petitions(petitions, cons, (start, end)), petitions
+    codes = (*listed, corpus.UNKNOWN_CODE) if cons else tuple(
+        draw(st.lists(st.sampled_from(_CODES), unique=True, max_size=4)))
+    rows = draw(st.lists(
+        st.lists(st.just(0) | st.integers(0, 2**40), min_size=len(codes),
+                 max_size=len(codes)),
+        min_size=n, max_size=n))
+
+    def column(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    start = datetime.date(2015, 5, 7)
+    c = corpus.Corpus(
+        ids=draw(st.lists(st.text(min_size=1, max_size=6), min_size=n,
+                          max_size=n, unique=True)),
+        texts=column(st.text(max_size=40)),
+        day=np.array(column(st.integers(0, 60)), dtype=np.int64),
+        total=np.array([sum(row) + extra for row, extra in
+                        zip(rows, column(st.integers(0, 50)))],
+                       dtype=np.int64),
+        signatures=sp.csr_matrix(
+            np.array(rows, dtype=np.int64).reshape(n, len(codes))),
+        codes=codes, constituencies=cons,
+        window=(start, start + datetime.timedelta(
+            days=draw(st.integers(60, 90)))))
+    return c, rows
 
 
 @given(_corpora())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_snapshot_v2_roundtrip_and_stable_bytes(tmp_path, drawn):
-    c, petitions = drawn
+    c, rows = drawn
     one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
     corpus.save_corpus(c, str(one))
     back = corpus.load_corpus(str(one))
@@ -540,9 +580,8 @@ def test_snapshot_v2_roundtrip_and_stable_bytes(tmp_path, drawn):
     corpus.save_corpus(back, str(two))
     assert one.read_bytes() == two.read_bytes()
     # the UK totals equal the per-petition sums, kept as the reference
-    assert back.uk.tolist() == [sum(p.signatures_by_constituency.values())
-                                for p in petitions]
-    if petitions:
+    assert back.uk.tolist() == [sum(row) for row in rows]
+    if rows:
         assert corpus.uk_signature_total(back) == sum(back.uk.tolist())
 
 
@@ -649,6 +688,13 @@ def _set_meta(lines, key, value):
     (lambda ls: _set_meta(ls, "constituencies",
                           [{"code": "E1", "name": "A", "electorate": 0}]),
      "constituencies"),
+    # a repeated code would be two columns, and two profiles, of one seat
+    (lambda ls: (_set_meta(ls, "constituencies", [
+        {"code": "E1", "name": "A", "electorate": 1},
+        {"code": "E1", "name": "B", "electorate": 1}]),
+                 _set_meta(ls, "codes", ["E1", "E1", "UNKNOWN"])), "codes"),
+    (lambda ls: (_set_meta(ls, "constituencies", []),
+                 _set_meta(ls, "codes", ["E1", "E2", "E1"])), "codes"),
 ])
 def test_load_corpus_names_the_faulty_field(tmp_path, corrupt, field):
     path = tmp_path / "snap.jsonl"

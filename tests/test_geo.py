@@ -10,7 +10,8 @@ from petmine import geo
 from petmine.corpus import UNKNOWN_CODE, ConstituencyMeta
 from petmine.errors import ConfigError, ValidationError
 
-from conftest import make_corpus, make_model, make_petition
+from conftest import (constituency_signatures, make_corpus, make_model,
+                      make_petition)
 
 
 def _meta(code, electorate=70_000):
@@ -109,7 +110,7 @@ def _profile_mass_loop(model, petitions, meta):
     totals = np.zeros(len(meta), dtype=np.int64)
     unlisted = set()
     for d, p in enumerate(petitions):
-        for code, n in p.signatures_by_constituency.items():
+        for code, n in constituency_signatures(p).items():
             i = index.get(code)
             if i is None:
                 unlisted.add(code)
@@ -132,9 +133,11 @@ def test_profiles_match_per_pair_loop(caplog):
             chosen = rng.choice(codes, size=int(rng.integers(0, 30)),
                                 replace=False)
             counts = (rng.pareto(1.2, size=len(chosen)) * 50).astype(int)
-            petitions.append(make_petition(d, dict(zip(chosen.tolist(),
-                                                       counts.tolist()))))
-        model = make_model(theta)
+            # zero-padded ids, so that ingest's id order is the order given
+            petitions.append(make_petition(f"{d:03d}", dict(zip(
+                chosen.tolist(), counts.tolist()))))
+        model = make_model(theta,
+                           doc_ids=tuple(f"{d:03d}" for d in range(n_docs)))
         mass, totals, unlisted = _profile_mass_loop(model, petitions, meta)
         caplog.clear()
         with caplog.at_level("WARNING"):

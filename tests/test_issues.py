@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as npst
 from petmine import issues
 from petmine.errors import ConfigError, ValidationError
 
-from conftest import make_corpus, make_model, make_petition
+from conftest import (constituency_signatures, make_corpus, make_model,
+                      make_petition)
 
 
 def _aligned(theta, sigs_per_doc, totals=None):
@@ -68,11 +69,14 @@ def test_prevalence_misaligned_corpus():
 
 
 def _random_petitions(rng, n_docs):
+    # zero-padded ids, so that ingest's id order is the order given
     codes = ["E1", "E2", "Ross, Skye", "UNKNOWN"]
-    return [make_petition(d, {c: int(rng.pareto(1.1) * 200)
-                              for c in rng.choice(codes, int(rng.integers(0, 4)),
-                                                  replace=False).tolist()},
-                          country_extra=int(rng.integers(0, 3)) * 5_000)
+    return [make_petition(
+                f"{d:03d}",
+                {c: int(rng.pareto(1.1) * 200)
+                 for c in rng.choice(codes, int(rng.integers(0, 4)),
+                                     replace=False).tolist()},
+                country_extra=int(rng.integers(0, 3)) * 5_000)
             for d in range(n_docs)]
 
 
@@ -82,16 +86,17 @@ def test_prevalence_and_success_match_per_petition_loops():
         n_docs, k = int(rng.integers(1, 300)), int(rng.integers(2, 12))
         theta = rng.dirichlet(np.full(k, 0.3), size=n_docs)
         petitions = _random_petitions(rng, n_docs)
-        model = make_model(theta)
         corpus = make_corpus(petitions)
+        model = make_model(theta, doc_ids=corpus.ids)
         # the per-petition signature and threshold vectors, kept as the
         # reference
-        sigs = np.array([sum(p.signatures_by_constituency.values())
+        sigs = np.array([sum(constituency_signatures(p).values())
                          for p in petitions], dtype=np.float64)
         prev = issues.prevalence(model, corpus)
         assert np.array_equal(prev.by_signatures, sigs @ theta)
         for t in (1, 5_000, 10_000):
-            hit = np.array([p.total_signatures >= t for p in petitions],
+            hit = np.array([p["attributes"]["signature_count"] >= t
+                            for p in petitions],
                            dtype=np.float64)
             got = issues.success_probability(model, corpus, threshold=t)
             want = [hit[theta.argmax(axis=1) == i].mean()

@@ -8,7 +8,8 @@ import pytest
 from petmine import temporal
 from petmine.errors import ConfigError, ValidationError
 
-from conftest import make_corpus, make_model, make_petition
+from conftest import (constituency_signatures, make_corpus, make_model,
+                      make_petition)
 
 
 def _series(values, start="2015-06-01"):
@@ -50,7 +51,7 @@ def test_build_series_conserves_mass():
     ]
     model = make_model(theta, doc_ids=tuple(str(i) for i in range(8)))
     series = temporal.build_series(model, make_corpus(petitions))
-    total_sigs = sum(sum(p.signatures_by_constituency.values())
+    total_sigs = sum(sum(constituency_signatures(p).values())
                      for p in petitions)
     assert series.values.sum() == pytest.approx(total_sigs)
 
@@ -69,8 +70,9 @@ def _build_series_loop(model, petitions, window):
     start, end = window
     values = np.zeros(((end - start).days + 1, model.k))
     for d, p in enumerate(petitions):
-        uk = sum(p.signatures_by_constituency.values())
-        values[(p.created_at - start).days] += uk * model.theta[d]
+        uk = sum(constituency_signatures(p).values())
+        created = datetime.date.fromisoformat(p["attributes"]["created_at"])
+        values[(created - start).days] += uk * model.theta[d]
     return values
 
 
@@ -79,18 +81,20 @@ def test_build_series_matches_per_petition_loop():
     for trial in range(8):
         n_docs, k = int(rng.integers(1, 300)), int(rng.integers(2, 12))
         theta = rng.dirichlet(np.full(k, 0.3), size=n_docs)
+        # zero-padded ids, so that ingest's id order is the order given
         petitions = [
-            make_petition(d, {f"E{j}": int(rng.pareto(1.1) * 100)
-                              for j in range(int(rng.integers(0, 6)))},
+            make_petition(f"{d:03d}",
+                          {f"E{j}": int(rng.pareto(1.1) * 100)
+                           for j in range(int(rng.integers(0, 6)))},
                           created=str(datetime.date(2015, 6, 1)
                                       + datetime.timedelta(
                                           days=int(rng.integers(0, 40)))))
             for d in range(n_docs)]
         c = make_corpus(petitions)
-        series = temporal.build_series(make_model(theta), c)
+        model = make_model(theta, doc_ids=c.ids)
+        series = temporal.build_series(model, c)
         assert np.array_equal(series.values,
-                              _build_series_loop(make_model(theta),
-                                                 petitions, c.window))
+                              _build_series_loop(model, petitions, c.window))
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,8 @@ def test_clean_tokens_and_build_dtm_match_per_token_loop(stopwords):
     for text in texts:
         assert textprep.clean_tokens(text, stopwords) == \
             _clean_tokens_loop(text, stopwords)
-    petitions = [make_petition(i, {"A": 1}, action="x " + text)
+    # zero-padded ids, so that ingest's id order is the order given
+    petitions = [make_petition(f"{i:02d}", {"A": 1}, action="x " + text)
                  for i, text in enumerate(texts)]
     dtm = textprep.build_dtm(make_corpus(petitions), stopwords, 0.05)
     token_lists = [_clean_tokens_loop("x " + text, stopwords)
