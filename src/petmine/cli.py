@@ -17,7 +17,9 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
+import tempfile
 import typing
 
 import numpy as np
@@ -167,6 +169,9 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
         if getattr(cfg, name) < 1:
             raise ConfigError(
                 f"{name} must be at least 1, got {getattr(cfg, name)}")
+    if cfg.pam_metric not in geo._METRICS:
+        raise ConfigError(f"pam_metric must be one of {sorted(geo._METRICS)}, "
+                          f"got {cfg.pam_metric!r}")
     return cfg
 
 
@@ -380,7 +385,13 @@ def _report_geo(cfg, model, c):
     rows = np.flatnonzero(profiles.clustered)
     z = profiles.z[rows]
     codes = [profiles.meta[i].code for i in rows]
-    result = geo.pam_cluster(z, cfg.pam_k, metric=cfg.pam_metric)
+    # silhouettes need 2 <= k < clustered rows; the pam_k clustering comes
+    # from the same sweep, solved first so an out-of-range pam_k is refused
+    # before any other solve
+    ks = [k for k in SILHOUETTE_K_RANGE if k < len(rows)]
+    sweep = geo.silhouette_sweep(
+        z, [cfg.pam_k, *(k for k in ks if k != cfg.pam_k)], cfg.pam_metric)
+    result = sweep[cfg.pam_k][0]
     labels = result.labels.tolist()
     write_csv(cfg.path("clusters.csv"), cfg.meta(), ["code", "cluster"],
               sorted(zip(codes, labels)))
@@ -390,10 +401,9 @@ def _report_geo(cfg, model, c):
               ["cluster"] + [f"share_{k}" for k in range(k_issues)],
               [[i, *row] for i, row in enumerate(shares)])
 
-    ks = [k for k in SILHOUETTE_K_RANGE if k < len(rows)]
-    sweep = geo.silhouette_sweep(z, ks, cfg.pam_metric) if ks else {}
+    silhouette = {k: sweep[k][1] for k in ks}
     write_csv(cfg.path("silhouette.csv"), cfg.meta(), ["k", "score"],
-              sorted(sweep.items()))
+              silhouette.items())
 
     cluster = [""] * len(profiles.meta)
     for i, label in zip(rows.tolist(), labels):
@@ -419,7 +429,7 @@ def _report_geo(cfg, model, c):
             "total_cost": result.total_cost,
             "medoid_codes": [codes[i] for i in result.medoid_indices],
         },
-        "silhouette": {str(k): v for k, v in sorted(sweep.items())},
+        "silhouette": {str(k): v for k, v in silhouette.items()},
     }
     return stats
 
@@ -462,19 +472,30 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
             "mean_max_theta": float(np.mean(model.theta.max(axis=1))),
         },
     }
+    # the stages write into a hidden directory inside the output directory
+    # (the bytes do not depend on where they are written), and the files
+    # move into place only after the summary is written, so a failed report
+    # leaves the output directory as it found it
+    staging = tempfile.mkdtemp(prefix=".report-", dir=cfg.output_dir)
+    staged = dataclasses.replace(cfg, output_dir=staging)
     # each stage writes its files and returns its sections of the summary
     stages = [
-        ("issues", lambda: _report_issues(cfg, model, c, names)),
-        ("temporal", lambda: {"entropy": _report_temporal(cfg, model, c)}),
-        ("geo", lambda: {"geo": _report_geo(cfg, model, c)}),
-        ("powerlaw", lambda: {"powerlaw": _report_powerlaw(cfg, c)}),
+        ("issues", lambda: _report_issues(staged, model, c, names)),
+        ("temporal", lambda: {"entropy": _report_temporal(staged, model, c)}),
+        ("geo", lambda: {"geo": _report_geo(staged, model, c)}),
+        ("powerlaw", lambda: {"powerlaw": _report_powerlaw(staged, c)}),
     ]
-    for module_name, stage in stages:
-        try:
-            summary.update(stage())
-        except PetmineError as exc:
-            raise type(exc)(f"{module_name}: {exc}") from exc
-    _write_json(cfg, "summary.json", summary)
+    try:
+        for module_name, stage in stages:
+            try:
+                summary.update(stage())
+            except PetmineError as exc:
+                raise type(exc)(f"{module_name}: {exc}") from exc
+        _write_json(staged, "summary.json", summary)
+        for name in sorted(os.listdir(staging)):
+            os.replace(os.path.join(staging, name), cfg.path(name))
+    finally:
+        shutil.rmtree(staging)
     log.info("report: wrote %s", cfg.path("summary.json"))
     return 0
 

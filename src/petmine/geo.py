@@ -4,10 +4,13 @@ Each constituency's signature mass is spread over issues through the theta
 rows of the petitions it signed: S_ci = sum_d sig(d,c) * theta[d][i].  The
 issue share is S_ci / S_c, standardized per issue into a Z-score using the
 cross-constituency mean and sample (n-1) standard deviation.  Clustering
-runs Partition Around Medoids over the Z-score vectors: greedy BUILD
-seeding followed by best-improvement SWAP steps until no single
-medoid/non-medoid exchange lowers the total distance-to-medoid cost, which
-makes the result 1-swap-optimal by construction.
+runs Partition Around Medoids over the Z-score vectors: an exact search
+when there are at most ``_EXACT_BUDGET`` medoid subsets, else greedy BUILD
+seeding and best-improvement SWAP steps until no single medoid/non-medoid
+exchange lowers the total cost (1-swap-optimal by construction).  Cost
+ties break toward the lowest row.  ``silhouette_sweep`` builds one
+distance matrix and solves each k once, so the report takes its ``pam_k``
+clustering from the sweep that scores every k.
 
 The profiles are one column table, :class:`Profiles`, with a row per
 constituency in metadata order: the corpus's first signature columns,
@@ -168,7 +171,6 @@ def _distances(z: np.ndarray, metric: str) -> np.ndarray:
 
 
 def _pam_build(dist: np.ndarray, k: int) -> list[int]:
-    n = dist.shape[0]
     medoids = [int(np.argmin(dist.sum(axis=0)))]
     nearest = dist[:, medoids[0]].copy()
     while len(medoids) < k:
@@ -253,29 +255,23 @@ def _pam_exact(dist: np.ndarray, k: int) -> tuple[list[int], float]:
     return list(best), best_cost
 
 
-def _solve_medoids(dist: np.ndarray, k: int) -> tuple[list[int], float]:
-    if math.comb(dist.shape[0], k) <= _EXACT_BUDGET:
-        return _pam_exact(dist, k)
-    return _pam_swap(dist, _pam_build(dist, k))
+def _cluster(dist: np.ndarray, k: int) -> ClusterResult:
+    if not 0 < k < len(dist):
+        raise ConfigError(f"k must satisfy 0 < k < {len(dist)}, got {k}")
+    if math.comb(len(dist), k) <= _EXACT_BUDGET:
+        medoids, cost = _pam_exact(dist, k)
+    else:
+        medoids, cost = _pam_swap(dist, _pam_build(dist, k))
+    labels = np.argmin(dist[:, medoids], axis=1)
+    return ClusterResult(labels=labels, medoid_indices=tuple(medoids),
+                         total_cost=cost)
 
 
 def pam_cluster(z: np.ndarray, k: int,
                 metric: str = "euclidean") -> ClusterResult:
-    """Cluster the rows of ``z`` (finite Z-score vectors) by k-medoids.
-
-    When the number of candidate medoid subsets is at most
-    ``_EXACT_BUDGET`` the global optimum is found by enumeration; larger
-    instances fall back to BUILD plus best-improvement SWAP.  Fully
-    deterministic given the row order: cost ties break toward the lowest
-    row.
-    """
-    dist = _distances(z, metric)
-    if not 0 < k < len(dist):
-        raise ConfigError(f"k must satisfy 0 < k < {len(dist)}, got {k}")
-    medoids, cost = _solve_medoids(dist, k)
-    labels = np.argmin(dist[:, medoids], axis=1)
-    return ClusterResult(labels=labels, medoid_indices=tuple(medoids),
-                         total_cost=cost)
+    """Cluster the rows of ``z`` (finite Z-score vectors) by k-medoids;
+    a k outside ``0 < k < len(z)`` is a ``ConfigError``."""
+    return _cluster(_distances(z, metric), k)
 
 
 def cluster_issue_profile(share: np.ndarray, labels: np.ndarray,
@@ -317,15 +313,15 @@ def silhouette_score(dist: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def silhouette_sweep(z: np.ndarray, k_values=range(5, 11),
-                     metric: str = "euclidean") -> dict[int, float]:
-    """Mean silhouette of the PAM clustering of the rows of ``z`` at each k."""
+def silhouette_sweep(z: np.ndarray, k_values, metric: str = "euclidean"
+                     ) -> dict[int, tuple[ClusterResult, float | None]]:
+    """Each k's PAM clustering of the rows of ``z``, as ``pam_cluster``
+    returns it, and its mean silhouette (None at k = 1, where it is
+    undefined), all over one distance matrix."""
     dist = _distances(z, metric)
     out = {}
     for k in k_values:
-        if not 0 < k < len(z):
-            continue
-        medoids, _ = _solve_medoids(dist, k)
-        labels = np.argmin(dist[:, medoids], axis=1)
-        out[int(k)] = silhouette_score(dist, labels)
+        result = _cluster(dist, k)
+        out[int(k)] = (result, silhouette_score(dist, result.labels)
+                       if k > 1 else None)
     return out

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from petmine import cli, lda, util
+from petmine import cli, geo, lda, util
 
 from conftest import write_fixture_archive
 
@@ -510,15 +510,73 @@ def test_bad_smoothing_windows_are_usage_errors(tmp_path, capsys):
     assert "smoothing_windows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["pam_k", "pam_metric", "one_topic"])
 def test_report_stage_config_error_exits_two(pipeline_out, fixture_paths,
-                                             tmp_path, capsys):
+                                             tmp_path, capsys, monkeypatch,
+                                             case):
+    out, _ = pipeline_out
+    _, _, config_path, config = fixture_paths
+    target = tmp_path / "out"
+    target.mkdir()
+    for name in ("corpus.jsonl", "model.bin"):
+        shutil.copy(os.path.join(out, name), target / name)
+    flags = []
+    if case == "pam_k":
+        # the fixture clusters 5 constituencies
+        flags = ["--pam-k", "5"]
+        message = "config error: geo: k must satisfy 0 < k < 5, got 5"
+        # refused before any k is solved
+        monkeypatch.setattr(geo, "_pam_exact", None)
+    elif case == "pam_metric":
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dict(config, pam_metric="cosine")),
+                               encoding="utf-8")
+        message = "config error: pam_metric must be one of"
+    else:
+        # the issues stage runs before the temporal stage refuses the model
+        fit_dir = tmp_path / "fit"
+        fit_dir.mkdir()
+        shutil.copy(target / "corpus.jsonl", fit_dir / "corpus.jsonl")
+        assert cli.main(["fit", "--config", str(config_path),
+                         "--output-dir", str(fit_dir), "--k", "1",
+                         "--iterations", "20", "--burn-in", "10",
+                         "--sample-every", "5"]) == 0
+        shutil.copy(fit_dir / "model.bin", target / "model.bin")
+        message = "config error: temporal: entropy needs at least 2 issues"
+    before = {p.name: p.read_bytes() for p in target.iterdir()}
+    assert cli.main(["report", "--config", str(config_path),
+                     "--output-dir", str(target), *flags]) == 2
+    assert message in capsys.readouterr().err
+    # the two snapshots, unchanged, and nothing beside them
+    assert sorted(before) == ["corpus.jsonl", "model.bin"]
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+
+
+def test_report_builds_one_distance_matrix_and_solves_each_k_once(
+        pipeline_out, fixture_paths, tmp_path, monkeypatch):
     out, _ = pipeline_out
     _, _, config_path, _ = fixture_paths
     for name in ("corpus.jsonl", "model.bin"):
         shutil.copy(os.path.join(out, name), tmp_path / name)
+    real = {name: getattr(geo, name)
+            for name in ("cdist", "_pam_exact", "_pam_swap")}
+    calls = []
+
+    def spy(name, k_of):
+        def wrapper(*args, **kwargs):
+            calls.append((name, k_of(*args)))
+            return real[name](*args, **kwargs)
+        monkeypatch.setattr(geo, name, wrapper)
+
+    spy("cdist", lambda *args: None)
+    spy("_pam_exact", lambda dist, k: k)
+    spy("_pam_swap", lambda dist, medoids: len(medoids))
     assert cli.main(["report", "--config", str(config_path),
-                     "--output-dir", str(tmp_path), "--pam-k", "99"]) == 2
-    assert "config error: geo: k must satisfy" in capsys.readouterr().err
+                     "--output-dir", str(tmp_path), "--pam-k", "3"]) == 0
+    # the 5 clustered constituencies give silhouettes at k = 2..4, and the
+    # pam_k clustering is the sweep's k = 3, solved first
+    assert calls == [("cdist", None), ("_pam_exact", 3), ("_pam_exact", 2),
+                     ("_pam_exact", 4)]
 
 
 @pytest.mark.parametrize("flag", ["--pam-k", "--entropy-window-days",

@@ -1,6 +1,7 @@
 """Constituency profiles, scaling regression, and medoid clustering."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -429,18 +430,44 @@ def test_silhouette_singletons_score_zero():
 
 def test_silhouette_sweep_shape_and_range():
     z = _blobs()
-    sweep = geo.silhouette_sweep(z, k_values=range(2, 15))
-    # k values at or above the point count are dropped
-    assert sorted(sweep) == list(range(2, 12))
-    assert all(-1.0 <= v <= 1.0 for v in sweep.values())
-    assert max(sweep, key=sweep.get) == 2
-    again = geo.silhouette_sweep(z, k_values=range(2, 15))
-    assert sweep == again
+    sweep = geo.silhouette_sweep(z, k_values=range(1, 12))
+    scores = {k: score for k, (_, score) in sweep.items()}
+    again = geo.silhouette_sweep(z, k_values=range(1, 12))
+    assert {k: score for k, (_, score) in again.items()} == scores
+    assert sorted(scores) == list(range(1, 12))
+    # undefined for one cluster
+    assert scores.pop(1) is None
+    assert all(-1.0 <= v <= 1.0 for v in scores.values())
+    assert max(scores, key=scores.get) == 2
+    # k values at or above the point count are refused, as pam_cluster does
+    for k in (0, 12):
+        with pytest.raises(ConfigError, match="k must satisfy"):
+            geo.silhouette_sweep(z, k_values=[2, k])
 
 
 def test_silhouette_sweep_metric_validation():
     with pytest.raises(ConfigError):
-        geo.silhouette_sweep(_blobs(), metric="cosine")
+        geo.silhouette_sweep(_blobs(), [2], metric="cosine")
+
+
+@pytest.mark.parametrize("metric", sorted(geo._METRICS))
+def test_silhouette_sweep_clusterings_are_pam_cluster(metric):
+    z = np.random.default_rng(8).normal(size=(30, 3))
+    ks = [1, 2, 3, 4, 5]
+    # on 30 rows k <= 3 is solved exactly and k >= 4 by BUILD and SWAP
+    assert [math.comb(30, k) <= geo._EXACT_BUDGET for k in ks] == \
+        [True, True, True, False, False]
+    from scipy.spatial.distance import cdist
+    dist = cdist(z, z, geo._METRICS[metric])
+    sweep = geo.silhouette_sweep(z, ks, metric)
+    assert sorted(sweep) == ks
+    for k, (result, score) in sweep.items():
+        want = geo.pam_cluster(z, k, metric)
+        assert result.medoid_indices == want.medoid_indices
+        assert np.array_equal(result.labels, want.labels)
+        assert result.total_cost == want.total_cost
+        assert score == (None if k == 1
+                         else geo.silhouette_score(dist, want.labels))
 
 
 def _silhouette_loop(dist, labels):
