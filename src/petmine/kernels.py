@@ -3,12 +3,16 @@
 Mode is chosen once at import time: numba is used when it is importable.
 ``NUMBA_ENABLED`` reports which mode is active.
 Without numba, ``init_assignments``, ``gibbs_sweep`` and ``infer_doc`` are
-rewrites over plain Python ints, floats and lists (see "Kernels without a
-compiler" below), and ``draw_uniform`` runs the numba source over numpy
-scalars.  Neither mode uses fast-math, so results are bit-identical.  The
-numba source of each rewritten kernel, run uncompiled (``.py_func`` under
-numba, ``__wrapped__`` without it), is the reference the rewrites are
-tested against.  ``log_likelihood`` is plain numpy in both modes.
+rewrites over plain Python ints, floats and lists, and ``draw_uniform``
+runs the numba source over numpy scalars.  The token loops of the
+``gibbs_sweep`` and ``infer_doc`` rewrites are generated for the topic
+count K on first use, with each token's K weights unrolled into locals and
+a balanced tree of comparisons in place of the scan for the drawn topic
+(see "Kernels without a compiler" below).  Neither mode uses fast-math,
+so results are bit-identical.  The numba source of each rewritten kernel,
+run uncompiled (``.py_func`` under numba, ``__wrapped__`` without it), is
+the reference the rewrites are tested against.  ``log_likelihood`` is
+plain numpy in both modes.
 
 Randomness is counter-based rather than stateful.  The uniform variate for
 token ``n`` of a document in sweep ``s`` is a pure function of
@@ -21,9 +25,8 @@ does not depend on where it sits in the corpus.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
-from itertools import accumulate
-from operator import mul, truediv
+import linecache
+import types
 
 import numpy as np
 
@@ -209,11 +212,24 @@ def infer_doc(words, seed, phi, alpha, n_sweeps, burn_in, sample_every, acc):
 # as the scalars do; that is all ``init_assignments`` needs.  The sampling
 # loops then run over plain Python ints, floats and lists: counts are
 # copied out (n_kw as per-word columns) and written back into the caller's
-# arrays before returning.  Every float is formed by the same operations,
-# in the same order, as in the numba source, so the chains are
-# bit-identical.  The search over the running sums is a bisection: the
-# sums never decrease, so the first one above ``r`` is where the linear
-# scan stops too.  ``doc_ptr`` must start at 0 and end at the token count.
+# arrays before returning.  ``doc_ptr`` must start at 0 and end at the
+# token count.
+#
+# The token loops of ``gibbs_sweep`` and ``infer_doc`` are generated from
+# the two templates below, once per topic count K, on the first call with
+# that K.  Each token's K weights are unrolled into locals: the factor
+# lists are unpacked into ``b0``, ``v0``, ``a0``, ... and the running sums
+# are ``s0 = b0 / v0 * a0``, ``s1 = s0 + b1 / v1 * a1``, and so on.  These
+# are the floats the numba source accumulates in ``total``, formed by the
+# same operations in the same order, so the chains are bit-identical.  The
+# topic drawn is the first whose running sum exceeds ``r``, where the
+# numba source's scan stops.  The sums never decrease, so a balanced tree
+# of ``if r < s<mid>:`` tests finds it in about log2(K) comparisons; the
+# last topic's leaf is an ``else``, so an ``r`` at or above every sum draws
+# the last topic, as the scan's bound does.  The source for K is
+# registered with ``linecache`` under ``<petmine.kernels K=...>``: a
+# traceback shows its lines, and ``inspect.getsource`` on
+# ``_specialised(K).gibbs_sweep`` or ``.infer_doc`` prints it.
 
 _mix64_array = getattr(_mix64, "py_func", _mix64)
 
@@ -244,18 +260,11 @@ def _init_assignments_fast(doc_ptr, token_word, doc_seed, n_topics,
     np.add.at(n_dk, (doc_of, k), 1)
 
 
-def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
-                      n_dk, alpha, beta, cum):
-    # ``cum`` is the compiled kernel's scratch buffer; unused here
-    us = _token_draws(doc_ptr, doc_seed, sweep)[0].tolist()
-    ptr = doc_ptr.tolist()
-    words = token_word.tolist()
-    zs = z.tolist()
-    cols = n_kw.T.tolist()
-    nk = n_k.tolist()
-    rows = n_dk.tolist()
-    vb = n_kw.shape[1] * beta
-    last = n_k.shape[0] - 1
+# ``{b}``, ``{v}``, ``{a}`` and ``{p}`` unpack a list into one local per
+# topic; ``{weights}`` sets the running sums ``s0`` .. ``s{last}`` and
+# ``{search}`` sets ``k`` from them.
+_SWEEP_TEMPLATE = """\
+def gibbs_sweep(us, ptr, words, zs, cols, nk, rows, alpha, beta, vb):
     # the three factors of each topic's weight, each recomputed from its
     # count whenever the count changes
     cols_b = [[c + beta for c in col] for col in cols]
@@ -273,10 +282,12 @@ def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
             nk_vb[k] = nk[k] + vb
             dk[k] -= 1
             dk_a[k] = dk[k] + alpha
-            sums = list(accumulate(map(mul, map(truediv, col_b, nk_vb), dk_a)))
-            k = bisect_right(sums, us[j] * sums[-1])
-            if k > last:
-                k = last
+            {b} = col_b
+            {v} = nk_vb
+            {a} = dk_a
+            {weights}
+            r = us[j] * s{last}
+            {search}
             zs[j] = k
             col[k] += 1
             col_b[k] = col[k] + beta
@@ -284,6 +295,91 @@ def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
             nk_vb[k] = nk[k] + vb
             dk[k] += 1
             dk_a[k] = dk[k] + alpha
+"""
+
+_INFER_TEMPLATE = """\
+def infer_doc(draws, token_phi, zs, counts, total, alpha, denom, n_sweeps,
+              burn_in, sample_every):
+    counts_a = [c + alpha for c in counts]
+    n_samples = 0
+    for sweep in range(1, n_sweeps + 1):
+        us = draws[sweep].tolist()
+        for j, phis in enumerate(token_phi):
+            k = zs[j]
+            counts[k] -= 1
+            counts_a[k] = counts[k] + alpha
+            {p} = phis
+            {a} = counts_a
+            {weights}
+            r = us[j] * s{last}
+            {search}
+            zs[j] = k
+            counts[k] += 1
+            counts_a[k] = counts[k] + alpha
+        if sweep > burn_in and (sweep - burn_in) % sample_every == 0:
+            n_samples += 1
+            total = [a + c / denom for a, c in zip(total, counts_a)]
+    return total, n_samples
+"""
+
+
+def _search(lo, hi):
+    """Lines setting ``k`` to the first topic in lo..hi whose sum exceeds
+    ``r``, or to ``hi`` when none before it does."""
+    if lo == hi:
+        return [f"k = {lo}"]
+    mid = (lo + hi) // 2
+    return ([f"if r < s{mid}:"] + ["    " + line for line in _search(lo, mid)]
+            + ["else:"] + ["    " + line for line in _search(mid + 1, hi)])
+
+
+def _running_sums(term, n_topics):
+    """``s0 = <term 0>``, then ``s<t> = s<t-1> + <term t>``."""
+    return [f"s{t} = " + (f"s{t - 1} + " if t else "") + term.format(t=t)
+            for t in range(n_topics)]
+
+
+@functools.lru_cache(maxsize=None)
+def _specialised(n_topics):
+    """The generated ``gibbs_sweep`` and ``infer_doc`` loops for ``n_topics``.
+
+    Built on the first call for each topic count; later calls return the
+    same object.
+    """
+    def block(lines):
+        # the templates' token loops are indented by 12 spaces
+        return "\n            ".join(lines)
+
+    fields = {c: "[" + ", ".join(f"{c}{t}" for t in range(n_topics)) + "]"
+              for c in "bvap"}
+    fields.update(last=n_topics - 1, search=block(_search(0, n_topics - 1)))
+    source = "\n\n".join([
+        _SWEEP_TEMPLATE.format(
+            **fields,
+            weights=block(_running_sums("b{t} / v{t} * a{t}", n_topics))),
+        _INFER_TEMPLATE.format(
+            **fields, weights=block(_running_sums("p{t} * a{t}", n_topics))),
+    ])
+    filename = f"<petmine.kernels K={n_topics}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    namespace = {"__name__": __name__}
+    exec(compile(source, filename, "exec"), namespace)
+    return types.SimpleNamespace(gibbs_sweep=namespace["gibbs_sweep"],
+                                 infer_doc=namespace["infer_doc"])
+
+
+def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
+                      n_dk, alpha, beta, cum):
+    # ``cum`` is the compiled kernel's scratch buffer; unused here
+    zs = z.tolist()
+    cols = n_kw.T.tolist()
+    nk = n_k.tolist()
+    rows = n_dk.tolist()
+    _specialised(n_k.shape[0]).gibbs_sweep(
+        _token_draws(doc_ptr, doc_seed, sweep)[0].tolist(), doc_ptr.tolist(),
+        token_word.tolist(), zs, cols, nk, rows, alpha, beta,
+        n_kw.shape[1] * beta)
     z[:] = zs
     n_kw[:] = np.array(cols, dtype=n_kw.dtype).reshape(n_kw.shape[::-1]).T
     n_k[:] = nk
@@ -294,32 +390,14 @@ def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
                     acc):
     n_topics = phi.shape[0]
     n = words.shape[0]
-    last = n_topics - 1
     draws = _draws(np.uint64(seed), np.arange(n_sweeps + 1)[:, None],
                    np.arange(n)[None, :])
-    zs = np.minimum((draws[0] * n_topics).astype(np.int64), last).tolist()
+    zs = np.minimum((draws[0] * n_topics).astype(np.int64),
+                    n_topics - 1).tolist()
     counts = np.bincount(zs, minlength=n_topics).tolist()
-    counts_a = [c + alpha for c in counts]
-    token_phi = phi[:, words].T.tolist()
-    total = acc.tolist()
-    n_samples = 0
-    denom = n + n_topics * alpha
-    for sweep in range(1, n_sweeps + 1):
-        us = draws[sweep].tolist()
-        for j in range(n):
-            k = zs[j]
-            counts[k] -= 1
-            counts_a[k] = counts[k] + alpha
-            sums = list(accumulate(map(mul, token_phi[j], counts_a)))
-            k = bisect_right(sums, us[j] * sums[-1])
-            if k > last:
-                k = last
-            zs[j] = k
-            counts[k] += 1
-            counts_a[k] = counts[k] + alpha
-        if sweep > burn_in and (sweep - burn_in) % sample_every == 0:
-            n_samples += 1
-            total = [a + c / denom for a, c in zip(total, counts_a)]
+    total, n_samples = _specialised(n_topics).infer_doc(
+        draws, phi[:, words].T.tolist(), zs, counts, acc.tolist(), alpha,
+        n + n_topics * alpha, n_sweeps, burn_in, sample_every)
     acc[:] = total
     return n_samples
 

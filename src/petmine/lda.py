@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -132,10 +133,10 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
             "burn_in/sample_every"
         )
 
-    log.info("fit: %s kernels",
-             "numba-compiled" if kernels.NUMBA_ENABLED else "pure-Python")
     n_docs, n_terms = dtm.counts.shape
     k = config.k
+    log.info("fit: %s K=%d", "numba-compiled kernels," if kernels.NUMBA_ENABLED
+             else "pure-Python kernels specialised to", k)
     doc_ptr, token_word = _expand_tokens(dtm.counts)
     doc_seed = _doc_seeds(derive_seed(config.seed, "lda.fit"), dtm.doc_ids)
 
@@ -153,6 +154,8 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
     n_samples = 0
     trace: list[float] = []
     trace_sweeps: list[int] = []
+    # progress is timed over the wall clock since the previous log line
+    mark_sweep, mark_time = 0, time.perf_counter()
 
     for sweep in range(1, config.iterations + 1):
         kernels.gibbs_sweep(
@@ -167,6 +170,13 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
                 raise NumericalError(f"log-likelihood became {ll} at sweep {sweep}")
             trace.append(ll)
             trace_sweeps.append(sweep)
+            now = time.perf_counter()
+            sweeps_per_s = (sweep - mark_sweep) / (now - mark_time)
+            log.info("fit: sweep %d/%d, %.0f tokens/s, ll %.1f, ETA %.0f s",
+                     sweep, config.iterations,
+                     sweeps_per_s * token_word.shape[0], ll,
+                     (config.iterations - sweep) / sweeps_per_s)
+            mark_sweep, mark_time = sweep, now
         if sweep > config.burn_in and (sweep - config.burn_in) % config.sample_every == 0:
             phi_acc += (n_kw + beta) / (n_k + n_terms * beta)[:, None]
             theta_acc += (n_dk + alpha) / (doc_len + k * alpha)[:, None]

@@ -1,5 +1,13 @@
 """Sampling kernels: counter RNG, count bookkeeping, compiled/fallback parity."""
 
+import inspect
+import linecache
+import os
+import pathlib
+import subprocess
+import sys
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +158,7 @@ def _corpus(n_docs, vocab, max_len, seed):
     rng = np.random.default_rng(seed)
     lengths = rng.integers(0, max_len + 1, size=n_docs)
     lengths[n_docs // 2] = 0        # an empty document mid-corpus
+    lengths[n_docs // 2 + 1] = 1    # and a one-token one after it
     doc_ptr = np.zeros(n_docs + 1, np.int64)
     doc_ptr[1:] = np.cumsum(lengths)
     token_word = rng.integers(0, vocab, size=doc_ptr[-1]).astype(np.int32)
@@ -162,14 +171,14 @@ def _empty_state(n_tokens, n_docs, vocab, n_topics):
             np.zeros(n_topics, np.int64), np.zeros((n_docs, n_topics), np.int64))
 
 
-@pytest.mark.parametrize("n_topics, vocab, n_docs, max_len", [
-    (1, 7, 6, 9),
-    (3, 25, 20, 30),
-    (10, 240, 40, 40),
-])
-def test_fast_sampler_bit_identical_to_numba_source(n_topics, vocab, n_docs,
-                                                    max_len):
-    doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, max_len, n_topics)
+# one topic (a single leaf), and odd and even splits of the search tree
+TOPIC_COUNTS = [1, 2, 3, 5, 10, 17]
+
+
+@pytest.mark.parametrize("n_topics", TOPIC_COUNTS)
+def test_fast_sampler_bit_identical_to_numba_source(n_topics):
+    n_docs, vocab = 24, 12 * n_topics + 7
+    doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 30, n_topics)
     want = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
     got = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
     cum = np.empty(n_topics, np.float64)
@@ -189,14 +198,10 @@ def test_fast_sampler_bit_identical_to_numba_source(n_topics, vocab, n_docs,
                 assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n_topics, vocab, n_words", [
-    (1, 12, 15),
-    (3, 30, 40),
-    (10, 220, 60),
-    (10, 220, 0),
-])
-def test_fast_infer_doc_bit_identical_to_numba_source(n_topics, vocab,
-                                                      n_words):
+@pytest.mark.parametrize("n_words", [0, 1, 40])
+@pytest.mark.parametrize("n_topics", TOPIC_COUNTS)
+def test_fast_infer_doc_bit_identical_to_numba_source(n_topics, n_words):
+    vocab = 12 * n_topics + 7
     rng = np.random.default_rng(n_words)
     phi = rng.dirichlet(np.ones(vocab), size=n_topics)
     words = rng.integers(0, vocab, size=n_words).astype(np.int32)
@@ -211,6 +216,26 @@ def test_fast_infer_doc_bit_identical_to_numba_source(n_topics, vocab,
     assert np.array_equal(got, want)
 
 
+def test_specialised_kernels_are_cached_by_k_and_readable():
+    built = kernels._specialised(4)
+    assert kernels._specialised(4) is built
+    assert kernels._specialised(5) is not built
+    filename = "<petmine.kernels K=4>"
+    source = "".join(linecache.getlines(filename))
+    for kernel, weight in ((built.gibbs_sweep, "s3 = s2 + b3 / v3 * a3"),
+                           (built.infer_doc, "s3 = s2 + p3 * a3")):
+        assert kernel.__code__.co_filename == filename
+        text = inspect.getsource(kernel)
+        assert text.startswith(f"def {kernel.__name__}(")
+        assert weight in text
+        assert text in source
+    # a fault inside a generated loop is reported at its generated line
+    with pytest.raises(IndexError) as excinfo:
+        built.infer_doc(np.zeros((2, 1)), [[0.25] * 4], [0], [], [0.0] * 4,
+                        0.1, 1.4, 1, 0, 1)
+    assert "counts[k] -= 1" in "".join(traceback.format_tb(excinfo.tb))
+
+
 def test_kernel_mode_binds_fast_kernels_without_numba():
     fast = (kernels._init_assignments_fast, kernels._gibbs_sweep_fast,
             kernels._infer_doc_fast)
@@ -218,36 +243,48 @@ def test_kernel_mode_binds_fast_kernels_without_numba():
     for f, b in zip(fast, bound):
         assert (b is f) == (not kernels.NUMBA_ENABLED)
         assert _reference(b) is not f
+    # the rewrites dispatch to loops built per topic count on first use;
+    # importing the module builds none of them
+    src = str(pathlib.Path(kernels.__file__).parents[1])
+    built = subprocess.run(
+        [sys.executable, "-c", "from petmine import kernels; "
+         "print(kernels._specialised.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    assert built.strip() == "0"
 
 
 @pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba is not installed")
 def test_compiled_and_fallback_modes_bit_identical():
-    # the compiled kernels and their rewrites, on the same inputs
-    n_topics, vocab, n_docs = 3, 25, 30
-    doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 20, 3)
-    compiled = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
-    rewrite = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
-    cum = np.empty(n_topics, np.float64)
-    kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
-                             *compiled)
-    kernels._init_assignments_fast(doc_ptr, token_word, doc_seed, n_topics,
-                                   *rewrite)
-    for sweep in range(31):
-        if sweep:
-            kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
-                                *compiled, 0.1, 0.1, cum)
-            kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
-                                      *rewrite, 0.1, 0.1, cum)
-        for a, b in zip(compiled, rewrite):
-            assert a.tobytes() == b.tobytes()
+    # the compiled kernels and their rewrites, on the same inputs; one
+    # topic, a small K, and the paper's K=10
+    for n_topics in (1, 3, 10):
+        n_docs, vocab = 30, 8 * n_topics + 1
+        doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 20, 3)
+        compiled = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
+        rewrite = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
+        cum = np.empty(n_topics, np.float64)
+        kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
+                                 *compiled)
+        kernels._init_assignments_fast(doc_ptr, token_word, doc_seed,
+                                       n_topics, *rewrite)
+        for sweep in range(31):
+            if sweep:
+                kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
+                                    *compiled, 0.1, 0.1, cum)
+                kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word,
+                                          doc_seed, *rewrite, 0.1, 0.1, cum)
+            for a, b in zip(compiled, rewrite):
+                assert a.tobytes() == b.tobytes()
 
-    phi = np.random.default_rng(3).dirichlet(np.ones(vocab), size=n_topics)
-    words = token_word[:40]
-    acc_c = np.zeros(n_topics)
-    acc_r = np.zeros(n_topics)
-    n_c = kernels.infer_doc(words, np.uint64(2**63 + 5), phi, 0.2, 50, 10, 4,
-                            acc_c)
-    n_r = kernels._infer_doc_fast(words, np.uint64(2**63 + 5), phi, 0.2, 50,
-                                  10, 4, acc_r)
-    assert n_c == n_r == 10
-    assert acc_c.tobytes() == acc_r.tobytes()
+        phi = np.random.default_rng(3).dirichlet(np.ones(vocab),
+                                                 size=n_topics)
+        words = token_word[:40]
+        acc_c = np.zeros(n_topics)
+        acc_r = np.zeros(n_topics)
+        n_c = kernels.infer_doc(words, np.uint64(2**63 + 5), phi, 0.2, 50,
+                                10, 4, acc_c)
+        n_r = kernels._infer_doc_fast(words, np.uint64(2**63 + 5), phi, 0.2,
+                                      50, 10, 4, acc_r)
+        assert n_c == n_r == 10
+        assert acc_c.tobytes() == acc_r.tobytes()

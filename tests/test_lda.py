@@ -1,5 +1,7 @@
 """Topic model fitting, inference, intrusion scoring, and snapshots."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -88,6 +90,27 @@ def test_fit_bit_deterministic(small_fit):
     assert model.phi.tobytes() == again.phi.tobytes()
     assert model.theta.tobytes() == again.theta.tobytes()
     assert model.log_likelihood_trace == again.log_likelihood_trace
+
+
+def test_fit_logs_kernel_k_and_progress_at_each_likelihood(caplog):
+    dtm, _, _ = make_planted_dtm(n_docs=12, tokens_per_doc=10, seed=3)
+    config = lda.LdaConfig(k=2, iterations=25, burn_in=5, sample_every=5)
+    with caplog.at_level("INFO", logger="petmine.lda"):
+        model = lda.fit(dtm, config)
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines[0] in ("fit: pure-Python kernels specialised to K=2",
+                        "fit: numba-compiled kernels, K=2")
+    progress = lines[1:-1]
+    assert len(progress) == len(model.trace_sweeps) == 3
+    pattern = (r"fit: sweep (\d+)/25, \d+ tokens/s, ll (-?\d+\.\d), "
+               r"ETA \d+ s")
+    for line, sweep, ll in zip(progress, model.trace_sweeps,
+                               model.log_likelihood_trace):
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        assert int(match[1]) == sweep
+        assert match[2] == f"{ll:.1f}"
+    assert lines[-1].startswith("fitted k=2 on 12 docs")
 
 
 def test_fit_seed_changes_result(small_fit):
