@@ -275,27 +275,25 @@ def _report_prevalence(cfg, model, c, names):
     prev = issues.prevalence(model, c)
     columns = ["topic", "name", "mass_by_petitions", "rank_p",
                "mass_by_signatures", "rank_s"]
+    table = [prev.by_petitions, prev.rank_by_petitions,
+             prev.by_signatures, prev.rank_by_signatures]
     success = {}
     for t in cfg.thresholds:
         success[t] = (issues.success_probability(model, c, t),
                       issues.success_probability(model, c, t, smoothed=True))
         columns += [f"success_{t}", f"success_smoothed_{t}"]
-    rows = []
-    for k in range(model.k):
-        row = [k, names[k],
-               prev.by_petitions[k], prev.rank_by_petitions[k],
-               prev.by_signatures[k], prev.rank_by_signatures[k]]
-        for t in cfg.thresholds:
-            row += [success[t][0][k], success[t][1][k]]
-        rows.append(row)
-    write_csv(cfg.path("prevalence.csv"), cfg.meta(), columns, rows)
+        table += success[t]
+    write_csv(cfg.path("prevalence.csv"), cfg.meta(), columns,
+              [[k, names[k], *row] for k, row in
+               enumerate(zip(*(column.tolist() for column in table)))])
     return prev, success
 
 
 def _report_networks(cfg, model, prev, names):
     write_csv(cfg.path("network_nodes.csv"), cfg.meta(),
               ["topic", "name", "signatures"],
-              [[k, names[k], prev.by_signatures[k]] for k in range(model.k)])
+              [[k, names[k], mass]
+               for k, mass in enumerate(prev.by_signatures.tolist())])
     nets = {
         "network_cooccurrence": issues.co_occurrence_network(model),
         "network_worddist": issues.word_distribution_network(model),
@@ -337,15 +335,15 @@ def _report_issues(cfg, model, c, names):
 
 def _report_temporal(cfg, model, c):
     series = temporal.build_series(model, c)
+    days = [d.isoformat() for d in series.dates]
     headers = ["date"] + [f"issue_{k}" for k in range(model.k)]
     write_csv(cfg.path("series_raw.csv"), cfg.meta(), headers,
-              [[d.isoformat(), *row] for d, row in
-               zip(series.dates, series.values)])
+              [[d, *row] for d, row in zip(days, series.values.tolist())])
     for w in cfg.smoothing_windows:
         smoothed = temporal.smooth(series, w)
         write_csv(cfg.path(f"series_smooth_{w}.csv"), cfg.meta(), headers,
-                  [[d.isoformat(), *row] for d, row in
-                   zip(smoothed.dates, smoothed.values)])
+                  [[d, *row] for d, row in
+                   zip(days, smoothed.values.tolist())])
     es = temporal.entropy_series(series, cfg.entropy_window_days)
     try:
         flags = temporal.detect_volatility(es)
@@ -354,9 +352,9 @@ def _report_temporal(cfg, model, c):
         flags = {}
     write_csv(cfg.path("entropy.csv"), cfg.meta(),
               ["date", "entropy", "pct_change", "flagged", "direction"],
-              [[d.isoformat(), es.h[i], es.pct_change[i],
-                int(d in flags), flags.get(d, "")]
-               for i, d in enumerate(es.dates)])
+              [[day, h, pct, int(d in flags), flags.get(d, "")]
+               for d, day, h, pct in zip(es.dates, days, es.h.tolist(),
+                                         es.pct_change.tolist())])
     mean, std, n = temporal.pct_change_stats(es)
     finite = es.h[np.isfinite(es.h)]
     stats = {
@@ -399,7 +397,7 @@ def _report_geo(cfg, model, c):
                                        cfg.pam_k)
     write_csv(cfg.path("cluster_issue_shares.csv"), cfg.meta(),
               ["cluster"] + [f"share_{k}" for k in range(k_issues)],
-              [[i, *row] for i, row in enumerate(shares)])
+              [[i, *row] for i, row in enumerate(shares.tolist())])
 
     silhouette = {k: sweep[k][1] for k in ks}
     write_csv(cfg.path("silhouette.csv"), cfg.meta(), ["k", "score"],
@@ -438,7 +436,7 @@ def _report_powerlaw(cfg, c):
     counts = c.uk
     cc = powerlaw.ccdf(counts)
     write_csv(cfg.path("ccdf.csv"), cfg.meta(), ["x", "p"],
-              zip(cc.x, cc.p))
+              zip(cc.x.tolist(), cc.p.tolist()))
     # fit below the first threshold: behavior changes once a petition
     # crosses it, so the power law is only claimed for the region before
     truncated = counts[counts <= cfg.thresholds[0]] if cfg.thresholds else counts

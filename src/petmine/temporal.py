@@ -14,6 +14,12 @@ are themselves undefined and are excluded from the volatility statistics.
 
 The ``Corpus`` constructor checks that every creation day lies in the
 window, so the series are built without checking it again.
+
+Window sums are whole-array steps: the days x K matrix is padded with zero
+rows and the window's shifted slices are added in row order.  They equal
+the per-day sums ``values[a:b].sum(axis=0)`` bit for bit, because NumPy
+adds the rows of an axis-0 sum in order too, and the padding only adds
+``0.0`` before or after them, which is exact for non-negative values.
 """
 
 from __future__ import annotations
@@ -54,6 +60,24 @@ def build_series(model: TopicModel, corpus: Corpus) -> IssueSeries:
     return IssueSeries(dates=dates, values=values)
 
 
+def _window_sums(values: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Row t holds the sum of rows ``t-before .. t+after`` that exist.
+
+    The rows are padded with zeros and the window's shifted slices added
+    in row order, the order ``values[a:b].sum(axis=0)`` adds them in.  A
+    reach past the series adds only zeros, so it is clipped to n-1 rows.
+    """
+    n, k = values.shape
+    reach = max(n - 1, 0)
+    before, after = min(before, reach), min(after, reach)
+    padded = np.zeros((before + n + after, k))
+    padded[before:before + n] = values
+    out = padded[:n].copy()
+    for shift in range(1, before + after + 1):
+        out += padded[shift:shift + n]
+    return out
+
+
 def smooth(series: IssueSeries, window_days: int) -> IssueSeries:
     """Centered moving average per issue column.
 
@@ -63,16 +87,14 @@ def smooth(series: IssueSeries, window_days: int) -> IssueSeries:
     """
     if window_days < 1:
         raise ConfigError("window_days must be at least 1")
-    if window_days == 1:
-        return IssueSeries(dates=series.dates, values=series.values.copy())
     n = series.values.shape[0]
-    lo = (window_days - 1) // 2
-    hi = window_days // 2
-    out = np.empty_like(series.values)
-    for t in range(n):
-        a = max(0, t - lo)
-        b = min(n, t + hi + 1)
-        out[t] = series.values[a:b].sum(axis=0) / (b - a)
+    # a reach past the series covers it all: clipped, the day counts stay
+    # in int64 however large the window
+    lo = min((window_days - 1) // 2, n)
+    hi = min(window_days // 2, n)
+    t = np.arange(n)
+    days = np.minimum(n, t + hi + 1) - np.maximum(0, t - lo)
+    out = _window_sums(series.values, lo, hi) / days[:, None]
     return IssueSeries(dates=series.dates, values=out)
 
 
@@ -88,20 +110,24 @@ def entropy_series(series: IssueSeries, window_days: int = 7) -> EntropySeries:
     n, k = series.values.shape
     if k < 2:
         raise ConfigError("entropy needs at least 2 issues")
-    h = np.full(n, np.nan)
+    pooled = _window_sums(series.values, window_days - 1, 0)
+    total = pooled.sum(axis=1)
+    defined = total > 0
     log_k = np.log(k)
-    for t in range(n):
-        pooled = series.values[max(0, t - window_days + 1):t + 1].sum(axis=0)
-        total = pooled.sum()
-        if total <= 0:
-            continue
-        p = pooled / total
-        nz = p[p > 0]
-        h[t] = float(-(nz * np.log(nz)).sum() / log_k)
+    p = pooled[defined] / total[defined, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p)
+    h_defined = -terms.sum(axis=1) / log_k
+    # a row with a zero share sums its nonzero terms alone: zeros summed in
+    # place would regroup NumPy's pairwise sum
+    for i in np.flatnonzero((p == 0).any(axis=1)).tolist():
+        h_defined[i] = -terms[i][p[i] > 0].sum() / log_k
+    h = np.full(n, np.nan)
+    h[defined] = h_defined
+    prev, cur = h[:-1], h[1:]
+    moved = np.isfinite(cur) & np.isfinite(prev) & (prev > 0)
     pct = np.full(n, np.nan)
-    for t in range(1, n):
-        if np.isfinite(h[t]) and np.isfinite(h[t - 1]) and h[t - 1] > 0:
-            pct[t] = (h[t] - h[t - 1]) / h[t - 1] * 100.0
+    pct[1:][moved] = (cur[moved] - prev[moved]) / prev[moved] * 100.0
     return EntropySeries(dates=series.dates, h=h, pct_change=pct)
 
 
@@ -122,11 +148,9 @@ def detect_volatility(es: EntropySeries, n_sigma: float = 3.0,
     vals = es.pct_change[defined]
     mu = float(vals.mean())
     sigma = float(vals.std(ddof=1))
-    out: dict[datetime.date, str] = {}
-    for t in np.nonzero(defined)[0]:
-        if abs(es.pct_change[t] - mu) > n_sigma * sigma:
-            out[es.dates[t]] = "increase" if es.pct_change[t] > 0 else "decrease"
-    return out
+    jumps = defined & (np.abs(es.pct_change - mu) > n_sigma * sigma)
+    return {es.dates[t]: "increase" if es.pct_change[t] > 0 else "decrease"
+            for t in np.flatnonzero(jumps).tolist()}
 
 
 def pct_change_stats(es: EntropySeries) -> tuple[float, float, int]:

@@ -120,9 +120,11 @@ def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
     """Write a CSV file with a ``#``-comment metadata header.
 
     ``rows`` is an iterable of sequences aligned with ``fieldnames``.
-    Values are formatted with ``str``; callers format floats beforehand
-    when a fixed precision is wanted.  A value holding a comma, a quote or
-    a line break is quoted, so every row reads back with the csv module.
+    Values are formatted with ``str``; callers pass Python scalars (take
+    rows from ``ndarray.tolist()``), whose ``str`` is about twice as fast
+    as a NumPy scalar's, and format floats beforehand when a fixed
+    precision is wanted.  A value holding a comma, a quote or a line break
+    is quoted, so every row reads back with the csv module.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -594,3 +594,45 @@ def test_counts_below_one_exit_two_before_report_writes(
                                                           "model.bin"]
     key = flag[2:].replace("-", "_")
     assert f"config error: {key} must be at least 1" in capsys.readouterr().err
+
+
+def test_report_tables_hold_python_scalars(pipeline_out, fixture_paths,
+                                           tmp_path, monkeypatch):
+    # str(float) is the artifacts' text and about twice as fast as
+    # str(np.float64), so no table hands write_csv a NumPy scalar
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    for name in ("corpus.jsonl", "model.bin"):
+        shutil.copy(os.path.join(out, name), tmp_path / name)
+    real = cli.write_csv
+    numpy_cells = {}
+
+    def spy(path, meta, fieldnames, rows):
+        rows = [list(row) for row in rows]
+        found = [v for row in rows for v in row if isinstance(v, np.generic)]
+        if found:
+            numpy_cells[os.path.basename(path)] = type(found[0]).__name__
+        return real(path, meta, fieldnames, rows)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    assert cli.main(["report", "--config", str(config_path),
+                     "--output-dir", str(tmp_path)]) == 0
+    assert numpy_cells == {}
+
+
+def test_windows_longer_than_the_series_are_accepted(pipeline_out,
+                                                     fixture_paths, tmp_path):
+    out, _ = pipeline_out
+    _, _, _, config = fixture_paths
+    for name in ("corpus.jsonl", "model.bin"):
+        shutil.copy(os.path.join(out, name), tmp_path / name)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(
+        config, output_dir=str(tmp_path),
+        smoothing_windows=[7, 30, 1000000000],
+        entropy_window_days=1000000000)), encoding="utf-8")
+    assert cli.main(["report", "--config", str(config_path)]) == 0
+    # a window reaching past both ends averages the whole series every day
+    _, rows = _read_csv(tmp_path / "series_smooth_1000000000.csv")
+    assert len(rows) > 1 and all(row[1:] == rows[0][1:] for row in rows)
+    assert (tmp_path / "entropy.csv").exists()

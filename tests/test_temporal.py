@@ -203,6 +203,112 @@ def test_entropy_validation():
 
 
 # ---------------------------------------------------------------------------
+# whole-array windows against the per-day loops, bit for bit
+
+
+def _smooth_loop(values, window_days):
+    # the per-day centred window, kept as the reference
+    n = values.shape[0]
+    lo, hi = (window_days - 1) // 2, window_days // 2
+    out = np.empty_like(values)
+    for t in range(n):
+        a, b = max(0, t - lo), min(n, t + hi + 1)
+        out[t] = values[a:b].sum(axis=0) / (b - a)
+    return out
+
+
+def _entropy_loop(values, window_days):
+    # the per-day trailing window and percentage change, kept as the reference
+    n, k = values.shape
+    h = np.full(n, np.nan)
+    for t in range(n):
+        pooled = values[max(0, t - window_days + 1):t + 1].sum(axis=0)
+        total = pooled.sum()
+        if total <= 0:
+            continue
+        p = pooled / total
+        nz = p[p > 0]
+        h[t] = float(-(nz * np.log(nz)).sum() / np.log(k))
+    pct = np.full(n, np.nan)
+    for t in range(1, n):
+        if np.isfinite(h[t]) and np.isfinite(h[t - 1]) and h[t - 1] > 0:
+            pct[t] = (h[t] - h[t - 1]) / h[t - 1] * 100.0
+    return h, pct
+
+
+def _volatility_loop(es, n_sigma=3.0):
+    # the per-day flagging loop, kept as the reference
+    defined = np.isfinite(es.pct_change)
+    vals = es.pct_change[defined]
+    mu, sigma = float(vals.mean()), float(vals.std(ddof=1))
+    out = {}
+    for t in np.nonzero(defined)[0]:
+        if abs(es.pct_change[t] - mu) > n_sigma * sigma:
+            out[es.dates[t]] = "increase" if es.pct_change[t] > 0 else "decrease"
+    return out
+
+
+def _random_values(rng):
+    # non-negative days x K mass over 16 orders of magnitude, with zero
+    # cells and all-zero days
+    n, k = int(rng.integers(1, 81)), int(rng.integers(2, 13))
+    values = rng.random((n, k)) * 10.0 ** rng.uniform(-8, 8, size=(n, k))
+    values[rng.random((n, k)) < 0.25] = 0.0
+    values[rng.random(n) < 0.2] = 0.0
+    return values
+
+
+def test_window_steps_match_per_day_loops_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        values = _random_values(rng)
+        n = values.shape[0]
+        s = _series(values)
+        w = int(rng.integers(1, 2 * n + 4))
+        assert (temporal.smooth(s, w).values.tobytes()
+                == _smooth_loop(values, w).tobytes())
+        es = temporal.entropy_series(s, w)
+        h, pct = _entropy_loop(values, w)
+        assert es.h.tobytes() == h.tobytes()
+        assert es.pct_change.tobytes() == pct.tobytes()
+        if np.isfinite(pct).sum() >= 2:
+            assert (temporal.detect_volatility(es, 2.0, min_points=2)
+                    == _volatility_loop(es, 2.0))
+
+
+def test_volatility_flags_match_per_day_loop():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        pct = rng.standard_normal(int(rng.integers(3, 120)))
+        pct[rng.random(pct.size) < 0.03] *= 50.0
+        pct[rng.random(pct.size) < 0.1] = np.nan
+        pct[rng.random(pct.size) < 0.02] = np.inf
+        if np.isfinite(pct).sum() < 2:
+            continue
+        d0 = datetime.date(2015, 6, 1)
+        es = temporal.EntropySeries(
+            dates=tuple(d0 + datetime.timedelta(days=i)
+                        for i in range(pct.size)),
+            h=np.ones(pct.size), pct_change=pct)
+        for n_sigma in (1.0, 2.0, 3.0):
+            assert (temporal.detect_volatility(es, n_sigma, min_points=2)
+                    == _volatility_loop(es, n_sigma))
+
+
+def test_windows_longer_than_the_series_clip_to_it():
+    # a 10**9-day window reaches no further than the series' own length,
+    # and costs no more than it
+    values = _random_values(np.random.default_rng(31))
+    n = values.shape[0]
+    s = _series(values)
+    assert (temporal.smooth(s, 10**9).values.tobytes()
+            == temporal.smooth(s, 2 * n).values.tobytes())
+    far, own = temporal.entropy_series(s, 10**9), temporal.entropy_series(s, n)
+    assert far.h.tobytes() == own.h.tobytes()
+    assert far.pct_change.tobytes() == own.pct_change.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # volatility
 
 
