@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import logging
 import math
@@ -87,7 +88,9 @@ class PipelineConfig:
     def stage_seed(self, stage: str) -> int:
         return derive_seed(self.seed, f"stage:{stage}")
 
+    @functools.cached_property
     def meta(self) -> dict:
+        """The header every artifact of a run carries, digested once."""
         # where the files are written is not part of what they hold
         values = {k: v for k, v in self.to_dict().items() if k != "output_dir"}
         return {
@@ -209,7 +212,7 @@ def _sanitize(obj):
 
 
 def _write_json(cfg: PipelineConfig, name: str, payload: dict) -> None:
-    obj = {"_meta": cfg.meta()}
+    obj = {"_meta": cfg.meta}
     obj.update(payload)
     text = json.dumps(_sanitize(obj), indent=2, allow_nan=False)
     write_text(cfg.path(name), text + "\n")
@@ -236,7 +239,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
             _require_input(cfg.constituencies, "constituency CSV"))
     c = corpus.load_archive(archive, cfg.window_dates(), constituencies)
     corpus.save_corpus(c, cfg.path("corpus.jsonl"))
-    corpus.write_rejects_report(c.ingest_report, cfg.path("rejects.csv"), cfg.meta())
+    corpus.write_rejects_report(c.ingest_report, cfg.path("rejects.csv"), cfg.meta)
     log.info("ingest: %d accepted, %d rejected, %d UK signatures",
              len(c.ids), len(c.ingest_report.rejects),
              corpus.uk_signature_total(c))
@@ -256,14 +259,14 @@ def cmd_fit(cfg: PipelineConfig, args) -> int:
     model = lda.fit(dtm, lda_cfg)
     lda.save_model(model, cfg.path("model.bin"))
 
-    write_csv(cfg.path("topic_names.csv"), cfg.meta(),
+    write_csv(cfg.path("topic_names.csv"), cfg.meta,
               ["topic_index", "name"], list(enumerate(names)))
-    write_csv(cfg.path("top_words.csv"), cfg.meta(),
+    write_csv(cfg.path("top_words.csv"), cfg.meta,
               ["topic", "name"] + [f"word{i}" for i in range(1, 7)],
               [[t, names[t]] + lda.top_words(model, t, 6)
                for t in range(model.k)])
     instances = lda.make_intrusion_instances(model, cfg.stage_seed("intrusion"))
-    write_csv(cfg.path("intrusion_instances.csv"), cfg.meta(),
+    write_csv(cfg.path("intrusion_instances.csv"), cfg.meta,
               ["topic"] + [f"word{i}" for i in range(1, 7)],
               [[inst.topic_index, *inst.shown_words] for inst in instances])
     log.info("fit: k=%d, vocabulary=%d, %d retained samples",
@@ -283,14 +286,14 @@ def _report_prevalence(cfg, model, c, names):
                       issues.success_probability(model, c, t, smoothed=True))
         columns += [f"success_{t}", f"success_smoothed_{t}"]
         table += success[t]
-    write_csv(cfg.path("prevalence.csv"), cfg.meta(), columns,
+    write_csv(cfg.path("prevalence.csv"), cfg.meta, columns,
               [[k, names[k], *row] for k, row in
                enumerate(zip(*(column.tolist() for column in table)))])
     return prev, success
 
 
 def _report_networks(cfg, model, prev, names):
-    write_csv(cfg.path("network_nodes.csv"), cfg.meta(),
+    write_csv(cfg.path("network_nodes.csv"), cfg.meta,
               ["topic", "name", "signatures"],
               [[k, names[k], mass]
                for k, mass in enumerate(prev.by_signatures.tolist())])
@@ -301,10 +304,10 @@ def _report_networks(cfg, model, prev, names):
     strongest = {}
     for stem, weights in nets.items():
         edges = issues.edge_list(weights)
-        write_csv(cfg.path(f"{stem}_edges.csv"), cfg.meta(),
+        write_csv(cfg.path(f"{stem}_edges.csv"), cfg.meta,
                   ["source", "target", "weight"], edges)
         pruned = issues.prune_network(weights, NETWORK_KEEP_FRACTION)
-        write_csv(cfg.path(f"{stem}_edges_pruned.csv"), cfg.meta(),
+        write_csv(cfg.path(f"{stem}_edges_pruned.csv"), cfg.meta,
                   ["source", "target", "weight"], issues.edge_list(pruned))
         if edges:
             i, j, _ = max(edges, key=lambda e: (e[2], -e[0], -e[1]))
@@ -337,11 +340,11 @@ def _report_temporal(cfg, model, c):
     series = temporal.build_series(model, c)
     days = [d.isoformat() for d in series.dates]
     headers = ["date"] + [f"issue_{k}" for k in range(model.k)]
-    write_csv(cfg.path("series_raw.csv"), cfg.meta(), headers,
+    write_csv(cfg.path("series_raw.csv"), cfg.meta, headers,
               [[d, *row] for d, row in zip(days, series.values.tolist())])
     for w in cfg.smoothing_windows:
         smoothed = temporal.smooth(series, w)
-        write_csv(cfg.path(f"series_smooth_{w}.csv"), cfg.meta(), headers,
+        write_csv(cfg.path(f"series_smooth_{w}.csv"), cfg.meta, headers,
                   [[d, *row] for d, row in
                    zip(days, smoothed.values.tolist())])
     es = temporal.entropy_series(series, cfg.entropy_window_days)
@@ -350,7 +353,7 @@ def _report_temporal(cfg, model, c):
     except PetmineError as exc:
         log.warning("volatility detection skipped: %s", exc)
         flags = {}
-    write_csv(cfg.path("entropy.csv"), cfg.meta(),
+    write_csv(cfg.path("entropy.csv"), cfg.meta,
               ["date", "entropy", "pct_change", "flagged", "direction"],
               [[day, h, pct, int(d in flags), flags.get(d, "")]
                for d, day, h, pct in zip(es.dates, days, es.h.tolist(),
@@ -391,23 +394,23 @@ def _report_geo(cfg, model, c):
         z, [cfg.pam_k, *(k for k in ks if k != cfg.pam_k)], cfg.pam_metric)
     result = sweep[cfg.pam_k][0]
     labels = result.labels.tolist()
-    write_csv(cfg.path("clusters.csv"), cfg.meta(), ["code", "cluster"],
+    write_csv(cfg.path("clusters.csv"), cfg.meta, ["code", "cluster"],
               sorted(zip(codes, labels)))
     shares = geo.cluster_issue_profile(profiles.share[rows], result.labels,
                                        cfg.pam_k)
-    write_csv(cfg.path("cluster_issue_shares.csv"), cfg.meta(),
+    write_csv(cfg.path("cluster_issue_shares.csv"), cfg.meta,
               ["cluster"] + [f"share_{k}" for k in range(k_issues)],
               [[i, *row] for i, row in enumerate(shares.tolist())])
 
     silhouette = {k: sweep[k][1] for k in ks}
-    write_csv(cfg.path("silhouette.csv"), cfg.meta(), ["k", "score"],
+    write_csv(cfg.path("silhouette.csv"), cfg.meta, ["k", "score"],
               silhouette.items())
 
     cluster = [""] * len(profiles.meta)
     for i, label in zip(rows.tolist(), labels):
         cluster[i] = label
     per_elector = profiles.per_elector
-    write_csv(cfg.path("constituency_profiles.csv"), cfg.meta(),
+    write_csv(cfg.path("constituency_profiles.csv"), cfg.meta,
               ["code", "name", "electorate", "total_signatures", "per_elector"]
               + [f"share_{k}" for k in range(k_issues)]
               + [f"z_{k}" for k in range(k_issues)] + ["cluster"],
@@ -435,7 +438,7 @@ def _report_geo(cfg, model, c):
 def _report_powerlaw(cfg, c):
     counts = c.uk
     cc = powerlaw.ccdf(counts)
-    write_csv(cfg.path("ccdf.csv"), cfg.meta(), ["x", "p"],
+    write_csv(cfg.path("ccdf.csv"), cfg.meta, ["x", "p"],
               zip(cc.x.tolist(), cc.p.tolist()))
     # fit below the first threshold: behavior changes once a petition
     # crosses it, so the power law is only claimed for the region before
@@ -532,7 +535,7 @@ def cmd_intrusion_score(cfg: PipelineConfig, args) -> int:
                  int(t in score.flagged)]
                 for t in sorted(score.per_topic)]
     rows_out.append(["overall", len(answers), score.overall, ""])
-    write_csv(cfg.path("intrusion_score.csv"), cfg.meta(),
+    write_csv(cfg.path("intrusion_score.csv"), cfg.meta,
               ["topic", "n_answers", "accuracy", "flagged"], rows_out)
     log.info("intrusion-score: overall accuracy %.3f, %d topics flagged",
              score.overall, len(score.flagged))
@@ -576,7 +579,7 @@ def cmd_grid(cfg: PipelineConfig, args) -> int:
                      model.log_likelihood_trace[-1], total, per_token])
         log.info("grid: k=%d alpha=%g beta=%g per-token %.4f",
                  run_cfg.k, run_cfg.alpha, run_cfg.beta, per_token)
-    write_csv(cfg.path("grid.csv"), cfg.meta(),
+    write_csv(cfg.path("grid.csv"), cfg.meta,
               ["k", "alpha", "beta", "train_log_likelihood",
                "holdout_log_likelihood", "holdout_per_token"], rows)
     return 0
@@ -603,7 +606,7 @@ def cmd_xmin_scan(cfg: PipelineConfig, args) -> int:
         raise PetmineError("no feasible x_min candidate")
     fits = powerlaw.scan_xmin(counts, feasible)
     best = powerlaw.best_by_ks(fits)
-    write_csv(cfg.path("xmin_scan.csv"), cfg.meta(),
+    write_csv(cfg.path("xmin_scan.csv"), cfg.meta,
               ["x_min", "exponent", "n_tail", "ks_distance", "best"],
               [[f.x_min, f.exponent, f.n_tail, f.ks_distance,
                 int(f.x_min == best.x_min)] for f in fits])

@@ -10,7 +10,10 @@ seeding and best-improvement SWAP steps until no single medoid/non-medoid
 exchange lowers the total cost (1-swap-optimal by construction).  Cost
 ties break toward the lowest row.  ``silhouette_sweep`` builds one
 distance matrix and solves each k once, so the report takes its ``pam_k``
-clustering from the sweep that scores every k.
+clustering from the sweep that scores every k.  Greedy BUILD is a prefix
+process (its first k picks toward a larger k are its picks at k), so the
+sweep runs it once, to its largest SWAP-path k, and seeds each such k
+with the first k picks.
 
 The profiles are one column table, :class:`Profiles`, with a row per
 constituency in metadata order: the corpus's first signature columns,
@@ -171,6 +174,11 @@ def _distances(z: np.ndarray, metric: str) -> np.ndarray:
 
 
 def _pam_build(dist: np.ndarray, k: int) -> list[int]:
+    """Greedy BUILD's first ``k`` medoids, in the order picked.
+
+    Each pick depends only on the ones before it, so the first k picks
+    toward any larger k are the picks at k.
+    """
     medoids = [int(np.argmin(dist.sum(axis=0)))]
     nearest = dist[:, medoids[0]].copy()
     while len(medoids) < k:
@@ -179,18 +187,22 @@ def _pam_build(dist: np.ndarray, k: int) -> list[int]:
         j = int(np.argmax(gain))    # ties resolve to the lowest index
         medoids.append(j)
         np.minimum(nearest, dist[:, j], out=nearest)
-    return sorted(medoids)
+    return medoids
 
 
 def _first_improvement(scores: np.ndarray, best: float):
-    """Position of the first score below ``best`` by more than 1e-12, in a
-    running scan that lowers ``best`` as it goes, and the final ``best``."""
+    """Position of the last record in a running scan that takes each score
+    below ``best`` by more than 1e-12 as the new ``best``, and the final
+    ``best``; the position is None when no score is a record."""
     pos = None
-    for j, score in enumerate(scores.tolist()):
-        if score < best - 1e-12:
-            best = score
-            pos = j
-    return pos, best
+    start = 0
+    while True:
+        below = np.flatnonzero(scores[start:] < best - 1e-12)
+        if not below.size:
+            return pos, best
+        pos = start + int(below[0])
+        best = float(scores[pos])
+        start = pos + 1
 
 
 def _pam_swap(dist: np.ndarray, medoids: list[int],
@@ -255,13 +267,22 @@ def _pam_exact(dist: np.ndarray, k: int) -> tuple[list[int], float]:
     return list(best), best_cost
 
 
-def _cluster(dist: np.ndarray, k: int) -> ClusterResult:
+def _exact(n: int, k: int) -> bool:
+    """Whether PAM enumerates every k-subset of n rows."""
+    return math.comb(n, k) <= _EXACT_BUDGET
+
+
+def _cluster(dist: np.ndarray, k: int,
+             picks: list[int] | None = None) -> ClusterResult:
+    # ``picks``: greedy BUILD's picks to at least k, when already made
     if not 0 < k < len(dist):
         raise ConfigError(f"k must satisfy 0 < k < {len(dist)}, got {k}")
-    if math.comb(len(dist), k) <= _EXACT_BUDGET:
+    if _exact(len(dist), k):
         medoids, cost = _pam_exact(dist, k)
     else:
-        medoids, cost = _pam_swap(dist, _pam_build(dist, k))
+        if picks is None:
+            picks = _pam_build(dist, k)
+        medoids, cost = _pam_swap(dist, sorted(picks[:k]))
     labels = np.argmin(dist[:, medoids], axis=1)
     return ClusterResult(labels=labels, medoid_indices=tuple(medoids),
                          total_cost=cost)
@@ -319,9 +340,14 @@ def silhouette_sweep(z: np.ndarray, k_values, metric: str = "euclidean"
     returns it, and its mean silhouette (None at k = 1, where it is
     undefined), all over one distance matrix."""
     dist = _distances(z, metric)
+    n = len(dist)
+    k_values = list(k_values)
+    # one greedy BUILD, to the largest k that seeds a SWAP search
+    swap_ks = [k for k in k_values if 0 < k < n and not _exact(n, k)]
+    picks = _pam_build(dist, max(swap_ks)) if swap_ks else None
     out = {}
     for k in k_values:
-        result = _cluster(dist, k)
+        result = _cluster(dist, k, picks)
         out[int(k)] = (result, silhouette_score(dist, result.labels)
                        if k > 1 else None)
     return out

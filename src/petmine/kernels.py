@@ -116,7 +116,12 @@ def init_assignments(doc_ptr, token_word, doc_seed, n_topics, z, n_kw, n_k, n_dk
 @_jit
 def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
                 alpha, beta, cum):
-    """One collapsed Gibbs sweep over every token, in document order."""
+    """One collapsed Gibbs sweep over every token, in document order.
+
+    ``n_kw``, ``n_k`` and ``n_dk`` must be the counts of ``z``, as
+    ``init_assignments`` builds them and each sweep keeps them: the
+    rewrite without a compiler recounts them from ``z`` after its loop.
+    """
     n_docs = doc_ptr.shape[0] - 1
     n_topics = n_k.shape[0]
     vb = n_kw.shape[1] * beta
@@ -210,10 +215,16 @@ def infer_doc(words, seed, phi, alpha, n_sweeps, burn_in, sample_every, acc):
 # depend only on (seed, sweep, token index), not on the sampler state, so
 # each call mixes all of them at once over uint64 arrays, which wrap just
 # as the scalars do; that is all ``init_assignments`` needs.  The sampling
-# loops then run over plain Python ints, floats and lists: counts are
-# copied out (n_kw as per-word columns) and written back into the caller's
-# arrays before returning.  ``doc_ptr`` must start at 0 and end at the
-# token count.
+# loops then run over plain Python ints, floats and lists.  The counts are
+# copied out (n_kw as per-word columns), and numpy builds the factor
+# lists beside them: ``n_kw.T + beta``, ``n_k + V * beta`` and
+# ``n_dk + alpha``, the same IEEE adds as Python's int + float, since each
+# count converts to a double exactly.  After the loop only ``z`` is
+# written back; ``n_kw``, ``n_k`` and ``n_dk`` are recounted from it with
+# ``np.bincount``.  That is exact because the counts are always the
+# counts of ``z`` (``init_assignments`` builds them so and each sweep
+# moves one count per token), which ``gibbs_sweep`` requires of its
+# caller.  ``doc_ptr`` must start at 0 and end at the token count.
 #
 # The token loops of ``gibbs_sweep`` and ``infer_doc`` are generated from
 # the two templates below, once per topic count K, on the first call with
@@ -264,13 +275,12 @@ def _init_assignments_fast(doc_ptr, token_word, doc_seed, n_topics,
 # topic; ``{weights}`` sets the running sums ``s0`` .. ``s{last}`` and
 # ``{search}`` sets ``k`` from them.
 _SWEEP_TEMPLATE = """\
-def gibbs_sweep(us, ptr, words, zs, cols, nk, rows, alpha, beta, vb):
+def gibbs_sweep(us, ptr, words, zs, cols, nk, rows, cols_b, nk_vb, rows_a,
+                alpha, beta, vb):
     # the three factors of each topic's weight, each recomputed from its
     # count whenever the count changes
-    cols_b = [[c + beta for c in col] for col in cols]
-    nk_vb = [c + vb for c in nk]
     for d, dk in enumerate(rows):
-        dk_a = [c + alpha for c in dk]
+        dk_a = rows_a[d]
         for j in range(ptr[d], ptr[d + 1]):
             w = words[j]
             col = cols[w]
@@ -303,7 +313,7 @@ def infer_doc(draws, token_phi, zs, counts, total, alpha, denom, n_sweeps,
     counts_a = [c + alpha for c in counts]
     n_samples = 0
     for sweep in range(1, n_sweeps + 1):
-        us = draws[sweep].tolist()
+        us = draws[sweep]
         for j, phis in enumerate(token_phi):
             k = zs[j]
             counts[k] -= 1
@@ -372,18 +382,22 @@ def _specialised(n_topics):
 def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
                       n_dk, alpha, beta, cum):
     # ``cum`` is the compiled kernel's scratch buffer; unused here
+    n_topics, n_terms = n_kw.shape
+    vb = n_terms * beta
+    us, doc_of = _token_draws(doc_ptr, doc_seed, sweep)
     zs = z.tolist()
-    cols = n_kw.T.tolist()
-    nk = n_k.tolist()
-    rows = n_dk.tolist()
-    _specialised(n_k.shape[0]).gibbs_sweep(
-        _token_draws(doc_ptr, doc_seed, sweep)[0].tolist(), doc_ptr.tolist(),
-        token_word.tolist(), zs, cols, nk, rows, alpha, beta,
-        n_kw.shape[1] * beta)
+    _specialised(n_topics).gibbs_sweep(
+        us.tolist(), doc_ptr.tolist(), token_word.tolist(), zs,
+        n_kw.T.tolist(), n_k.tolist(), n_dk.tolist(),
+        (n_kw.T + beta).tolist(), (n_k + vb).tolist(),
+        (n_dk + alpha).tolist(), alpha, beta, vb)
     z[:] = zs
-    n_kw[:] = np.array(cols, dtype=n_kw.dtype).reshape(n_kw.shape[::-1]).T
-    n_k[:] = nk
-    n_dk[:] = np.array(rows, dtype=n_dk.dtype).reshape(n_dk.shape)
+    k = z.astype(np.int64)
+    n_kw[:] = np.bincount(k * n_terms + token_word,
+                          minlength=n_kw.size).reshape(n_kw.shape)
+    n_k[:] = np.bincount(k, minlength=n_topics)
+    n_dk[:] = np.bincount(doc_of * n_topics + k,
+                          minlength=n_dk.size).reshape(n_dk.shape)
 
 
 def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
@@ -396,8 +410,8 @@ def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
                     n_topics - 1).tolist()
     counts = np.bincount(zs, minlength=n_topics).tolist()
     total, n_samples = _specialised(n_topics).infer_doc(
-        draws, phi[:, words].T.tolist(), zs, counts, acc.tolist(), alpha,
-        n + n_topics * alpha, n_sweeps, burn_in, sample_every)
+        draws.tolist(), phi[:, words].T.tolist(), zs, counts, acc.tolist(),
+        alpha, n + n_topics * alpha, n_sweeps, burn_in, sample_every)
     acc[:] = total
     return n_samples
 

@@ -201,7 +201,7 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
         raise ConfigError(f"topic {topic} out of range [0, {model.k})")
     if n < 1:
         raise ConfigError("n must be positive")
-    row = model.phi[topic]
+    row = model.phi[topic].tolist()
     order = sorted(range(len(model.terms)), key=lambda i: (-row[i], model.terms[i]))
     return [model.terms[i] for i in order[:n]]
 
@@ -287,11 +287,8 @@ def make_intrusion_instances(model: TopicModel, seed: int) -> list[IntrusionInst
     for t in range(model.k):
         top5 = top_words(model, t, 5)
         row = model.phi[t]
-        median = float(np.median(row))
-        pool = [
-            term for i, term in enumerate(model.terms)
-            if row[i] <= median and term not in top5
-        ]
+        low = np.flatnonzero(row <= np.median(row)).tolist()
+        pool = [model.terms[i] for i in low if model.terms[i] not in top5]
         if not pool:
             raise NumericalError(f"topic {t}: no low-probability pool")
         rng = np.random.Generator(

@@ -118,6 +118,27 @@ def test_report_rerun_is_byte_stable(pipeline_out, fixture_paths):
         assert pathlib.Path(out, n).read_bytes() == before[n], n
 
 
+def test_report_digests_its_config_once(pipeline_out, fixture_paths,
+                                        monkeypatch):
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    before = {n: pathlib.Path(out, n).read_bytes()
+              for n in sorted(os.listdir(out))}
+    calls = []
+    digest = cli.config_digest
+
+    def counted(values):
+        calls.append(values)
+        return digest(values)
+
+    monkeypatch.setattr(cli, "config_digest", counted)
+    assert cli.main(["report", "--config", str(config_path)]) == 0
+    # one digest stamps every report artifact, headers unchanged
+    assert len(calls) == 1
+    assert {n: pathlib.Path(out, n).read_bytes()
+            for n in sorted(os.listdir(out))} == before
+
+
 def test_rejects_csv_lists_bad_record(pipeline_out):
     out, _ = pipeline_out
     header, rows = _read_csv(os.path.join(out, "rejects.csv"))

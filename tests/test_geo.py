@@ -268,6 +268,44 @@ def _pam_exact_loop(dist, k):
     return list(best), best_cost
 
 
+def _first_improvement_loop(scores, best):
+    # the per-candidate scan, kept as the reference
+    pos = None
+    for j, score in enumerate(scores.tolist()):
+        if score < best - 1e-12:
+            best = score
+            pos = j
+    return pos, best
+
+
+def test_first_improvement_matches_per_candidate_loop():
+    rng = np.random.default_rng(52)
+    cases = [(np.empty(0), 0.0), (np.empty(0), -1.0), (np.empty(0), np.inf)]
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        base = float(rng.normal(0.0, 10.0 ** rng.integers(-3, 4)))
+        scores = base + rng.normal(0.0, 1.0, size=n)
+        if trial % 3 == 0:
+            # near-ties: steps of about 1e-13 and 1e-12 around one value
+            scores = base + rng.choice([-2e-12, -1e-12, -1e-13, 0.0, 1e-13,
+                                        1e-12], size=n)
+        best = [0.0, -abs(base), base, float(scores[0]) + 1e-12,
+                np.inf][trial % 5]
+        cases.append((scores, best))
+    for scores, best in cases:
+        assert geo._first_improvement(scores, best) == \
+            _first_improvement_loop(scores, best)
+
+
+def test_pam_build_picks_are_a_prefix_of_larger_k():
+    rng = np.random.default_rng(53)
+    for trial in range(12):
+        dist = _pam_case(rng, trial, int(rng.integers(12, 80)), 3)
+        picks = geo._pam_build(dist, 10)
+        for k in range(1, 10):
+            assert geo._pam_build(dist, k) == picks[:k]
+
+
 def _pam_case(rng, trial, n, dim):
     # every third case sits on a small integer grid, so distances tie
     if trial % 3 == 0:
@@ -284,7 +322,7 @@ def test_pam_swap_matches_per_candidate_loop():
              for _ in range(24)] + [(650, 8)]
     for trial, (n, k) in enumerate(cases):
         dist = _pam_case(rng, trial, n, int(rng.integers(1, 6)))
-        start = geo._pam_build(dist, k)
+        start = sorted(geo._pam_build(dist, k))
         assert geo._pam_swap(dist, list(start)) == \
             _pam_swap_loop(dist, list(start))
 
@@ -345,7 +383,7 @@ def test_pam_swap_path_is_one_swap_optimal():
     from scipy.spatial.distance import cdist
     dist = cdist(z, z)
     # the heuristic path, checked for no improving single exchange
-    medoids, cost = geo._pam_swap(dist, geo._pam_build(dist, 3))
+    medoids, cost = geo._pam_swap(dist, sorted(geo._pam_build(dist, 3)))
     base = float(dist[:, medoids].min(axis=1).sum())
     assert cost == pytest.approx(base)
     for pos in range(len(medoids)):
@@ -451,16 +489,36 @@ def test_silhouette_sweep_metric_validation():
 
 
 @pytest.mark.parametrize("metric", sorted(geo._METRICS))
-def test_silhouette_sweep_clusterings_are_pam_cluster(metric):
+def test_silhouette_sweep_clusterings_are_pam_cluster(metric, monkeypatch):
     z = np.random.default_rng(8).normal(size=(30, 3))
-    ks = [1, 2, 3, 4, 5]
+    # the report's order: its pam_k first, then the rest
+    ks = [5, 1, 2, 3, 4, 6, 8]
     # on 30 rows k <= 3 is solved exactly and k >= 4 by BUILD and SWAP
     assert [math.comb(30, k) <= geo._EXACT_BUDGET for k in ks] == \
-        [True, True, True, False, False]
+        [False, True, True, True, False, False, False]
     from scipy.spatial.distance import cdist
     dist = cdist(z, z, geo._METRICS[metric])
+    builds, starts = [], {}
+    build, swap = geo._pam_build, geo._pam_swap
+
+    def counted(d, k):
+        builds.append(k)
+        return build(d, k)
+
+    def recorded(d, medoids):
+        starts[len(medoids)] = list(medoids)
+        return swap(d, medoids)
+
+    monkeypatch.setattr(geo, "_pam_build", counted)
+    monkeypatch.setattr(geo, "_pam_swap", recorded)
     sweep = geo.silhouette_sweep(z, ks, metric)
-    assert sorted(sweep) == ks
+    # one BUILD, to the largest SWAP-path k, whose first k picks seed k;
+    # none when every k is exact
+    assert builds == [8]
+    assert starts == {k: sorted(build(dist, k)) for k in (4, 5, 6, 8)}
+    geo.silhouette_sweep(z, [1, 2, 3], metric)
+    assert builds == [8]
+    assert sorted(sweep) == sorted(ks)
     for k, (result, score) in sweep.items():
         want = geo.pam_cluster(z, k, metric)
         assert result.medoid_indices == want.medoid_indices

@@ -189,13 +189,15 @@ def test_fast_sampler_bit_identical_to_numba_source(n_topics):
                                        n_topics, *got)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
-        for sweep in range(1, 6):
+        for sweep in range(1, 31):
             _reference(kernels.gibbs_sweep)(sweep, doc_ptr, token_word,
                                             doc_seed, *want, 0.1, 0.05, cum)
             kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
                                       *got, 0.1, 0.05, cum)
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
+            # the counts the rewrite recounts from z, tallied by a loop
+            _assert_counts_consistent(doc_ptr, token_word, *got)
 
 
 @pytest.mark.parametrize("n_words", [0, 1, 40])
@@ -231,7 +233,7 @@ def test_specialised_kernels_are_cached_by_k_and_readable():
         assert text in source
     # a fault inside a generated loop is reported at its generated line
     with pytest.raises(IndexError) as excinfo:
-        built.infer_doc(np.zeros((2, 1)), [[0.25] * 4], [0], [], [0.0] * 4,
+        built.infer_doc([[0.0], [0.0]], [[0.25] * 4], [0], [], [0.0] * 4,
                         0.1, 1.4, 1, 0, 1)
     assert "counts[k] -= 1" in "".join(traceback.format_tb(excinfo.tb))
 

@@ -174,6 +174,37 @@ def test_top_words_orders_by_probability():
     assert lda.top_words(model, 1, 4) == ["a", "b", "c", "d"]
 
 
+def _top_words_numpy(model, topic, n):
+    # the sort on NumPy scalars, kept as the reference
+    row = model.phi[topic]
+    order = sorted(range(len(model.terms)),
+                   key=lambda i: (-row[i], model.terms[i]))
+    return [model.terms[i] for i in order[:n]]
+
+
+def _random_topics(rng, trial):
+    # shuffled term names; every other model draws phi from a few values,
+    # so probabilities tie, at the median too
+    k, vocab = int(rng.integers(1, 6)), int(rng.integers(7, 40))
+    if trial % 2:
+        phi = rng.choice([0.5, 1.0, 2.0, 4.0], size=(k, vocab))
+    else:
+        phi = rng.dirichlet(np.full(vocab, 0.3), size=k)
+    phi = phi / phi.sum(axis=1, keepdims=True)
+    terms = tuple(rng.permutation([f"w{i:02d}" for i in range(vocab)]))
+    return make_model(np.eye(k), phi=phi, terms=terms)
+
+
+def test_top_words_match_sort_on_numpy_scalars():
+    rng = np.random.default_rng(14)
+    for trial in range(60):
+        model = _random_topics(rng, trial)
+        for t in range(model.k):
+            for n in (1, 5, len(model.terms)):
+                assert lda.top_words(model, t, n) == \
+                    _top_words_numpy(model, t, n)
+
+
 def test_top_words_errors():
     model = make_model(np.eye(2))
     with pytest.raises(ConfigError):
@@ -277,6 +308,35 @@ def test_intrusion_instances_seeded(small_fit):
     c = lda.make_intrusion_instances(model, seed=22)
     assert a == b
     assert a != c
+
+
+def _intrusion_instances_loop(model, seed):
+    # the per-term pool scan, kept as the reference
+    instances = []
+    for t in range(model.k):
+        top5 = lda.top_words(model, t, 5)
+        row = model.phi[t]
+        median = float(np.median(row))
+        pool = [term for i, term in enumerate(model.terms)
+                if row[i] <= median and term not in top5]
+        rng = np.random.Generator(
+            np.random.PCG64(util.derive_seed(seed, f"intrusion:{t}")))
+        intruder = pool[int(rng.integers(len(pool)))]
+        shown = top5 + [intruder]
+        order = rng.permutation(6)
+        instances.append(lda.IntrusionInstance(
+            topic_index=t, shown_words=tuple(shown[i] for i in order),
+            intruder_position=int(np.nonzero(order == 5)[0][0])))
+    return instances
+
+
+def test_intrusion_instances_match_per_term_loop(small_fit):
+    rng = np.random.default_rng(15)
+    models = [small_fit[2]] + [_random_topics(rng, trial)
+                               for trial in range(40)]
+    for seed, model in enumerate(models):
+        assert lda.make_intrusion_instances(model, seed) == \
+            _intrusion_instances_loop(model, seed)
 
 
 def test_intrusion_needs_vocabulary():
