@@ -26,8 +26,9 @@ import typing
 import numpy as np
 
 from . import __version__, corpus, geo, issues, lda, powerlaw, temporal, textprep
-from .errors import ConfigError, PetmineError
-from .util import config_digest, derive_seed, write_csv, write_text
+from .errors import ConfigError, PetmineError, ValidationError
+from .util import (check_types, config_digest, derive_seed, write_csv,
+                   write_text)
 
 log = logging.getLogger(__name__)
 
@@ -107,31 +108,6 @@ class PipelineConfig:
 _LDA_TYPES = dict(typing.get_type_hints(lda.LdaConfig), seed=int | None)
 
 
-def _fits(value, hint) -> bool:
-    """An int is not a bool, a float may be an int, list items are typed."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if args:     # a union
-        return any(_fits(value, h) for h in args)
-    if hint is float:
-        hint = (int, float)
-    return isinstance(value, hint) and not isinstance(value, bool)
-
-
-def _check_types(values: dict, hints: dict, prefix: str = "") -> None:
-    """Raise ConfigError naming a key of ``values`` that is unknown or mistyped."""
-    unknown = sorted(prefix + key for key in set(values) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    for key, value in values.items():
-        if not _fits(value, hints[key]):
-            hint = hints[key]
-            name = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ConfigError(
-                f"config key '{prefix}{key}' must be {name}, got {value!r}")
-
-
 def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     """Merge file values and flag overrides over the defaults.
 
@@ -149,8 +125,11 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
                 raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-        _check_types(values, typing.get_type_hints(PipelineConfig))
-        _check_types(values.get("lda", {}), _LDA_TYPES, "lda.")
+        try:
+            check_types(values, typing.get_type_hints(PipelineConfig))
+            check_types(values.get("lda", {}), _LDA_TYPES, "lda.")
+        except TypeError as exc:
+            raise ConfigError(f"config {exc}") from None
     for key, value in overrides.items():
         if value is None:
             continue
@@ -443,10 +422,19 @@ def _report_powerlaw(cfg, c):
     # fit below the first threshold: behavior changes once a petition
     # crosses it, so the power law is only claimed for the region before
     truncated = counts[counts <= cfg.thresholds[0]] if cfg.thresholds else counts
-    fit = powerlaw.fit_powerlaw(truncated, cfg.powerlaw_x_min)
-    divergences = powerlaw.threshold_divergence(counts, fit, cfg.thresholds)
-    payload = dict(dataclasses.asdict(fit),
-                   divergences={str(t): v for t, v in divergences.items()})
+    try:
+        fit = powerlaw.fit_powerlaw(truncated, cfg.powerlaw_x_min)
+    except ValidationError as exc:
+        # too few petitions reach x_min for a fit; the report goes on
+        log.warning("power-law fit skipped: %s", exc)
+        n_tail = int(np.count_nonzero(truncated >= cfg.powerlaw_x_min))
+        payload = dict(x_min=cfg.powerlaw_x_min, exponent=None, n_tail=n_tail,
+                       ks_distance=None,
+                       divergences={str(t): None for t in cfg.thresholds})
+    else:
+        divergences = powerlaw.threshold_divergence(counts, fit, cfg.thresholds)
+        payload = dict(dataclasses.asdict(fit),
+                       divergences={str(t): v for t, v in divergences.items()})
     _write_json(cfg, "powerlaw.json", payload)
     return payload
 

@@ -35,7 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ArchiveFormatError, EmptyCorpusError, ValidationError
-from .util import canonical_json, write_text
+from .util import (Members, canonical_json, from_json, snapshot_meta,
+                   write_text)
 
 log = logging.getLogger(__name__)
 
@@ -399,14 +400,6 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _meta_field(path: str, meta: dict, key: str, convert):
-    try:
-        return convert(meta[key])
-    except (KeyError, TypeError, ValueError, ValidationError):
-        raise ArchiveFormatError(
-            f"{path}: _meta field '{key}' is missing or malformed") from None
-
-
 def parse_window(value) -> tuple[datetime.date, datetime.date]:
     """``[start, end]`` ISO dates as dates; ValueError unless start <= end."""
     lo, hi = (datetime.date.fromisoformat(d) for d in value)
@@ -415,26 +408,10 @@ def parse_window(value) -> tuple[datetime.date, datetime.date]:
     return lo, hi
 
 
-def _count(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError("not a non-negative integer")
-    return value
-
-
-def _strings(value) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError("not a list of strings")
-    return value
-
-
-def _constituency_list(value) -> tuple[ConstituencyMeta, ...]:
-    out = []
-    for c in value:
-        if not isinstance(c["code"], str) or not isinstance(c["name"], str):
-            raise TypeError("code and name must be strings")
-        out.append(ConstituencyMeta(code=c["code"], name=c["name"],
-                                    electorate=_count(c["electorate"])))
-    return tuple(out)
+def _constituency_list(entries) -> tuple[ConstituencyMeta, ...]:
+    if not isinstance(entries, list):
+        raise TypeError(f"expected a list, got a {type(entries).__name__}")
+    return tuple(from_json(ConstituencyMeta, entry) for entry in entries)
 
 
 def _string_column(path: str, line_no: int, name: str, line: bytes) -> list[str]:
@@ -451,7 +428,7 @@ def _string_column(path: str, line_no: int, name: str, line: bytes) -> list[str]
 
 
 def _int_column(path: str, line_no: int, name: str, line: bytes) -> np.ndarray:
-    """Parse the line ``{"<name>":[i,j,...]}`` of integers in 0.._MAX_COUNT.
+    """Parse the line ``{"<name>":[i,j,...]}`` of non-negative integers.
 
     The canonical JSON of a non-negative integer list is digits and
     commas, which numpy reads far faster than the json module.
@@ -465,12 +442,12 @@ def _int_column(path: str, line_no: int, name: str, line: bytes) -> np.ndarray:
             values = np.fromstring(body, dtype=np.int64, sep=",")
         except ValueError:
             pass
-    # a trailing comma parses short; a value past int64 parses as its max
-    if (values is None or len(values) != (body.count(b",") + 1 if body else 0)
-            or (values.size and values.max() > _MAX_COUNT)):
+    # a trailing comma parses short; a value past int64 parses as its max,
+    # which the bounds the load puts on every column refuse
+    if values is None or len(values) != (body.count(b",") + 1 if body else 0):
         raise ArchiveFormatError(
-            f"{path}:{line_no}: column '{name}' is not a list of integers "
-            f"in 0..2^53")
+            f"{path}:{line_no}: column '{name}' is not a list of "
+            f"non-negative integers")
     return values
 
 
@@ -490,19 +467,13 @@ def load_corpus(path: str) -> Corpus:
         head = None
     if not isinstance(head, dict) or not isinstance(head.get("_meta"), dict):
         raise ArchiveFormatError(f"{path}: not a corpus snapshot (missing _meta line)")
-    meta = head["_meta"]
-    if meta.get("format") != _CORPUS_FORMAT:
-        raise ArchiveFormatError(f"{path}: unrecognized snapshot format")
-    if meta.get("version") != _CORPUS_VERSION:
-        raise ArchiveFormatError(
-            f"{path}: corpus snapshot version {meta.get('version')!r} is not "
-            f"supported (expected {_CORPUS_VERSION})")
-    window = _meta_field(path, meta, "window", parse_window)
-    n = _meta_field(path, meta, "n_petitions", _count)
-    constituencies = _meta_field(path, meta, "constituencies", _constituency_list)
-    codes = tuple(_meta_field(path, meta, "codes", _strings))
+    meta = snapshot_meta(path, head["_meta"], _CORPUS_FORMAT, _CORPUS_VERSION)
+    window = meta.field("window", parse_window)
+    n = meta.count("n_petitions")
+    constituencies = meta.field("constituencies", _constituency_list)
+    codes = meta.strings("codes")
 
-    columns = {}
+    columns = Members(path)
     for line_no, name in enumerate(_COLUMNS, start=2):
         line = lines[line_no - 1] if line_no <= len(lines) else b""
         if not line.strip():
@@ -513,30 +484,24 @@ def load_corpus(path: str) -> Corpus:
         raise ArchiveFormatError(
             f"{path}: unexpected content after column '{_COLUMNS[-1]}'")
 
-    indptr, indices = columns["indptr"], columns["indices"]
-    if len(indptr) != n + 1:
-        raise ArchiveFormatError(
-            f"{path}: column 'indptr' has {len(indptr)} entries, "
-            f"expected {n + 1} (n_petitions {n})")
+    if len(columns["ids"]) != n:
+        raise meta.fault("n_petitions", f"is {n}, but column 'ids' has "
+                                        f"{len(columns['ids'])} entries")
+    counts = (0, _MAX_COUNT + 1)
+    indptr = columns.array("indptr", "integer", (n + 1,), counts)
     if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-        raise ArchiveFormatError(
-            f"{path}: column 'indptr' does not rise monotonically from 0")
-    for name in ("indices", "data"):
-        if len(columns[name]) != indptr[-1]:
-            raise ArchiveFormatError(
-                f"{path}: column '{name}' has {len(columns[name])} entries, "
-                f"but column 'indptr' ends at {indptr[-1]}")
-    if indices.size and indices.max() >= len(codes):
-        raise ArchiveFormatError(
-            f"{path}: column 'indices' holds a value outside 0..{len(codes) - 1} "
-            f"({len(codes)} codes)")
-
+        raise columns.fault("indptr", "does not rise monotonically from 0")
+    nnz = (int(indptr[-1]),)
     try:
         return Corpus(
-            ids=columns["ids"], texts=columns["texts"], day=columns["day"],
-            total=columns["total"],
-            signatures=sp.csr_matrix((columns["data"], indices, indptr),
-                                     shape=(n, len(codes))),
+            ids=columns["ids"], texts=columns["texts"],
+            day=columns.array("day", "integer", (n,), counts),
+            total=columns.array("total", "integer", (n,), counts),
+            signatures=sp.csr_matrix(
+                (columns.array("data", "integer", nnz, counts),
+                 columns.array("indices", "integer", nnz, (0, len(codes))),
+                 indptr),
+                shape=(n, len(codes))),
             codes=codes, constituencies=constituencies, window=window,
         )
     except ValidationError as exc:

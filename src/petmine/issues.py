@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .lda import TopicModel
 
 @dataclass
@@ -68,18 +68,6 @@ def success_probability(model: TopicModel, corpus: Corpus,
         hits = hit[mask].sum()
         out[t] = (hits + 1) / (n + 2) if smoothed else hits / n
     return out
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity, clamped to [-1, 1]; zero vectors are an error."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValidationError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValidationError("cosine of a zero vector is undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def _cosine_gram(rows: np.ndarray) -> np.ndarray:

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from . import kernels
 from .errors import (ArchiveFormatError, ConfigError, EmptyCorpusError,
                      NumericalError, ValidationError)
-from .util import config_digest, derive_seed, load_arrays, save_arrays
+from .util import (config_digest, derive_seed, from_json, load_arrays,
+                   save_arrays)
 
 log = logging.getLogger(__name__)
 
@@ -374,22 +375,6 @@ def save_model(model: TopicModel, path: str) -> None:
     )
 
 
-def _stored_config(path: str, values) -> LdaConfig:
-    """The sampler config of a model snapshot; a fault names ``path``."""
-    if not isinstance(values, dict):
-        raise ArchiveFormatError(f"{path}: snapshot field 'config' is not an object")
-    fields = {f.name for f in dataclasses.fields(LdaConfig)}
-    for key in values:
-        if key not in fields:
-            raise ArchiveFormatError(
-                f"{path}: snapshot field 'config' has unknown key '{key}'")
-    try:
-        return LdaConfig(**values)
-    except (TypeError, ConfigError) as exc:
-        raise ArchiveFormatError(
-            f"{path}: snapshot field 'config' is invalid: {exc}") from None
-
-
 def load_model(path: str) -> TopicModel:
     """Read a snapshot written by :func:`save_model`.
 
@@ -397,7 +382,7 @@ def load_model(path: str) -> TopicModel:
     an ArchiveFormatError naming the file and the field.
     """
     arrays, meta = load_arrays(path, _MODEL_FORMAT, _MODEL_VERSION)
-    config = _stored_config(path, meta["config"])
+    config = meta.field("config", lambda values: from_json(LdaConfig, values))
     terms = meta.strings("terms")
     doc_ids = meta.strings("doc_ids")
     trace = arrays.array("trace", "float", (None,))

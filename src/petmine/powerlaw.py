@@ -3,9 +3,8 @@
 The tail of the signatures-per-petition distribution is fitted as a
 discrete power law p(x) = x^-alpha / zeta(alpha, x_min) for x >= x_min,
 with alpha chosen by maximizing the exact discrete log-likelihood (Hurwitz
-zeta normalization).  Signature counts are integers, so the discrete
-variant is the primary fit; the continuous closed-form estimator is kept
-as a cross-check.
+zeta normalization).  Signature counts are integers, so the fit is the
+discrete variant.
 
 ``threshold_divergence`` measures how far the empirical upper tail falls
 below the fitted line at chosen thresholds, in log10 units of CCDF: the
@@ -97,15 +96,6 @@ def fit_powerlaw(counts, x_min: int) -> PowerLawFit:
         x_min=int(x_min), exponent=alpha, n_tail=int(n),
         ks_distance=ks_statistic(counts, x_min, alpha),
     )
-
-
-def continuous_mle(counts, x_min: int) -> float:
-    """Closed-form continuous estimator alpha = 1 + n / sum(ln(x/x_min))."""
-    tail = _tail(counts, x_min)
-    log_ratio = float(np.log(tail / x_min).sum())
-    if log_ratio <= 0:
-        raise ValidationError("all tail observations equal x_min")
-    return 1.0 + tail.size / log_ratio
 
 
 def scan_xmin(counts, candidates) -> list[PowerLawFit]:

@@ -153,9 +153,14 @@ def detect_volatility(es: EntropySeries, n_sigma: float = 3.0,
             for t in np.flatnonzero(jumps).tolist()}
 
 
-def pct_change_stats(es: EntropySeries) -> tuple[float, float, int]:
-    """(mean, sample standard deviation, count) of defined percentage changes."""
+def pct_change_stats(es: EntropySeries
+                     ) -> tuple[float | None, float | None, int]:
+    """(mean, sample standard deviation, count) of defined percentage changes.
+
+    The mean needs one change and the standard deviation two; with fewer,
+    each is None.
+    """
     vals = es.pct_change[np.isfinite(es.pct_change)]
-    if vals.size < 2:
-        raise ValidationError("too few defined percentage changes")
-    return float(vals.mean()), float(vals.std(ddof=1)), int(vals.size)
+    mean = float(vals.mean()) if vals.size else None
+    std = float(vals.std(ddof=1)) if vals.size > 1 else None
+    return mean, std, int(vals.size)

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
+import typing
 import zipfile
 
 import numpy as np
 
-from .errors import ArchiveFormatError
+from .errors import ArchiveFormatError, ConfigError, ValidationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -165,7 +167,48 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
             zf.writestr(info, buf.getvalue())
 
 
-class _Members(dict):
+def _fits(value, hint) -> bool:
+    """An int is not a bool, a float may be an int, list items are typed."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:     # a union
+        return any(_fits(value, h) for h in args)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)
+
+
+def check_types(values, hints: dict, prefix: str = "") -> dict:
+    """``values``, a JSON object whose every key is in ``hints`` and holds
+    a value of that key's type; otherwise a TypeError naming the key, with
+    ``prefix`` before it."""
+    if not isinstance(values, dict):
+        raise TypeError(
+            f"expected an object, got a {type(values).__name__}")
+    for key, value in values.items():
+        if key not in hints:
+            raise TypeError(f"key '{prefix}{key}' is unknown")
+        hint = hints[key]
+        if type(value) is not hint and not _fits(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise TypeError(
+                f"key '{prefix}{key}' must be {name}, got {value!r}")
+    return values
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def from_json(cls, values):
+    """The dataclass ``cls`` built from the JSON object ``values``, whose
+    keys and types :func:`check_types` checks against ``cls``'s fields."""
+    return cls(**check_types(values, _field_types(cls)))
+
+
+class Members(dict):
     """A snapshot's arrays or meta fields; an absent or ill-typed one is a
     format error naming the file and the field."""
 
@@ -176,22 +219,33 @@ class _Members(dict):
     def __missing__(self, key):
         raise ArchiveFormatError(f"{self.path}: snapshot has no '{key}'")
 
-    def _fault(self, key, problem):
+    def fault(self, key, problem) -> ArchiveFormatError:
+        """The format error saying that the field ``key`` ``problem``,
+        a phrase such as "is not a list of strings"."""
         return ArchiveFormatError(
             f"{self.path}: snapshot field '{key}' {problem}")
+
+    def field(self, key: str, convert):
+        """``convert`` of the field ``key``; a TypeError, ValueError or
+        domain error it raises is a fault naming the field."""
+        value = self[key]
+        try:
+            return convert(value)
+        except (TypeError, ValueError, ConfigError, ValidationError) as exc:
+            raise self.fault(key, f"is invalid: {exc}") from None
 
     def count(self, key: str) -> int:
         """The field ``key``, a non-negative integer."""
         value = self[key]
         if type(value) is not int or value < 0:
-            raise self._fault(key, "is not a non-negative integer")
+            raise self.fault(key, "is not a non-negative integer")
         return value
 
     def strings(self, key: str) -> tuple[str, ...]:
         """The field ``key``, a list of strings, as a tuple."""
         value = self[key]
         if type(value) is not list or not set(map(type, value)) <= {str}:
-            raise self._fault(key, "is not a list of strings")
+            raise self.fault(key, "is not a list of strings")
         return tuple(value)
 
     def array(self, key: str, kind: str, shape: tuple,
@@ -205,12 +259,12 @@ class _Members(dict):
                 or any(want not in (None, got)
                        for got, want in zip(value.shape, shape))):
             expected = tuple("n" if n is None else n for n in shape)
-            raise self._fault(
+            raise self.fault(
                 key, f"is a {value.dtype} array of shape {value.shape}, "
                      f"expected a {kind} array of shape {expected}")
         if bounds is not None and value.size and (
                 value.min() < bounds[0] or value.max() >= bounds[1]):
-            raise self._fault(
+            raise self.fault(
                 key, f"holds a value outside {bounds[0]}..{bounds[1] - 1}")
         return value
 
@@ -219,13 +273,26 @@ class _Members(dict):
 _DTYPE_KINDS = {"integer": "iu", "float": "f"}
 
 
+def snapshot_meta(path: str, meta, format: str, version: int) -> Members:
+    """``meta``, the meta fields of a ``format`` ``version`` snapshot at
+    ``path``, as :class:`Members`; any other format or version is an
+    ArchiveFormatError naming ``path``."""
+    if not isinstance(meta, dict) or meta.get("format") != format:
+        raise ArchiveFormatError(f"{path} is not a {format} snapshot")
+    if meta.get("version") != version:
+        raise ArchiveFormatError(
+            f"{path}: {format} snapshot version {meta.get('version')!r} is "
+            f"not supported (expected {version})")
+    return Members(path, meta)
+
+
 def load_arrays(path: str, format: str,
                 version: int) -> tuple[dict[str, np.ndarray], dict]:
     """Read back a ``format`` ``version`` archive written by :func:`save_arrays`.
 
     Any fault in it is an ArchiveFormatError naming ``path``.
     """
-    arrays = _Members(path)
+    arrays = Members(path)
     meta = None
     try:
         with zipfile.ZipFile(path, "r") as zf:
@@ -239,10 +306,4 @@ def load_arrays(path: str, format: str,
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise ArchiveFormatError(
             f"{path}: not a readable {format} snapshot ({exc})") from None
-    if not isinstance(meta, dict) or meta.get("format") != format:
-        raise ArchiveFormatError(f"{path} is not a {format} snapshot")
-    if meta.get("version") != version:
-        raise ArchiveFormatError(
-            f"{path}: {format} snapshot version {meta.get('version')!r} is "
-            f"not supported (expected {version})")
-    return arrays, _Members(path, meta)
+    return arrays, snapshot_meta(path, meta, format, version)

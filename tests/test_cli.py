@@ -489,6 +489,25 @@ def test_window_filter_flag(tmp_path):
     assert head["_meta"]["window"] == ["2015-06-01", "2015-06-30"]
 
 
+def test_report_on_a_two_day_window_leaves_undefined_stats_null(tmp_path):
+    # one petition: one day-to-day entropy change at most, so no standard
+    # deviation and no volatility detection, and too few for a power law
+    _, _, config_path, config = write_fixture_archive(tmp_path)
+    for command in ("ingest", "fit", "report"):
+        assert cli.main([command, "--config", str(config_path),
+                         "--window", "2015-06-01,2015-06-02"]) == 0, command
+    schema = json.loads(pathlib.Path("docs/summary.schema.json")
+                        .read_text(encoding="utf-8"))
+    summary = json.loads(pathlib.Path(config["output_dir"], "summary.json")
+                         .read_text(encoding="utf-8"))
+    jsonschema.validate(summary, schema)
+    stats = summary["entropy"]
+    assert stats["pct_change_n"] < 2 and stats["pct_change_std"] is None
+    assert stats["flagged_dates"] == {}
+    fit = summary["powerlaw"]
+    assert fit["n_tail"] < 2 and fit["exponent"] is None
+
+
 def test_csv_fields_with_commas_quotes_and_newlines_round_trip(tmp_path):
     archive, cons, config_path, config = write_fixture_archive(tmp_path)
     lines = cons.read_text(encoding="utf-8").splitlines()

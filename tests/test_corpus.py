@@ -620,7 +620,7 @@ def test_load_corpus_rejects_unknown_format(tmp_path):
     path = _write_archive(tmp_path / "a.jsonl", [
         json.dumps({"_meta": {"format": "other-tool", "version": 2}}),
     ])
-    with pytest.raises(ArchiveFormatError, match="unrecognized"):
+    with pytest.raises(ArchiveFormatError, match="is not a petmine-corpus snapshot"):
         corpus.load_corpus(path)
 
 
@@ -687,6 +687,9 @@ def _set_meta(lines, key, value):
      "constituencies"),
     (lambda ls: _set_meta(ls, "constituencies",
                           [{"code": "E1", "name": "A", "electorate": 0}]),
+     "constituencies"),
+    (lambda ls: _set_meta(ls, "constituencies", [
+        {"code": "E1", "name": "A", "electorate": 1, "region": "X"}]),
      "constituencies"),
     # a repeated code would be two columns, and two profiles, of one seat
     (lambda ls: (_set_meta(ls, "constituencies", [

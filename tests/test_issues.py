@@ -2,9 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as npst
 
 from petmine import issues
 from petmine.errors import ConfigError, ValidationError
@@ -149,37 +146,6 @@ def test_success_probability_threshold_positive():
 
 
 # ---------------------------------------------------------------------------
-# cosine
-
-
-def test_cosine_anchors():
-    assert issues.cosine([1, 0], [0, 1]) == 0.0
-    assert issues.cosine([2, 0], [5, 0]) == 1.0
-    assert issues.cosine([1, 0], [-3, 0]) == -1.0
-    assert issues.cosine([1, 1], [1, 0]) == pytest.approx(1 / np.sqrt(2))
-
-
-def test_cosine_errors():
-    with pytest.raises(ValidationError, match="length mismatch"):
-        issues.cosine([1, 2], [1, 2, 3])
-    with pytest.raises(ValidationError, match="zero vector"):
-        issues.cosine([0, 0], [1, 2])
-
-
-@given(npst.arrays(np.float64, 5,
-                   elements=st.floats(-100, 100, allow_nan=False)),
-       npst.arrays(np.float64, 5,
-                   elements=st.floats(-100, 100, allow_nan=False)))
-@settings(max_examples=150, deadline=None)
-def test_cosine_bounded(u, v):
-    if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
-        return
-    c = issues.cosine(u, v)
-    assert -1.0 <= c <= 1.0
-    assert c == issues.cosine(v, u)
-
-
-# ---------------------------------------------------------------------------
 # networks
 
 
@@ -203,15 +169,23 @@ def test_network_well_formed(build):
     assert (weights >= -1).all() and (weights <= 1).all()
 
 
+def _cosine(u, v) -> float:
+    """Cosine similarity of two nonzero vectors, clamped to [-1, 1]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return float(np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)),
+                         -1.0, 1.0))
+
+
 def test_network_weights_match_cosine():
     model = _sample_model()
     weights = issues.word_distribution_network(model)
     for i in range(model.k):
         for j in range(i + 1, model.k):
-            want = issues.cosine(model.phi[i], model.phi[j])
+            want = _cosine(model.phi[i], model.phi[j])
             assert weights[i, j] == pytest.approx(want, abs=1e-12)
     co = issues.co_occurrence_network(model)
-    want01 = issues.cosine(model.theta[:, 0], model.theta[:, 1])
+    want01 = _cosine(model.theta[:, 0], model.theta[:, 1])
     assert co[0, 1] == pytest.approx(want01, abs=1e-12)
 
 

@@ -477,16 +477,20 @@ def test_load_model_checks_k_against_the_config(tmp_path):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda meta: meta["config"].update(bogus=1), "unknown key 'bogus'"),
-    (lambda meta: meta.update(config=[3]), "'config' is not an object"),
+    (lambda meta: meta["config"].update(bogus=1), "key 'bogus' is unknown"),
+    (lambda meta: meta.update(config=[3]),
+     "'config' is invalid: expected an object"),
     (lambda meta: meta["config"].pop("k"), "'config' is invalid"),
     (lambda meta: meta["config"].update(k="3"), "'config' is invalid"),
+    (lambda meta: meta["config"].update(k=3.0), "'config' is invalid"),
+    (lambda meta: meta["config"].update(k=True), "'config' is invalid"),
+    (lambda meta: meta["config"].update(seed=1.5), "'config' is invalid"),
     (lambda meta: meta["config"].update(k=0), "k must be at least 1"),
     (lambda meta: meta.pop("config"), "no 'config'"),
     (lambda meta: meta.pop("terms"), "no 'terms'"),
     (lambda meta: meta.pop("vocab_hash"), "no 'vocab_hash'"),
-], ids=["unknown-key", "not-object", "no-k", "string-k", "zero-k",
-        "no-config", "no-terms", "no-vocab-hash"])
+], ids=["unknown-key", "not-object", "no-k", "string-k", "float-k", "bool-k",
+        "float-seed", "zero-k", "no-config", "no-terms", "no-vocab-hash"])
 def test_load_model_names_file_and_field_of_bad_meta(tmp_path, small_fit,
                                                      edit, message):
     _, _, model = small_fit

@@ -367,5 +367,7 @@ def test_pct_change_stats():
     assert sigma == pytest.approx(vals.std(ddof=1))
     empty = temporal.EntropySeries(dates=es.dates[:2], h=es.h[:2],
                                    pct_change=np.array([np.nan, np.nan]))
-    with pytest.raises(ValidationError):
-        temporal.pct_change_stats(empty)
+    assert temporal.pct_change_stats(empty) == (None, None, 0)
+    one = temporal.EntropySeries(dates=es.dates[:2], h=es.h[:2],
+                                 pct_change=np.array([np.nan, -4.0]))
+    assert temporal.pct_change_stats(one) == (-4.0, None, 1)
