@@ -43,19 +43,19 @@ _LDA_DEFAULTS = {
 NETWORK_KEEP_FRACTION = 0.2
 SILHOUETTE_K_RANGE = range(2, 11)
 
-# --k and friends override the lda section; --seed stays top-level
-_LDA_OVERRIDE_KEYS = set(_LDA_DEFAULTS) - {"seed"}
-
 
 @dataclasses.dataclass
 class PipelineConfig:
+    """The run's settings, checked when built; the ``lda`` section holds
+    the sampler's settings, resolved over ``_LDA_DEFAULTS``."""
+
     archive: str | None = None
     constituencies: str | None = None
     stopwords: str | None = None
     output_dir: str = "out"
     topic_names: list[str] | None = None
     window: list[str] | None = None          # [start, end] ISO dates
-    lda: dict = dataclasses.field(default_factory=lambda: dict(_LDA_DEFAULTS))
+    lda: dict = dataclasses.field(default_factory=dict)
     min_doc_fraction: float = 0.001
     entropy_window_days: int = 7
     smoothing_windows: list[int] = dataclasses.field(
@@ -67,15 +67,34 @@ class PipelineConfig:
         default_factory=lambda: [10_000, 100_000])
     seed: int = 0
 
+    def __post_init__(self):
+        # equal settings digest alike, however they were given; bad
+        # sampler settings, windows and counts surface now, not mid-run
+        self.lda = {**_LDA_DEFAULTS, **self.lda}
+        self.lda_config()
+        self.window_dates()
+        for name in ("thresholds", "smoothing_windows"):
+            values = getattr(self, name)
+            if any(a >= b for a, b in zip([0, *values], values)):
+                raise ConfigError(
+                    f"{name} must be positive and strictly ascending, "
+                    f"got {values}")
+        for name in ("pam_k", "entropy_window_days", "powerlaw_x_min"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.pam_metric not in geo._METRICS:
+            raise ConfigError(
+                f"pam_metric must be one of {sorted(geo._METRICS)}, "
+                f"got {self.pam_metric!r}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def lda_config(self) -> "lda.LdaConfig":
-        fields = dict(_LDA_DEFAULTS)
-        fields.update(self.lda)
-        if fields["seed"] is None:
-            fields["seed"] = derive_seed(self.seed, "stage:lda")
-        return lda.LdaConfig(**fields)
+        seed = self.lda["seed"]
+        return lda.LdaConfig(**dict(
+            self.lda, seed=self.stage_seed("lda") if seed is None else seed))
 
     def window_dates(self) -> tuple[datetime.date, datetime.date] | None:
         if self.window is None:
@@ -104,57 +123,60 @@ class PipelineConfig:
         return os.path.join(self.output_dir, name)
 
 
-# the JSON types of the lda section; a null seed is derived from the top level
+# the JSON types of the config and of its lda section, where a null seed
+# is derived from the top level
+_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 _LDA_TYPES = dict(typing.get_type_hints(lda.LdaConfig), seed=int | None)
+
+# every setting a flag sets, by the flag's dest: its type, and its key in
+# the lda section or None; the sampler's seed is --lda-seed, as --seed is
+# the top-level one
+_FLAGS = {
+    **{name: (hint, None) for name, hint in _CONFIG_TYPES.items()
+       if name != "lda"},
+    **{("lda_seed" if key == "seed" else key): (hint, key)
+       for key, hint in _LDA_TYPES.items()},
+}
 
 
 def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     """Merge file values and flag overrides over the defaults.
 
-    Flag names mirror config keys; an unknown key or a value of the wrong
-    JSON type in the file is a configuration error, not a no-op or a crash.
+    ``overrides`` maps flag dests to values, None where a flag is not
+    given.  A config file that cannot be read or is not a JSON object, or
+    that holds an unknown key or a value of the wrong JSON type, is a
+    configuration error naming the file, not a no-op or a crash;
+    :class:`PipelineConfig` checks the values' ranges.
     """
     values: dict = {}
     if config_path is not None:
-        if not os.path.exists(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(values, dict):
-            raise ConfigError("config file must hold a JSON object")
         try:
-            check_types(values, typing.get_type_hints(PipelineConfig))
+            with open(config_path, encoding="utf-8") as fh:
+                values = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"{config_path}: config file cannot be read "
+                              f"({exc.strerror})") from None
+        except ValueError as exc:     # not UTF-8 or not JSON
+            raise ConfigError(
+                f"{config_path}: config file is not valid JSON ({exc})"
+            ) from None
+        if not isinstance(values, dict):
+            raise ConfigError(
+                f"{config_path}: config file must hold a JSON object")
+        try:
+            check_types(values, _CONFIG_TYPES)
             check_types(values.get("lda", {}), _LDA_TYPES, "lda.")
         except TypeError as exc:
-            raise ConfigError(f"config {exc}") from None
-    for key, value in overrides.items():
+            raise ConfigError(f"{config_path}: config {exc}") from None
+    for dest, value in overrides.items():
         if value is None:
             continue
-        if key == "lda_seed" or key in _LDA_OVERRIDE_KEYS:
-            values["lda"] = dict(values.get("lda", {}),
-                                 **{key.removeprefix("lda_"): value})
+        key = _FLAGS[dest][1]
+        if key is None:
+            values[dest] = value
         else:
-            values[key] = value
-    cfg = PipelineConfig(**values)
-    # surface bad sampler settings, windows and counts now, not mid-run
-    cfg.lda_config()
-    cfg.window_dates()
-    for name in ("thresholds", "smoothing_windows"):
-        values = getattr(cfg, name)
-        if any(a >= b for a, b in zip([0, *values], values)):
-            raise ConfigError(
-                f"{name} must be positive and strictly ascending, got {values}")
-    for name in ("pam_k", "entropy_window_days", "powerlaw_x_min"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(
-                f"{name} must be at least 1, got {getattr(cfg, name)}")
-    if cfg.pam_metric not in geo._METRICS:
-        raise ConfigError(f"pam_metric must be one of {sorted(geo._METRICS)}, "
-                          f"got {cfg.pam_metric!r}")
-    return cfg
+            values["lda"] = {**values.get("lda", {}), key: value}
+    return PipelineConfig(**values)
 
 
 def _require_input(path: str | None, what: str) -> str:
@@ -607,53 +629,35 @@ def cmd_xmin_scan(cfg: PipelineConfig, args) -> int:
 # argument parsing
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
-
-
-def _str_list(text: str) -> list[str]:
-    return [v for v in text.split(",") if v]
+def _flag_type(hint):
+    """What argparse reads a setting's flag with: ``X`` for ``X | None``,
+    and comma-separated ``X`` values for ``list[X]``."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is list:
+        def values(text: str) -> list:
+            return [args[0](v) for v in text.split(",") if v]
+        values.__name__ = str(hint)      # argparse's "invalid list[int] value"
+        return values
+    return _flag_type(args[0]) if args else hint
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one flag per setting, named after its config key
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--archive", help="petition archive (JSON lines)")
-    common.add_argument("--constituencies", help="constituency metadata CSV")
-    common.add_argument("--stopwords", help="stopword list, one word per line")
-    common.add_argument("--output-dir", dest="output_dir")
-    common.add_argument("--topic-names", dest="topic_names", type=_str_list,
-                        help="comma-separated issue names, one per topic")
-    common.add_argument("--window", type=_str_list,
-                        help="analysis window as START,END (ISO dates)")
-    common.add_argument("--seed", type=int, help="top-level seed")
-    common.add_argument("--k", type=int, help="number of topics")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--iterations", type=int)
-    common.add_argument("--burn-in", dest="burn_in", type=int)
-    common.add_argument("--sample-every", dest="sample_every", type=int)
-    common.add_argument("--lda-seed", dest="lda_seed", type=int,
-                        help="override the derived sampler seed")
-    common.add_argument("--min-doc-fraction", dest="min_doc_fraction",
-                        type=float)
-    common.add_argument("--entropy-window-days", dest="entropy_window_days",
-                        type=int)
-    common.add_argument("--smoothing-windows", dest="smoothing_windows",
-                        type=_int_list)
-    common.add_argument("--pam-k", dest="pam_k", type=int)
-    common.add_argument("--pam-metric", dest="pam_metric",
-                        choices=sorted(geo._METRICS))
-    common.add_argument("--powerlaw-x-min", dest="powerlaw_x_min", type=int)
-    common.add_argument("--thresholds", type=_int_list)
+    for dest, (hint, key) in _FLAGS.items():
+        read = _flag_type(hint)
+        common.add_argument(
+            "--" + dest.replace("_", "-"), dest=dest, type=read,
+            help=f"config key {'lda.' + key if key else dest} "
+                 f"({read.__name__})")
 
     parser = argparse.ArgumentParser(
         prog="petmine",
-        description="Opinion-mining pipeline for petition archives.")
+        description="Opinion-mining pipeline for petition archives.",
+        epilog="Every config key but the lda section is a flag, and so is "
+               "every lda key (lda.seed as --lda-seed); flags win over the "
+               "config file, and a list flag takes comma-separated values.")
     parser.add_argument("--version", action="version",
                         version=f"petmine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -674,29 +678,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_intrusion_score)
     p = sub.add_parser("grid", parents=[common],
                        help="sweep sampler settings against held-out likelihood")
-    p.add_argument("--k-values", dest="k_values", type=_int_list,
+    p.add_argument("--k-values", dest="k_values", type=_flag_type(list[int]),
                    default=[5, 10, 15])
-    p.add_argument("--alpha-values", dest="alpha_values", type=_float_list,
-                   default=[0.1])
-    p.add_argument("--beta-values", dest="beta_values", type=_float_list,
-                   default=[0.1])
+    p.add_argument("--alpha-values", dest="alpha_values",
+                   type=_flag_type(list[float]), default=[0.1])
+    p.add_argument("--beta-values", dest="beta_values",
+                   type=_flag_type(list[float]), default=[0.1])
     p.add_argument("--holdout", type=float, default=0.1,
                    help="held-out document fraction")
     p.set_defaults(func=cmd_grid)
     p = sub.add_parser("xmin-scan", parents=[common],
                        help="fit the signature tail at every cutoff candidate")
-    p.add_argument("--x-mins", dest="x_mins", type=_int_list,
+    p.add_argument("--x-mins", dest="x_mins", type=_flag_type(list[int]),
                    help="comma-separated cutoff candidates")
     p.set_defaults(func=cmd_xmin_scan)
     return parser
-
-
-# every config field the flags can set, with the lda section's fields
-# replaced by the flags that override them
-_CONFIG_KEYS = (
-    [f.name for f in dataclasses.fields(PipelineConfig) if f.name != "lda"]
-    + sorted(_LDA_OVERRIDE_KEYS) + ["lda_seed"]
-)
 
 
 def main(argv=None) -> int:
@@ -704,9 +700,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config,
+                          {dest: getattr(args, dest) for dest in _FLAGS})
         os.makedirs(cfg.output_dir, exist_ok=True)
         return args.func(cfg, args)
     except ConfigError as exc:

@@ -68,12 +68,9 @@ def _tail(counts, x_min: int) -> np.ndarray:
 
 def ks_statistic(counts, x_min: int, alpha: float) -> float:
     """Max CCDF gap between the empirical tail and the fitted power law."""
-    tail = _tail(counts, x_min)
-    srt = np.sort(tail)
-    x = np.unique(srt)
-    emp = (tail.size - np.searchsorted(srt, x, side="left")) / tail.size
-    fit = zeta(alpha, x) / zeta(alpha, x_min)
-    return float(np.abs(emp - fit).max())
+    emp = ccdf(_tail(counts, x_min))
+    fit = zeta(alpha, emp.x) / zeta(alpha, x_min)
+    return float(np.abs(emp.p - fit).max())
 
 
 def fit_powerlaw(counts, x_min: int) -> PowerLawFit:

@@ -197,14 +197,8 @@ def build_dtm(corpus, stopwords: frozenset[str],
         raise EmptyCorpusError(
             f"no term meets the document-frequency threshold {threshold}"
         )
-    column = np.full(len(stems), -1, dtype=np.int64)
-    column[order] = np.arange(len(order))
-    cols = column[unpruned.indices]
-    keep = cols >= 0
-    counts = sp.csr_matrix(
-        (unpruned.data[keep], cols[keep], _kept_indptr(keep, unpruned.indptr)),
-        shape=(n_docs, len(order)),
-    )
+    # the kept columns, in term order; selection leaves rows unsorted
+    counts = unpruned[:, order]
     counts.sort_indices()
     total_after = int(counts.data.sum())
 

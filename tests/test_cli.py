@@ -1,16 +1,20 @@
 """End-to-end pipeline runs, artifact hygiene, and exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import pathlib
 import shutil
+import typing
 
 import jsonschema
 import numpy as np
 import pytest
 
 from petmine import cli, geo, lda, util
+from petmine.errors import ConfigError
 
 from conftest import write_fixture_archive
 
@@ -315,6 +319,7 @@ def test_bad_sampler_settings_caught_at_load(tmp_path):
     ({}, ["--window", "2015-12-31,2015-01-01"], "window"),
     ({"topic_names": "abc"}, [], "topic_names"),
     ({"thresholds": [True, 5]}, [], "thresholds"),
+    ({"colour": "red"}, [], "colour"),
 ])
 def test_config_values_of_the_wrong_type_exit_two(
         fixture_paths, tmp_path, capsys, values, flags, key):
@@ -326,9 +331,110 @@ def test_config_values_of_the_wrong_type_exit_two(
                     encoding="utf-8")
     assert cli.main(["ingest", "--config", str(path), *flags]) == 2
     err = capsys.readouterr().err
-    assert f"config error: config key '{key}'" in err or (
+    assert f"config error: {path}: config key '{key}'" in err or (
         key == "window" and "config error: window" in err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[1]", "config file must hold a JSON object"),
+    ('{"pam_k": ', "config file is not valid JSON"),
+    (b"{\"archive\": \"\xff\"}", "config file is not valid JSON"),
+    (None, "config file cannot be read"),
+], ids=["not-object", "not-json", "not-utf8", "missing"])
+def test_config_file_faults_name_the_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "c.json"
+    if isinstance(text, str):
+        path.write_text(text, encoding="utf-8")
+    elif text is not None:
+        path.write_bytes(text)
+    assert cli.main(["ingest", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_equal_settings_share_one_config_digest(tmp_path):
+    # the lda section is resolved over the sampler's defaults, so the
+    # default k given as a flag, or the default alpha given in the file,
+    # digests as if it were not given at all
+    archive, _, _, _ = write_fixture_archive(tmp_path)
+    out = tmp_path / "digest-out"
+
+    def digest(values, flags):
+        path = tmp_path / "digest.json"
+        path.write_text(json.dumps(dict(values, archive=str(archive),
+                                        output_dir=str(out))),
+                        encoding="utf-8")
+        assert cli.main(["ingest", "--config", str(path), *flags]) == 0
+        head = (out / "rejects.csv").read_text(encoding="utf-8").splitlines()
+        assert head[1].startswith("# config: ")
+        return head[1]
+
+    same = {digest({}, []), digest({}, ["--k", "10"]),
+            digest({"lda": {"alpha": 0.1}}, [])}
+    assert len(same) == 1
+    assert digest({}, ["--k", "11"]) not in same
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"pam_k": 0}, "pam_k must be at least 1"),
+    ({"thresholds": [5, 5]}, "thresholds must be positive and strictly"),
+    ({"pam_metric": "cosine"}, "pam_metric must be one of"),
+    ({"lda": {"k": 0}}, "k must be at least 1"),
+])
+def test_pipeline_config_is_checked_wherever_it_is_built(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        cli.PipelineConfig(**fields)
+    # a copy with a changed field is built, and checked, too
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(cli.PipelineConfig(), **fields)
+
+
+# a flag's text and the value it sets, by setting type; each value is in
+# range for every setting of its type
+_FLAG_SAMPLES = {
+    str: ("manhattan", "manhattan"),
+    int: ("300", 300),
+    float: ("0.5", 0.5),
+    list[int]: ("3,4", [3, 4]),
+    list[str]: ("2015-01-01,2015-02-01", ["2015-01-01", "2015-02-01"]),
+}
+
+
+def test_every_setting_has_exactly_one_flag(tmp_path, monkeypatch):
+    # each top-level field but the lda section, then each sampler field,
+    # with the key it has in the lda section
+    settings = [(name, hint, None) for name, hint in
+                typing.get_type_hints(cli.PipelineConfig).items()
+                if name != "lda"]
+    settings += [(name, hint, name) for name, hint in
+                 typing.get_type_hints(lda.LdaConfig).items()]
+    # the sampler's seed is --lda-seed; --seed is the top-level one
+    flags = {(name, key): "--lda-seed" if key == "seed"
+             else "--" + name.replace("_", "-")
+             for name, _, key in settings}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert len(subparsers.choices) == 6
+    for command, parser in subparsers.choices.items():
+        options = [o for a in parser._actions for o in a.option_strings]
+        for name, _, key in settings:
+            assert options.count(flags[name, key]) == 1, (command, name)
+
+    built = []
+    monkeypatch.setattr(cli, "cmd_ingest",
+                        lambda cfg, args: built.append(cfg) or 0)
+    monkeypatch.chdir(tmp_path)
+    for name, hint, key in settings:
+        if typing.get_origin(hint) not in (list, None):     # X | None
+            hint = typing.get_args(hint)[0]
+        text, value = _FLAG_SAMPLES[hint]
+        assert cli.main(["ingest", flags[name, key], text]) == 0, name
+        cfg = built.pop()
+        assert (cfg.lda[key] if key else getattr(cfg, name)) == value, name
+        if key == "seed":
+            assert cfg.seed == 0 and cfg.lda_config().seed == value
 
 
 def test_config_types_accept_an_int_for_a_float(tmp_path):
@@ -550,7 +656,8 @@ def test_bad_smoothing_windows_are_usage_errors(tmp_path, capsys):
     assert "smoothing_windows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["pam_k", "pam_metric", "one_topic"])
+@pytest.mark.parametrize("case", ["pam_k", "pam_metric", "pam_metric_flag",
+                                  "one_topic"])
 def test_report_stage_config_error_exits_two(pipeline_out, fixture_paths,
                                              tmp_path, capsys, monkeypatch,
                                              case):
@@ -571,6 +678,9 @@ def test_report_stage_config_error_exits_two(pipeline_out, fixture_paths,
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(dict(config, pam_metric="cosine")),
                                encoding="utf-8")
+        message = "config error: pam_metric must be one of"
+    elif case == "pam_metric_flag":
+        flags = ["--pam-metric", "cosine"]
         message = "config error: pam_metric must be one of"
     else:
         # the issues stage runs before the temporal stage refuses the model
