@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import datetime
 import functools
+import itertools
 import json
 import logging
 import math
@@ -47,7 +48,8 @@ SILHOUETTE_K_RANGE = range(2, 11)
 @dataclasses.dataclass
 class PipelineConfig:
     """The run's settings, checked when built; the ``lda`` section holds
-    the sampler's settings, resolved over ``_LDA_DEFAULTS``."""
+    the sampler's settings, resolved over ``_LDA_DEFAULTS``, and ``grid``
+    sweeps each of ``k_values x alpha_values x beta_values`` over them."""
 
     archive: str | None = None
     constituencies: str | None = None
@@ -65,13 +67,23 @@ class PipelineConfig:
     powerlaw_x_min: int = 10
     thresholds: list[int] = dataclasses.field(
         default_factory=lambda: [10_000, 100_000])
+    k_values: list[int] = dataclasses.field(
+        default_factory=lambda: [5, 10, 15])
+    alpha_values: list[float] = dataclasses.field(default_factory=lambda: [0.1])
+    beta_values: list[float] = dataclasses.field(default_factory=lambda: [0.1])
+    holdout: float = 0.1                     # grid's held-out document share
+    x_mins: list[int] | None = None          # None: from the counts
+    answers: str | None = None               # topic,subject,position CSV
     seed: int = 0
 
     def __post_init__(self):
         # equal settings digest alike, however they were given; bad
         # sampler settings, windows and counts surface now, not mid-run
         self.lda = {**_LDA_DEFAULTS, **self.lda}
-        self.lda_config()
+        for name in ("k_values", "alpha_values", "beta_values"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} lists no values")
+        self.grid_configs()                  # and so lda_config()
         self.window_dates()
         for name in ("thresholds", "smoothing_windows"):
             values = getattr(self, name)
@@ -83,6 +95,10 @@ class PipelineConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("min_doc_fraction", "holdout"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(
+                    f"{name} must be in (0, 1), got {getattr(self, name)}")
         if self.pam_metric not in geo._METRICS:
             raise ConfigError(
                 f"pam_metric must be one of {sorted(geo._METRICS)}, "
@@ -95,6 +111,12 @@ class PipelineConfig:
         seed = self.lda["seed"]
         return lda.LdaConfig(**dict(
             self.lda, seed=self.stage_seed("lda") if seed is None else seed))
+
+    def grid_configs(self) -> list["lda.LdaConfig"]:
+        base = self.lda_config()
+        return [dataclasses.replace(base, k=k, alpha=alpha, beta=beta)
+                for k, alpha, beta in itertools.product(
+                    self.k_values, self.alpha_values, self.beta_values)]
 
     def window_dates(self) -> tuple[datetime.date, datetime.date] | None:
         if self.window is None:
@@ -179,12 +201,13 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-def _require_input(path: str | None, what: str) -> str:
+def _require_input(cfg: PipelineConfig, key: str) -> str:
     # missing *configured* inputs are usage errors (exit 2)
+    path = getattr(cfg, key)
     if path is None:
-        raise ConfigError(f"no {what} path configured")
+        raise ConfigError(f"no {key} path configured: set '{key}' (--{key})")
     if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
+        raise ConfigError(f"{key} not found: {path}")
     return path
 
 
@@ -232,12 +255,12 @@ def _topic_names(cfg: PipelineConfig, k: int) -> list[str]:
 # subcommands
 
 
-def cmd_ingest(cfg: PipelineConfig, args) -> int:
-    archive = _require_input(cfg.archive, "archive")
+def cmd_ingest(cfg: PipelineConfig) -> int:
+    archive = _require_input(cfg, "archive")
     constituencies: tuple = ()
     if cfg.constituencies is not None:
         constituencies = corpus.load_constituencies(
-            _require_input(cfg.constituencies, "constituency CSV"))
+            _require_input(cfg, "constituencies"))
     c = corpus.load_archive(archive, cfg.window_dates(), constituencies)
     corpus.save_corpus(c, cfg.path("corpus.jsonl"))
     corpus.write_rejects_report(c.ingest_report, cfg.path("rejects.csv"), cfg.meta)
@@ -247,7 +270,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_fit(cfg: PipelineConfig, args) -> int:
+def cmd_fit(cfg: PipelineConfig) -> int:
     # settle the names and stopwords before the snapshot is read or a
     # sampler runs
     lda_cfg = cfg.lda_config()
@@ -283,8 +306,7 @@ def _report_prevalence(cfg, model, c, names):
              prev.by_signatures, prev.rank_by_signatures]
     success = {}
     for t in cfg.thresholds:
-        success[t] = (issues.success_probability(model, c, t),
-                      issues.success_probability(model, c, t, smoothed=True))
+        success[t] = issues.success_probability(model, c, t)
         columns += [f"success_{t}", f"success_smoothed_{t}"]
         table += success[t]
     write_csv(cfg.path("prevalence.csv"), cfg.meta, columns,
@@ -461,7 +483,7 @@ def _report_powerlaw(cfg, c):
     return payload
 
 
-def cmd_report(cfg: PipelineConfig, args) -> int:
+def cmd_report(cfg: PipelineConfig) -> int:
     _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
     _require_snapshot(cfg.path("model.bin"), "model snapshot")
     c = corpus.load_corpus(cfg.path("corpus.jsonl"))
@@ -511,9 +533,9 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_intrusion_score(cfg: PipelineConfig, args) -> int:
+def cmd_intrusion_score(cfg: PipelineConfig) -> int:
+    answers_path = _require_input(cfg, "answers")
     _require_snapshot(cfg.path("model.bin"), "model snapshot")
-    answers_path = _require_input(args.answers, "answers CSV")
     model = lda.load_model(cfg.path("model.bin"))
     instances = lda.make_intrusion_instances(model, cfg.stage_seed("intrusion"))
     by_topic = {inst.topic_index: inst for inst in instances}
@@ -552,24 +574,10 @@ def cmd_intrusion_score(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_grid(cfg: PipelineConfig, args) -> int:
-    # settle every setting before the snapshot is read or a sampler runs
-    if not 0.0 < args.holdout < 1.0:
-        raise ConfigError("--holdout must be in (0, 1)")
-    for flag, values in (("--k-values", args.k_values),
-                         ("--alpha-values", args.alpha_values),
-                         ("--beta-values", args.beta_values)):
-        if not values:
-            raise ConfigError(f"{flag} lists no values")
-    base = cfg.lda_config()
-    run_cfgs = [dataclasses.replace(base, k=k, alpha=alpha, beta=beta)
-                for k in args.k_values
-                for alpha in args.alpha_values
-                for beta in args.beta_values]
-
+def cmd_grid(cfg: PipelineConfig) -> int:
     _require_snapshot(cfg.path("dtm.bin"), "document-term matrix snapshot")
     dtm = textprep.load_dtm(cfg.path("dtm.bin"))
-    n_hold = int(math.ceil(args.holdout * dtm.n_docs))
+    n_hold = int(math.ceil(cfg.holdout * dtm.n_docs))
     if n_hold >= dtm.n_docs:
         raise ConfigError("holdout fraction leaves no training documents")
     rng = np.random.Generator(np.random.PCG64(cfg.stage_seed("grid")))
@@ -582,7 +590,7 @@ def cmd_grid(cfg: PipelineConfig, args) -> int:
     hold_counts = dtm.counts[hold]
 
     rows = []
-    for run_cfg in run_cfgs:
+    for run_cfg in cfg.grid_configs():
         model = lda.fit(train_dtm, run_cfg)
         total, per_token = lda.held_out_log_likelihood(model, hold_counts)
         rows.append([run_cfg.k, run_cfg.alpha, run_cfg.beta,
@@ -595,11 +603,11 @@ def cmd_grid(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_xmin_scan(cfg: PipelineConfig, args) -> int:
+def cmd_xmin_scan(cfg: PipelineConfig) -> int:
     _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
     counts = corpus.load_corpus(cfg.path("corpus.jsonl")).uk
-    if args.x_mins is not None:
-        candidates = args.x_mins
+    if cfg.x_mins is not None:
+        candidates = cfg.x_mins
     else:
         # every observed value that keeps at least 10 tail points
         unique = np.unique(counts)
@@ -662,36 +670,19 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"petmine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ingest", parents=[common],
-                   help="parse the archive into a corpus snapshot"
-                   ).set_defaults(func=cmd_ingest)
-    sub.add_parser("fit", parents=[common],
-                   help="fit the topic model and export top words"
-                   ).set_defaults(func=cmd_fit)
-    sub.add_parser("report", parents=[common],
-                   help="run all analytics and write the summary"
-                   ).set_defaults(func=cmd_report)
-    p = sub.add_parser("intrusion-score", parents=[common],
-                       help="score annotator answers against the hidden intruders")
-    p.add_argument("--answers", required=True,
-                   help="CSV of topic,subject,position")
-    p.set_defaults(func=cmd_intrusion_score)
-    p = sub.add_parser("grid", parents=[common],
-                       help="sweep sampler settings against held-out likelihood")
-    p.add_argument("--k-values", dest="k_values", type=_flag_type(list[int]),
-                   default=[5, 10, 15])
-    p.add_argument("--alpha-values", dest="alpha_values",
-                   type=_flag_type(list[float]), default=[0.1])
-    p.add_argument("--beta-values", dest="beta_values",
-                   type=_flag_type(list[float]), default=[0.1])
-    p.add_argument("--holdout", type=float, default=0.1,
-                   help="held-out document fraction")
-    p.set_defaults(func=cmd_grid)
-    p = sub.add_parser("xmin-scan", parents=[common],
-                       help="fit the signature tail at every cutoff candidate")
-    p.add_argument("--x-mins", dest="x_mins", type=_flag_type(list[int]),
-                   help="comma-separated cutoff candidates")
-    p.set_defaults(func=cmd_xmin_scan)
+    # the commands are looked up now, not at import, so a replaced one runs
+    for name, command, about in (
+            ("ingest", cmd_ingest, "parse the archive into a corpus snapshot"),
+            ("fit", cmd_fit, "fit the topic model and export top words"),
+            ("report", cmd_report, "run all analytics and write the summary"),
+            ("intrusion-score", cmd_intrusion_score,
+             "score annotator answers against the hidden intruders"),
+            ("grid", cmd_grid,
+             "sweep sampler settings against held-out likelihood"),
+            ("xmin-scan", cmd_xmin_scan,
+             "fit the signature tail at every cutoff candidate")):
+        sub.add_parser(name, parents=[common], help=about
+                       ).set_defaults(func=command)
     return parser
 
 
@@ -704,7 +695,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config,
                           {dest: getattr(args, dest) for dest in _FLAGS})
         os.makedirs(cfg.output_dir, exist_ok=True)
-        return args.func(cfg, args)
+        return args.func(cfg)
     except ConfigError as exc:
         print(f"petmine: config error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .errors import ArchiveFormatError, EmptyCorpusError, ValidationError
 from .util import (Members, canonical_json, from_json, snapshot_meta,
-                   write_text)
+                   write_csv, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -509,6 +509,4 @@ def load_corpus(path: str) -> Corpus:
 
 
 def write_rejects_report(report: IngestReport, path: str, meta: dict) -> None:
-    from .util import write_csv
-
     write_csv(path, meta, ["line_no", "reason"], report.rejects)

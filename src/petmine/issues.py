@@ -45,29 +45,28 @@ def prevalence(model: TopicModel, corpus: Corpus) -> IssuePrevalence:
 
 
 def success_probability(model: TopicModel, corpus: Corpus,
-                        threshold: int = 10_000,
-                        smoothed: bool = False) -> np.ndarray:
-    """Per-topic fraction of assigned petitions reaching ``threshold``.
+                        threshold: int = 10_000
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-topic (raw, smoothed) fraction of assigned petitions reaching
+    ``threshold``.
 
     Assignment is arg-max of theta; the threshold applies to the petition's
-    platform-wide signature total.  Topics with no assigned petitions get
-    NaN (undefined, not zero).  ``smoothed`` applies the Beta(1,1)
-    posterior mean (hits+1)/(n+2) instead of the raw fraction.
+    platform-wide signature total.  The raw fraction is hits/n and the
+    smoothed one the Beta(1,1) posterior mean (hits+1)/(n+2).  Topics with
+    no assigned petitions get NaN in both (undefined, not zero).
     """
     model.check_alignment(corpus)
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
     assigned = model.theta.argmax(axis=1)
-    hit = (corpus.total >= threshold).astype(np.float64)
-    out = np.full(model.k, np.nan)
-    for t in range(model.k):
-        mask = assigned == t
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        hits = hit[mask].sum()
-        out[t] = (hits + 1) / (n + 2) if smoothed else hits / n
-    return out
+    # row t counts topic t's petitions below and at or above the threshold
+    counts = np.bincount(2 * assigned + (corpus.total >= threshold),
+                         minlength=2 * model.k).reshape(model.k, 2)
+    n, hits = counts.sum(axis=1), counts[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = hits / n
+    smoothed = np.where(n > 0, (hits + 1) / (n + 2), np.nan)
+    return raw, smoothed
 
 
 def _cosine_gram(rows: np.ndarray) -> np.ndarray:

@@ -35,6 +35,8 @@ from .util import (config_digest, derive_seed, from_json, load_arrays,
 log = logging.getLogger(__name__)
 
 _LL_EVERY = 10
+# infer_theta's chain for one document, phi held fixed: 10 kept samples
+_INFER_SWEEPS, _INFER_BURN_IN, _INFER_SAMPLE_EVERY = 200, 100, 10
 
 
 @dataclass(frozen=True)
@@ -207,9 +209,8 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     return [model.terms[i] for i in order[:n]]
 
 
-def infer_theta(model: TopicModel, doc_counts, seed: int | None = None,
-                sweeps: int = 200, burn_in: int = 100,
-                sample_every: int = 10) -> np.ndarray:
+def infer_theta(model: TopicModel, doc_counts, seed: int | None = None
+                ) -> np.ndarray:
     """Topic weights for one new document, phi held fixed.
 
     ``doc_counts`` is a length-V count vector (dense or sparse).  An
@@ -232,10 +233,9 @@ def infer_theta(model: TopicModel, doc_counts, seed: int | None = None,
     acc = np.zeros(model.k, dtype=np.float64)
     n = kernels.infer_doc(
         words, np.uint64(seed), np.ascontiguousarray(model.phi),
-        float(model.config.alpha), sweeps, burn_in, sample_every, acc,
+        float(model.config.alpha), _INFER_SWEEPS, _INFER_BURN_IN,
+        _INFER_SAMPLE_EVERY, acc,
     )
-    if n == 0:
-        raise ConfigError("no samples retained: raise sweeps or lower burn_in")
     return acc / n
 
 

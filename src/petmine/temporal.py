@@ -135,19 +135,17 @@ def detect_volatility(es: EntropySeries, n_sigma: float = 3.0,
                       min_points: int = 30) -> dict[datetime.date, str]:
     """Dates whose entropy change sits outside ``n_sigma`` standard deviations.
 
-    The mean and sample standard deviation are taken over every defined
-    percentage change.  Returns ``{date: "increase"|"decrease"}`` keyed by
-    the day the move landed on; direction is the sign of the change itself.
+    The mean and sample standard deviation are :func:`pct_change_stats`',
+    over every defined percentage change.  Returns
+    ``{date: "increase"|"decrease"}`` keyed by the day the move landed on;
+    direction is the sign of the change itself.
     """
-    defined = np.isfinite(es.pct_change)
-    n = int(defined.sum())
-    if n < min_points:
+    mu, sigma, n = pct_change_stats(es)
+    need = max(min_points, 2)          # a standard deviation needs two
+    if n < need:
         raise ValidationError(
-            f"need at least {min_points} defined percentage changes, have {n}"
-        )
-    vals = es.pct_change[defined]
-    mu = float(vals.mean())
-    sigma = float(vals.std(ddof=1))
+            f"need at least {need} defined percentage changes, have {n}")
+    defined = np.isfinite(es.pct_change)
     jumps = defined & (np.abs(es.pct_change - mu) > n_sigma * sigma)
     return {es.dates[t]: "increase" if es.pct_change[t] > 0 else "decrease"
             for t in np.flatnonzero(jumps).tolist()}

@@ -287,9 +287,9 @@ def test_usage_errors_exit_two():
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--holdout", "0", "--holdout"),
+    ("--holdout", "0", "holdout must be in (0, 1)"),
     ("--k-values", "5,0", "k must be at least 1"),
-    ("--k-values", "", "--k-values lists no values"),
+    ("--k-values", "", "k_values lists no values"),
 ])
 def test_bad_grid_settings_exit_two_before_snapshot_read(
         tmp_path, capsys, flag, value, message):
@@ -398,6 +398,7 @@ _FLAG_SAMPLES = {
     int: ("300", 300),
     float: ("0.5", 0.5),
     list[int]: ("3,4", [3, 4]),
+    list[float]: ("0.2,0.3", [0.2, 0.3]),
     list[str]: ("2015-01-01,2015-02-01", ["2015-01-01", "2015-02-01"]),
 }
 
@@ -424,7 +425,7 @@ def test_every_setting_has_exactly_one_flag(tmp_path, monkeypatch):
 
     built = []
     monkeypatch.setattr(cli, "cmd_ingest",
-                        lambda cfg, args: built.append(cfg) or 0)
+                        lambda cfg: built.append(cfg) or 0)
     monkeypatch.chdir(tmp_path)
     for name, hint, key in settings:
         if typing.get_origin(hint) not in (list, None):     # X | None
@@ -439,10 +440,81 @@ def test_every_setting_has_exactly_one_flag(tmp_path, monkeypatch):
 
 def test_config_types_accept_an_int_for_a_float(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"lda": {"alpha": 1, "seed": None},
-                                "min_doc_fraction": 1}), encoding="utf-8")
-    cfg = cli.load_config(str(path), {})
-    assert cfg.lda_config().alpha == 1 and cfg.min_doc_fraction == 1
+    path.write_text(json.dumps({"lda": {"alpha": 1, "seed": None}}),
+                    encoding="utf-8")
+    assert cli.load_config(str(path), {}).lda_config().alpha == 1
+    # an int passes the float type check and meets the range check
+    path.write_text(json.dumps({"min_doc_fraction": 1}), encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=r"min_doc_fraction must be in \(0, 1\), got 1$"):
+        cli.load_config(str(path), {})
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--holdout", "1"), ("--min-doc-fraction", "2")])
+def test_fractions_out_of_range_exit_two_writing_nothing(
+        fixture_paths, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--archive", str(fixture_paths[0]),
+                     "--output-dir", str(out), flag, value]) == 2
+    assert f"{flag[2:].replace('-', '_')} must be in (0, 1)" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_intrusion_score_without_answers_names_the_setting(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["intrusion-score", "--output-dir", str(out)]) == 2
+    assert "no answers path configured: set 'answers' (--answers)" in (
+        capsys.readouterr().err)
+
+
+def _stage_header(pipeline_out, config_path, tmp_path, command, name, flags):
+    # the command's artifact, run on copies of the pipeline's snapshots;
+    # returns its config digest line and its rows
+    out = tmp_path / "stage-out"
+    out.mkdir(exist_ok=True)
+    for snapshot in ("corpus.jsonl", "dtm.bin"):
+        shutil.copy(os.path.join(pipeline_out[0], snapshot), out / snapshot)
+    assert cli.main([command, "--config", str(config_path),
+                     "--output-dir", str(out), *flags]) == 0
+    lines = (out / name).read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("# config: ")
+    return lines[1], _read_csv(out / name)[1]
+
+
+_SHORT_FIT = ["--iterations", "4", "--burn-in", "1", "--sample-every", "1"]
+
+
+@pytest.mark.parametrize("command, name, flags, a, b", [
+    ("grid", "grid.csv", _SHORT_FIT + ["--k-values", "2"],
+     ["--holdout", "0.1"], ["--holdout", "0.2"]),
+    ("grid", "grid.csv", _SHORT_FIT,
+     ["--k-values", "2"], ["--k-values", "2,3"]),
+    ("xmin-scan", "xmin_scan.csv", [], ["--x-mins", "5"],
+     ["--x-mins", "5,10"]),
+], ids=["holdout", "k_values", "x_mins"])
+def test_grid_and_xmin_settings_are_digested(
+        pipeline_out, fixture_paths, tmp_path, command, name, flags, a, b):
+    digests = {_stage_header(pipeline_out, fixture_paths[2], tmp_path,
+                             command, name, flags + given)[0]
+               for given in (a, b)}
+    assert len(digests) == 2
+
+
+def test_config_file_drives_grid(pipeline_out, fixture_paths, tmp_path):
+    # the file's k_values and holdout run the grid the flags would
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(
+        json.loads(fixture_paths[2].read_text(encoding="utf-8")),
+        k_values=[2], holdout=0.2)), encoding="utf-8")
+    by_file = _stage_header(pipeline_out, path, tmp_path, "grid", "grid.csv",
+                            _SHORT_FIT)
+    by_flags = _stage_header(pipeline_out, fixture_paths[2], tmp_path, "grid",
+                             "grid.csv", _SHORT_FIT + ["--k-values", "2",
+                                                       "--holdout", "0.2"])
+    assert by_file == by_flags
+    assert [row[0] for row in by_file[1]] == ["2"]
 
 
 def test_fit_checks_topic_names_before_any_work(fixture_paths, tmp_path,

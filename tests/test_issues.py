@@ -95,11 +95,16 @@ def test_prevalence_and_success_match_per_petition_loops():
             hit = np.array([p["attributes"]["signature_count"] >= t
                             for p in petitions],
                            dtype=np.float64)
-            got = issues.success_probability(model, corpus, threshold=t)
-            want = [hit[theta.argmax(axis=1) == i].mean()
-                    if (theta.argmax(axis=1) == i).any() else np.nan
-                    for i in range(k)]
-            assert np.array_equal(got, want, equal_nan=True)
+            raw, smoothed = issues.success_probability(model, corpus,
+                                                       threshold=t)
+            mine = [hit[theta.argmax(axis=1) == i] for i in range(k)]
+            assert np.array_equal(
+                raw, [h.sum() / h.size if h.size else np.nan for h in mine],
+                equal_nan=True)
+            assert np.array_equal(
+                smoothed,
+                [(h.sum() + 1) / (h.size + 2) if h.size else np.nan
+                 for h in mine], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +116,10 @@ def test_success_probability_hand_case():
     theta = [[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.2, 0.8]]
     sigs = [12_000, 500, 30, 11_000]
     model, corpus = _aligned(theta, sigs)
-    raw = issues.success_probability(model, corpus, threshold=10_000)
+    raw, smoothed = issues.success_probability(model, corpus,
+                                               threshold=10_000)
     assert raw[0] == pytest.approx(1 / 3)
     assert raw[1] == pytest.approx(1.0)
-    smoothed = issues.success_probability(model, corpus, threshold=10_000,
-                                          smoothed=True)
     assert smoothed[0] == pytest.approx(2 / 5)
     assert smoothed[1] == pytest.approx(2 / 3)
 
@@ -124,18 +128,16 @@ def test_success_probability_uses_platform_total():
     # overseas signatures count toward the success threshold
     theta = [[1.0, 0.0]]
     model, corpus = _aligned(theta, [500], totals=[10_500])
-    raw = issues.success_probability(model, corpus, threshold=10_000)
+    raw, _ = issues.success_probability(model, corpus, threshold=10_000)
     assert raw[0] == 1.0
 
 
 def test_success_probability_empty_topic_nan():
     theta = [[0.9, 0.1], [0.8, 0.2]]
     model, corpus = _aligned(theta, [10, 20])
-    raw = issues.success_probability(model, corpus, threshold=10)
+    raw, smoothed = issues.success_probability(model, corpus, threshold=10)
     assert np.isnan(raw[1])
     assert raw[0] == 1.0
-    smoothed = issues.success_probability(model, corpus, threshold=10,
-                                          smoothed=True)
     assert np.isnan(smoothed[1])
 
 

@@ -348,6 +348,11 @@ def test_detect_volatility_needs_points():
     with pytest.raises(ValidationError, match="at least 30"):
         temporal.detect_volatility(es)
     assert temporal.detect_volatility(es, min_points=10)
+    # one defined change has no standard deviation, whatever min_points says
+    one = temporal.EntropySeries(dates=es.dates[:2], h=es.h[:2],
+                                 pct_change=np.array([np.nan, -4.0]))
+    with pytest.raises(ValidationError, match="at least 2 .* have 1"):
+        temporal.detect_volatility(one, min_points=1)
 
 
 def test_detect_volatility_ignores_undefined_changes():
