@@ -95,6 +95,11 @@ class PipelineConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.x_mins is not None and not self.x_mins:
+            raise ConfigError("x_mins lists no values")
+        if self.x_mins is not None and min(self.x_mins) < 1:
+            raise ConfigError(
+                f"x_mins must be at least 1, got {self.x_mins}")
         for name in ("min_doc_fraction", "holdout"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(
@@ -208,6 +213,8 @@ def _require_input(cfg: PipelineConfig, key: str) -> str:
         raise ConfigError(f"no {key} path configured: set '{key}' (--{key})")
     if not os.path.exists(path):
         raise ConfigError(f"{key} not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"{key} is not a regular file: {path}")
     return path
 
 
@@ -616,7 +623,7 @@ def cmd_xmin_scan(cfg: PipelineConfig) -> int:
         if len(candidates) > 200:
             idx = np.linspace(0, len(candidates) - 1, 200).round().astype(int)
             candidates = [candidates[i] for i in np.unique(idx)]
-    feasible = [v for v in candidates if v >= 1 and (counts >= v).sum() >= 2]
+    feasible = [v for v in candidates if (counts >= v).sum() >= 2]
     dropped = sorted(set(candidates) - set(feasible))
     if dropped:
         log.warning("xmin-scan: dropped infeasible candidates %s", dropped)
@@ -694,7 +701,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config,
                           {dest: getattr(args, dest) for dest in _FLAGS})
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        # the output directory is made by the first file written to it
         return args.func(cfg)
     except ConfigError as exc:
         print(f"petmine: config error: {exc}", file=sys.stderr)

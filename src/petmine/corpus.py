@@ -28,6 +28,7 @@ import datetime
 import itertools
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -35,8 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ArchiveFormatError, EmptyCorpusError, ValidationError
-from .util import (Members, canonical_json, from_json, snapshot_meta,
-                   write_csv, write_text)
+from .util import (Members, canonical_json, chunk_count, fork_map, from_json,
+                   snapshot_meta, write_csv, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -262,33 +263,53 @@ def _encodable(text: str) -> bool:
     return True
 
 
-def load_archive(path: str,
-                 window: tuple[datetime.date, datetime.date] | None = None,
-                 constituencies: tuple[ConstituencyMeta, ...] = ()) -> Corpus:
-    """Load a JSON-lines petitions archive into a validated Corpus.
+# the fewest archive bytes worth a process of their own: below this the
+# fork, the result's trip back and the merge cost more than the parse
+# they take off the calling process (see CHANGES.md for the measurement)
+_MIN_CHUNK_BYTES = 1 << 20
 
-    Each record is validated straight into flat column buffers, whose rows
-    are then sorted by id once.  Lines end at ``\\n`` only: a ``\\r``
-    before it is stripped, and one elsewhere stays in the line, where JSON
-    reads it as whitespace between tokens.  Record-level problems go to
-    ``corpus.ingest_report.rejects`` as ``(line_no, reason)``, lines that
-    are not UTF-8 or not JSON included; records whose state is not
-    ``accepted`` are dropped and counted.  ``window`` defaults to the span
-    of the creation dates.  A record's repeated codes are summed, and so,
-    with ``constituencies``, are the codes they do not list, into the
-    UNKNOWN column with one warning per code.  Raises EmptyCorpusError
-    when nothing survives.
+
+@dataclass
+class _Chunk:
+    """One byte range of an archive, read.
+
+    ``report`` counts its lines and holds its rejects, and the other
+    fields hold its kept records in line order, with line numbers counted
+    from the range's start.  Each record's codes are ``sizes`` entries of
+    ``keys``, indices into ``code_table``, and of ``counts``.
     """
+    lines: int
+    report: IngestReport
+    line_nos: list[int]
+    ids: list[str]
+    texts: list[str]
+    days: np.ndarray            # int64 ordinals
+    totals: np.ndarray          # int64
+    sizes: np.ndarray           # int64
+    code_table: list[str]
+    keys: np.ndarray            # int64
+    counts: np.ndarray          # int64
+
+
+def _read_chunk(path: str, start: int, end: int,
+                window: tuple[datetime.date, datetime.date] | None) -> _Chunk:
+    """Validate the lines of ``path`` in bytes ``start:end``, which start
+    a line and end one."""
     report = IngestReport()
-    rows: dict[str, int] = {}       # id -> its row in the buffers below
-    texts, days, totals = [], [], []
-    # every record's run of constituency codes and counts, end to end
-    keys, counts, ends = [], [], []
-    # undecodable bytes become lone surrogates, which no UTF-8 text holds
-    with open(path, encoding="utf-8", errors="surrogateescape",
-              newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    line_nos, ids, texts, days, totals, sizes = [], [], [], [], [], []
+    keys, counts = [], []
+    seen = set()
+    line_no, at = 0, start
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for raw in fh:
+            if at >= end:
+                break
+            at += len(raw)
+            line_no += 1
+            # undecodable bytes become lone surrogates, which no UTF-8
+            # text holds
+            line = raw.decode("utf-8", "surrogateescape").strip()
             if not line:
                 continue
             report.total_lines += 1
@@ -317,46 +338,133 @@ def load_archive(path: str,
                 report.rejects.append(
                     (line_no, "created_at outside configured window"))
                 continue
-            if pid in rows:
+            if pid in seen:
                 report.rejects.append((line_no, f"duplicate id {pid}"))
                 continue
-            rows[pid] = len(rows)
+            seen.add(pid)
+            line_nos.append(line_no)
+            ids.append(pid)
             texts.append(text)
             days.append(created.toordinal())
             totals.append(total)
+            sizes.append(len(run_codes))
             keys.extend(run_codes)
             counts.extend(run_counts)
-            ends.append(len(keys))
+    code_table = list(dict.fromkeys(keys))
+    index = {code: i for i, code in enumerate(code_table)}
+    return _Chunk(
+        lines=line_no, report=report, line_nos=line_nos, ids=ids,
+        texts=texts, days=np.array(days, dtype=np.int64),
+        totals=np.array(totals, dtype=np.int64),
+        sizes=np.array(sizes, dtype=np.int64), code_table=code_table,
+        keys=np.fromiter(map(index.__getitem__, keys), dtype=np.int64,
+                         count=len(keys)),
+        counts=np.array(counts, dtype=np.int64))
 
-    if not rows:
+
+def _line_ranges(path: str, size: int, n: int) -> list[tuple[int, int]]:
+    """At most ``n`` byte ranges of about equal size that cover ``path``'s
+    ``size`` bytes, each cut just after a newline: a character boundary
+    in UTF-8, and so where a line starts."""
+    cuts = set()
+    with open(path, "rb") as fh:
+        for i in range(1, n):
+            # the first line that starts at or after the i-th n-th
+            fh.seek(size * i // n - 1)
+            fh.readline()
+            cuts.add(fh.tell())
+    starts = sorted(cuts.union([0]) - {size}) or [0]
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def load_archive(path: str,
+                 window: tuple[datetime.date, datetime.date] | None = None,
+                 constituencies: tuple[ConstituencyMeta, ...] = ()) -> Corpus:
+    """Load a JSON-lines petitions archive into a validated Corpus.
+
+    Each record is validated straight into flat column buffers, whose rows
+    are then sorted by id once.  Lines end at ``\\n`` only: a ``\\r``
+    before it is stripped, and one elsewhere stays in the line, where JSON
+    reads it as whitespace between tokens.  Record-level problems go to
+    ``corpus.ingest_report.rejects`` as ``(line_no, reason)``, lines that
+    are not UTF-8 or not JSON included; records whose state is not
+    ``accepted`` are dropped and counted.  ``window`` defaults to the span
+    of the creation dates.  A record's repeated codes are summed, and so,
+    with ``constituencies``, are the codes they do not list, into the
+    UNKNOWN column with one warning per code.  Raises EmptyCorpusError
+    when nothing survives.
+
+    An archive of twice ``_MIN_CHUNK_BYTES`` or more is read in byte
+    ranges, one per core (:func:`~petmine.util.fork_map`), which are then
+    merged in line order: a later range's copy of an id an earlier range
+    kept is a duplicate.  The result does not depend on how many ranges
+    there were.
+    """
+    size = os.path.getsize(path)
+    ranges = _line_ranges(path, size, chunk_count(size, _MIN_CHUNK_BYTES))
+    log.info("reading %s: %d process(es), chunks of %s bytes", path,
+             len(ranges), ", ".join(str(b - a) for a, b in ranges))
+    chunks = fork_map(lambda span: _read_chunk(path, *span, window), ranges)
+
+    report = IngestReport()
+    seen: set[str] = set()
+    offset = 0
+    ids, texts, days, totals, sizes, keys, counts = [], [], [], [], [], [], []
+    for chunk in chunks:
+        report.total_lines += chunk.report.total_lines
+        report.dropped_state += chunk.report.dropped_state
+        keep = np.array([pid not in seen for pid in chunk.ids], dtype=bool)
+        rejects = chunk.report.rejects + [
+            (line_no, f"duplicate id {pid}")
+            for line_no, pid, k in zip(chunk.line_nos, chunk.ids, keep)
+            if not k]
+        report.rejects.extend((offset + line_no, reason)
+                              for line_no, reason in sorted(rejects))
+        seen.update(chunk.ids)
+        offset += chunk.lines
+        ids.extend(itertools.compress(chunk.ids, keep))
+        texts.extend(itertools.compress(chunk.texts, keep))
+        for out, values in ((days, chunk.days), (totals, chunk.totals),
+                            (sizes, chunk.sizes)):
+            out.append(values[keep])
+        key_kept = np.repeat(keep, chunk.sizes)
+        keys.append((chunk.code_table, chunk.keys[key_kept]))
+        counts.append(chunk.counts[key_kept])
+    if not ids:
         raise EmptyCorpusError(f"{path}: no accepted petitions")
+
+    used = set()
+    for table, chunk_keys in keys:
+        used.update(table[i] for i in np.unique(chunk_keys).tolist())
     if constituencies:
         codes = tuple(m.code for m in constituencies) + (UNKNOWN_CODE,)
         # geo analyses skip the UNKNOWN column, signature totals keep it
-        for code in sorted(set(keys).difference(codes[:-1])):
+        for code in sorted(used.difference(codes[:-1])):
             log.warning("unknown constituency code %s; bucketing as UNKNOWN",
                         code)
     else:
-        codes = tuple(sorted(set(keys)))
+        codes = tuple(sorted(used))
     column = {code: j for j, code in enumerate(codes)}
+    # the default is reached only with metadata, where it is UNKNOWN
+    indices = [np.array([column.get(code, len(codes) - 1) for code in table],
+                        dtype=np.int64)[chunk_keys]
+               for table, chunk_keys in keys]
+    days, totals, sizes = map(np.concatenate, (days, totals, sizes))
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
     signatures = sp.csr_matrix(
-        (np.array(counts, dtype=np.int64),
-         # the default is reached only with metadata, where it is UNKNOWN
-         np.fromiter(map(column.get, keys, itertools.repeat(len(codes) - 1)),
-                     dtype=np.int64, count=len(keys)),
-         np.array([0, *ends], dtype=np.int64)),
-        shape=(len(rows), len(codes)))
+        (np.concatenate(counts), np.concatenate(indices), indptr),
+        shape=(len(ids), len(codes)))
 
-    ids = sorted(rows)
-    order = [rows[pid] for pid in ids]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     signatures = signatures[order]
     signatures.sum_duplicates()    # sorts columns; merges repeated, folded codes
     if window is None:
-        window = tuple(map(datetime.date.fromordinal, (min(days), max(days))))
+        window = tuple(map(datetime.date.fromordinal,
+                           (int(days.min()), int(days.max()))))
     return Corpus(
-        ids=ids, texts=[texts[d] for d in order],
-        day=np.array(days, dtype=np.int64)[order] - window[0].toordinal(),
-        total=np.array(totals, dtype=np.int64)[order],
+        ids=[ids[d] for d in order], texts=[texts[d] for d in order],
+        day=days[order] - window[0].toordinal(), total=totals[order],
         signatures=signatures, codes=codes,
         constituencies=tuple(constituencies), window=tuple(window),
         ingest_report=report,

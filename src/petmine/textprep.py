@@ -11,8 +11,10 @@ Vocabulary pruning keeps terms whose document frequency is at least
 rows stay aligned with corpus petitions.
 
 The matrix is assembled from integers.  Each distinct raw token is judged
-and stemmed once and coded as the id of its kept stem, or -1 when a rule
-drops it; the corpus's codes are gathered into one array.  The unpruned
+and stemmed once per chunk of documents (one chunk per core on a large
+corpus) and coded as the id of its kept stem, or -1 when a rule drops it;
+the chunks' codes are renumbered to one stem table and gathered into one
+array.  The unpruned
 matrix has one column per stem id; document frequency is its nonzeros
 per column, and pruning maps the surviving ids onto columns in the
 terms' lexicographic order.
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 
 from . import porter
 from .errors import ArchiveFormatError, ConfigError, EmptyCorpusError
-from .util import load_arrays, save_arrays
+from .util import chunk_count, fork_map, load_arrays, save_arrays
 
 log = logging.getLogger(__name__)
 
@@ -156,31 +158,73 @@ def _kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return kept_before[indptr]
 
 
+# the fewest text characters worth a process of their own: below this the
+# fork, the result's trip back and the merge cost more than the coding
+# they take off the calling process (see CHANGES.md for the measurement)
+_MIN_CHUNK_CHARS = 1 << 18
+
+
+def _code_texts(texts: list[str], stopwords: frozenset[str]):
+    """Code ``texts`` with a coder of their own: its stems in id order,
+    every raw token's code end to end (int64, -1 for a dropped one), and
+    each text's number of raw tokens."""
+    coder = _TokenCoder(stopwords)
+    doc_codes = [coder(text) for text in texts]
+    lengths = np.fromiter(map(len, doc_codes), dtype=np.int64,
+                          count=len(texts))
+    codes = np.fromiter(itertools.chain.from_iterable(doc_codes),
+                        dtype=np.int64, count=int(lengths.sum()))
+    return list(coder.stem_ids), codes, lengths
+
+
 def build_dtm(corpus, stopwords: frozenset[str],
               min_doc_fraction: float = 0.001) -> DocumentTermMatrix:
     """Clean every petition and assemble the pruned document-term matrix.
 
     ``corpus`` provides the petitions' ``ids`` and merged ``texts``.
-    Raises if no term survives pruning.
+    Raises if no term survives pruning.  A corpus of twice
+    ``_MIN_CHUNK_CHARS`` characters of text or more is coded in contiguous
+    runs of documents, one per core (:func:`~petmine.util.fork_map`); the
+    stems are numbered as one coder would number them, so the result does
+    not depend on how many runs there were.
     """
     if not 0.0 < min_doc_fraction < 1.0:
         raise ConfigError(f"min_doc_fraction must be in (0,1), got {min_doc_fraction}")
     if not corpus.ids:
         raise EmptyCorpusError("cannot build a DTM from an empty corpus")
 
-    coder = _TokenCoder(stopwords)
-    doc_codes = [coder(text) for text in corpus.texts]
     n_docs = len(corpus.ids)
+    # chars[d]: the characters of the texts before document d
+    chars = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, corpus.texts), dtype=np.int64,
+                          count=n_docs), out=chars[1:])
+    n = chunk_count(int(chars[-1]), _MIN_CHUNK_CHARS)
+    cuts = np.searchsorted(chars, chars[-1] * np.arange(1, n) // n).tolist()
+    bounds = sorted({0, *cuts, n_docs})
+    log.info("coding %d documents: %d process(es), chunks of %s characters",
+             n_docs, len(bounds) - 1,
+             ", ".join(map(str, np.diff(chars[bounds]).tolist())))
+    chunks = fork_map(lambda span: _code_texts(corpus.texts[span[0]:span[1]],
+                                               stopwords),
+                      list(zip(bounds, bounds[1:])))
+    # each chunk's stem ids, renumbered in order of first appearance in
+    # the corpus, which is their order in the chunks taken in turn
+    stem_ids: dict[str, int] = {}
+    codes, lengths = [], []
+    for chunk_stems, chunk_codes, chunk_lengths in chunks:
+        # a dropped token's -1 indexes the -1 at the end
+        to_id = np.array([*(stem_ids.setdefault(stem, len(stem_ids))
+                            for stem in chunk_stems), -1], dtype=np.int64)
+        codes.append(to_id[chunk_codes])
+        lengths.append(chunk_lengths)
+    codes = np.concatenate(codes)
     doc_ends = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, doc_codes), dtype=np.int64, count=n_docs),
-              out=doc_ends[1:])
-    codes = np.fromiter(itertools.chain.from_iterable(doc_codes),
-                        dtype=np.int64, count=int(doc_ends[-1]))
+    np.cumsum(np.concatenate(lengths), out=doc_ends[1:])
     kept = codes >= 0
 
     # one entry per kept token, column = stem id; sum_duplicates sorts each
     # row's columns and turns repeats into counts
-    stems = list(coder.stem_ids)
+    stems = list(stem_ids)
     total_before = int(kept.sum())
     unpruned = sp.csr_matrix(
         (np.ones(total_before, dtype=np.int32), codes[kept],

@@ -1,10 +1,14 @@
-"""Deterministic plumbing: seed derivation, canonical serialization, artifact I/O.
+"""Deterministic plumbing: seed derivation, canonical serialization,
+artifact I/O and chunked work over forked processes.
 
 Every random procedure in the package draws its seed through
 :func:`derive_seed`, so one master seed fans out into stable, documented
 per-stage seeds.  Every file artifact is written through helpers here that
 never embed timestamps or machine-local state, so re-running a pipeline
-with the same inputs and seed produces byte-identical outputs.
+with the same inputs and seed produces byte-identical outputs.  A loop
+over independent records may run its chunks in parallel through
+:func:`fork_map`, whose results come back in chunk order, so how many
+processes ran never shows in an output.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ import hashlib
 import io
 import json
 import os
+import pickle
+import signal
 import typing
 import zipfile
 
 import numpy as np
 
-from .errors import ArchiveFormatError, ConfigError, ValidationError
+from .errors import ArchiveFormatError, ConfigError, PetmineError, ValidationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -307,3 +313,104 @@ def load_arrays(path: str, format: str,
         raise ArchiveFormatError(
             f"{path}: not a readable {format} snapshot ({exc})") from None
     return arrays, snapshot_meta(path, meta, format, version)
+
+
+# ---------------------------------------------------------------------------
+# Chunked work over forked processes
+
+
+def cores() -> int:
+    """The number of processors this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:       # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def chunk_count(size: int, min_chunk: int) -> int:
+    """How many chunks to split work of ``size`` units into: one per core
+    this process may use, each of at least ``min_chunk`` units, and one
+    where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(cores(), size // min_chunk))
+
+
+def fork_map(fn, chunks: list) -> list:
+    """``[fn(chunk) for chunk in chunks]``, computed in parallel.
+
+    The calling process runs the first chunk itself and forks one child
+    per further chunk, so a single chunk runs in-process and no process
+    sits idle.  A child inherits ``fn`` and its chunk through the fork,
+    so nothing is pickled on the way in; it pickles its result, or the
+    exception it raised, back through a pipe.  A child's exception is
+    raised here with its type and message, and a child that dies without
+    a result is a PetmineError naming the signal or exit status.  Every
+    child is reaped before this returns or raises.
+
+    A fork copies only the calling thread, so ``fn`` must not need
+    another one; the per-record Python and element-wise NumPy work
+    chunked here does not.
+    """
+    children: dict[int, int] = {}        # pid -> read end of its pipe
+    try:
+        for chunk in chunks[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(fn, chunk, read, write)
+            os.close(write)
+            children[pid] = read
+        results = [fn(chunks[0])]
+        for pid in list(children):
+            results.append(_child_result(pid, children.pop(pid)))
+        return results
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(fn, chunk, read: int, write: int) -> None:
+    """Run ``fn(chunk)`` in a forked child, send the outcome through
+    ``write``, and exit without running anything the parent would:
+    cleanups, atexit hooks, buffered output."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((True, fn(chunk)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:        # an exception that cannot be pickled
+                payload = pickle.dumps(
+                    (False, PetmineError(f"{type(exc).__name__}: {exc}")))
+        with open(write, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(pid: int, read: int):
+    """The result child ``pid`` sent through ``read``, once it has exited;
+    the child is reaped however the read ends."""
+    try:
+        with open(read, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        raise PetmineError(
+            f"worker process {pid} was killed by "
+            f"{signal.Signals(os.WTERMSIG(status)).name}")
+    if status or not payload:
+        raise PetmineError(f"worker process {pid} exited with status "
+                           f"{os.waitstatus_to_exitcode(status)}")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value

@@ -264,6 +264,20 @@ def test_missing_archive_is_usage_error(tmp_path):
     assert cli.main(["ingest", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("key", ["archive", "constituencies"])
+def test_an_input_that_is_a_directory_exits_two_writing_nothing(
+        fixture_paths, tmp_path, capsys, key):
+    inputs = {"archive": fixture_paths[0],
+              "constituencies": fixture_paths[1], key: tmp_path}
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--archive", str(inputs["archive"]),
+                     "--constituencies", str(inputs["constituencies"]),
+                     "--output-dir", str(out)]) == 2
+    assert f"{key} is not a regular file: {tmp_path}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_missing_snapshot_is_runtime_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}),
@@ -299,6 +313,22 @@ def test_bad_grid_settings_exit_two_before_snapshot_read(
                     encoding="utf-8")
     assert cli.main(["grid", "--config", str(path), flag, value]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("", "x_mins lists no values"),
+    ("0", "x_mins must be at least 1, got [0]"),
+    ("0,5", "x_mins must be at least 1, got [0, 5]"),
+], ids=["empty", "zero", "zero-and-five"])
+def test_bad_x_mins_exit_two_before_snapshot_read(
+        tmp_path, capsys, value, message):
+    # no corpus.jsonl exists, so a check that ran after the load would
+    # exit 1
+    out = tmp_path / "out"
+    assert cli.main(["xmin-scan", "--output-dir", str(out),
+                     "--x-mins", value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_sampler_settings_caught_at_load(tmp_path):

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from petmine import corpus
+from petmine import corpus, util
 from petmine.errors import (ArchiveFormatError, EmptyCorpusError,
                             ValidationError)
 
@@ -319,6 +319,98 @@ def test_load_archive_ignores_line_order(tmp_path, with_metadata):
     assert _row(c, c.ids.index("5")) == (
         {"E1": 5, "E2": 22, "UNKNOWN": 10} if with_metadata
         else {"E1": 5, "E2": 22, "ZZ9": 10})
+
+
+def _line(record, end="\n"):
+    return (record if isinstance(record, str) else json.dumps(record)) + end
+
+
+def _edge_archive(path):
+    """Six segments of one length, so that two chunks cut the archive
+    after segment 3 and three chunks after segments 2 and 4.  Each
+    segment's first and last lines sit at a cut in one of those splits;
+    blank padding fills the middle.  Returns the line each segment starts
+    on."""
+    e = [_sig("E1", 5)]
+    segments = [
+        ([_line(_record(1, by_con=[_sig("E1", 5), _sig("Z8", 1)])),
+          _line(_record(7, by_con=[_sig("E2", 2)]))],
+         [_line(_record(8, created="2015-07-01", by_con=e))]),
+        ([_line(_record(3, by_con=[_sig("E2", 3)]))],
+         [_line("not json", "\r\n"), _line(_record(2, by_con=e))]),
+        # a duplicate whose first copy is two segments back, holding a
+        # code no kept record holds
+        ([_line(_record(7, by_con=[_sig("Z7", 4)])), "\r\n",
+          _line(_record(4, by_con=e)).replace(', "state"', ',\r"state"')],
+         [_line(_record(5, action="Fix \ud800", by_con=e))]),
+        # a duplicate far outside the other records' dates
+        ([_line(_record(8, created="1999-01-01", by_con=[_sig("Z6", 9)]))],
+         [_line(_record(6, by_con=[_sig("E1", 1), _sig("Z9", 6)])),
+          _line(_record(9, state="rejected")), _line(_record(3), "\r\n")]),
+        # no record from here on is kept
+        ([_line(_record(1)), _line("{")],
+         [_line(_record(10, state="open"))]),
+        (["\udcff not UTF-8\n", _line(_record(11, action=""))],
+         [_line(_record(6, created="2030-01-01")), "\n"]),
+    ]
+    parts = [("".join(head).encode("utf-8", "surrogateescape"),
+              "".join(tail).encode("utf-8", "surrogateescape"))
+             for head, tail in segments]
+    length = max(len(head) + len(tail) for head, tail in parts) + 1
+    data = b"".join(head + b" " * (length - len(head) - len(tail) - 1)
+                    + b"\n" + tail for head, tail in parts)
+    path.write_bytes(data)
+    starts = [data[:i * length].count(b"\n") + 1 for i in range(6)]
+    return str(path), length, starts
+
+
+@pytest.mark.parametrize("window", [
+    (datetime.date(2015, 5, 1), datetime.date(2016, 12, 31)), None])
+@pytest.mark.parametrize("listed", [(), ("E1", "E2")])
+def test_chunked_ingest_matches_one_chunk(tmp_path, monkeypatch, caplog,
+                                          window, listed):
+    path, length, starts = _edge_archive(tmp_path / "a.jsonl")
+    cons = tuple(corpus.ConstituencyMeta(code, f"Seat {code}", 1000)
+                 for code in listed)
+    monkeypatch.setattr(corpus, "_MIN_CHUNK_BYTES", 1)
+    outcomes = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(util, "cores", lambda: n)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="petmine.corpus"):
+            c = corpus.load_archive(path, window, cons)
+        out = tmp_path / f"out{n}"
+        corpus.save_corpus(c, str(out / "corpus.jsonl"))
+        corpus.write_rejects_report(c.ingest_report,
+                                    str(out / "rejects.csv"), {})
+        messages = [r.getMessage() for r in caplog.records]
+        sizes = ", ".join([str(6 * length // n)] * n)
+        assert messages[0] == (f"reading {path}: {n} process(es), chunks "
+                               f"of {sizes} bytes")
+        outcomes.append((c.ingest_report, messages[1:],
+                         (out / "corpus.jsonl").read_bytes(),
+                         (out / "rejects.csv").read_bytes()))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    report, warnings = outcomes[0][:2]
+    assert c.ids == ["1", "2", "3", "4", "6", "7", "8"]
+    assert c.window == window or (
+        datetime.date(2015, 6, 1), datetime.date(2015, 7, 1))
+    assert warnings == ([f"unknown constituency code {code}; bucketing as "
+                         f"UNKNOWN" for code in ("Z8", "Z9")]
+                        if listed else [])
+    assert report.total_lines == 19 and report.dropped_state == 2
+    # the window, when set, refuses the far-off copies before the
+    # duplicate check does
+    far_off = ("created_at outside configured window" if window else
+               "duplicate id {}")
+    assert [r for r in report.rejects if r[0] in starts] == [
+        (starts[2], "duplicate id 7"), (starts[3], far_off.format(8)),
+        (starts[4], "duplicate id 1"), (starts[5], "invalid utf-8")]
+    assert [reason for _, reason in report.rejects] == [
+        "invalid json", "duplicate id 7", "invalid utf-8", far_off.format(8),
+        "duplicate id 3", "duplicate id 1", "invalid json", "invalid utf-8",
+        "empty field 'action'", far_off.format(6)]
 
 
 def test_load_archive_empty_raises(tmp_path):

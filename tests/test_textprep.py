@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import types
 from collections import Counter
 
 import numpy as np
@@ -302,3 +303,29 @@ def test_build_dtm_stems_each_distinct_token_once(stopwords, monkeypatch):
     assert sorted(calls) == sorted(set(calls))
     assert set(calls) == {"school", "funding", "teacher", "meals", "dinner",
                           "hospital", "parking", "charges"}
+
+
+def test_chunked_build_dtm_matches_one_chunk(stopwords, tmp_path,
+                                             monkeypatch, caplog):
+    rng = np.random.default_rng(5)
+    texts = _random_texts(rng, 90, stopwords)
+    # one stem reached from different raw tokens in different chunks,
+    # stems first met in a late chunk, and documents that keep no token
+    texts = (["", "running runners"] + texts[:45] + ["", "the of and"]
+             + texts[45:] + ["runs zygote", "zygotes", ""])
+    c = types.SimpleNamespace(ids=[f"{i:03d}" for i in range(len(texts))],
+                              texts=texts)
+    monkeypatch.setattr(textprep, "_MIN_CHUNK_CHARS", 1)
+    outcomes = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(util, "cores", lambda: n)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="petmine.textprep"):
+            dtm = textprep.build_dtm(c, stopwords, 0.02)
+        assert f"{len(texts)} documents: {n} process(es)" in (
+            caplog.records[0].getMessage())
+        path = tmp_path / f"dtm{n}.bin"
+        textprep.save_dtm(dtm, str(path))
+        outcomes.append((dtm.prune_report, path.read_bytes()))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert "run" in dtm.vocabulary.terms and "zygot" in dtm.vocabulary.terms

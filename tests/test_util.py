@@ -1,14 +1,18 @@
-"""Hashing, seed derivation, and the deterministic array container."""
+"""Hashing, seed derivation, the deterministic array container, and
+chunked work over forked processes."""
 
 import csv
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from petmine import util
-from petmine.errors import ArchiveFormatError
+from petmine.errors import ArchiveFormatError, PetmineError
 
 
 def test_fnv1a64_reference_values():
@@ -172,3 +176,119 @@ def test_write_text_replaces_and_creates_directories(tmp_path):
     util.write_text(str(path), "zweite Zeile é\n")
     assert path.read_bytes() == "zweite Zeile é\n".encode("utf-8")
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# fork_map
+
+
+def _reaped(pid: int) -> bool:
+    """Whether ``pid`` is no longer a child of this process, alive or not."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fork_map_returns_results_in_chunk_order(n):
+    chunks = [list(range(10 * i, 10 * i + i + 1)) for i in range(n)]
+    results = util.fork_map(lambda chunk: (os.getpid(), sum(chunk)), chunks)
+    assert [total for _, total in results] == [sum(c) for c in chunks]
+    pids = [pid for pid, _ in results]
+    # the first chunk runs here, each further chunk in a child of its own
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == n
+    assert all(_reaped(pid) for pid in pids[1:])
+
+
+def test_fork_map_sends_numpy_arrays_back():
+    results = util.fork_map(lambda n: np.arange(n, dtype=np.int64),
+                            [3, 100_000])
+    assert [r.tolist() for r in results] == [[0, 1, 2],
+                                            list(range(100_000))]
+
+
+def test_fork_map_raises_a_childs_exception_by_type_and_message():
+    def fn(i):
+        if i == 2:
+            raise KeyError(f"chunk {i} has no key")
+        return (os.getpid(), i)
+
+    with pytest.raises(KeyError, match="chunk 2 has no key"):
+        util.fork_map(fn, [0, 1, 2])
+
+
+def test_fork_map_names_an_exception_that_cannot_be_pickled():
+    class Local(Exception):
+        pass
+
+    def fn(i):
+        if i:
+            raise Local("not importable")
+        return i
+
+    with pytest.raises(PetmineError, match="Local: not importable"):
+        util.fork_map(fn, [0, 1])
+
+
+def test_fork_map_names_the_signal_that_killed_a_child():
+    def fn(i):
+        if i:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(PetmineError, match="killed by SIGKILL"):
+        util.fork_map(fn, [0, 1])
+
+
+def test_fork_map_leaves_no_child_when_the_calling_process_fails(tmp_path):
+    # the children record their pids and then wait far longer than the
+    # test; the first chunk fails once they have all started
+    def fn(i):
+        if i:
+            (tmp_path / f"{i}.pid").write_text(str(os.getpid()))
+            time.sleep(60)
+            return i
+        while len(list(tmp_path.glob("*.pid"))) < 2:
+            time.sleep(0.01)
+        raise RuntimeError("the first chunk failed")
+
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="the first chunk failed"):
+        util.fork_map(fn, [0, 1, 2])
+    assert time.perf_counter() - t0 < 30
+    pids = [int(p.read_text()) for p in tmp_path.glob("*.pid")]
+    assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+
+
+def test_fork_map_leaves_no_child_when_a_child_fails(tmp_path):
+    # the second chunk fails; the first returns once every child started
+    def fn(i):
+        if not i:
+            while len(list(tmp_path.glob("*.pid"))) < 3:
+                time.sleep(0.01)
+            return i
+        (tmp_path / f"{i}.pid").write_text(str(os.getpid()))
+        if i == 1:
+            raise ValueError("the second chunk failed")
+        time.sleep(60 if i == 3 else 0)
+        return i
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="the second chunk failed"):
+        util.fork_map(fn, [0, 1, 2, 3])
+    assert time.perf_counter() - t0 < 30
+    pids = [int(p.read_text()) for p in tmp_path.glob("*.pid")]
+    assert len(pids) == 3 and all(_reaped(pid) for pid in pids)
+
+
+def test_chunk_count_follows_cores_size_and_fork(monkeypatch):
+    monkeypatch.setattr(util, "cores", lambda: 4)
+    assert util.chunk_count(0, 100) == 1
+    assert util.chunk_count(199, 100) == 1
+    assert util.chunk_count(300, 100) == 3
+    assert util.chunk_count(10**9, 100) == 4
+    monkeypatch.delattr(os, "fork")
+    assert util.chunk_count(10**9, 100) == 1
