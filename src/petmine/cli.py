@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import datetime
 import functools
+import io
 import itertools
 import json
 import logging
@@ -218,14 +219,6 @@ def _require_input(cfg: PipelineConfig, key: str) -> str:
     return path
 
 
-def _require_snapshot(path: str, what: str) -> str:
-    # missing *pipeline* artifacts are runtime errors (exit 1)
-    if not os.path.exists(path):
-        raise PetmineError(
-            f"{what} not found: {path} (run the earlier stages first)")
-    return path
-
-
 def _sanitize(obj):
     """Make a payload JSON-safe: numpy scalars to Python, non-finite to None."""
     if isinstance(obj, dict):
@@ -283,7 +276,6 @@ def cmd_fit(cfg: PipelineConfig) -> int:
     lda_cfg = cfg.lda_config()
     names = _topic_names(cfg, lda_cfg.k)
     stopwords = textprep.load_stopwords(cfg.stopwords)
-    _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
     c = corpus.load_corpus(cfg.path("corpus.jsonl"))
     dtm = textprep.build_dtm(c, stopwords, cfg.min_doc_fraction)
     textprep.save_dtm(dtm, cfg.path("dtm.bin"))
@@ -491,8 +483,6 @@ def _report_powerlaw(cfg, c):
 
 
 def cmd_report(cfg: PipelineConfig) -> int:
-    _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
-    _require_snapshot(cfg.path("model.bin"), "model snapshot")
     c = corpus.load_corpus(cfg.path("corpus.jsonl"))
     if not c.constituencies:
         raise ConfigError(
@@ -542,14 +532,18 @@ def cmd_report(cfg: PipelineConfig) -> int:
 
 def cmd_intrusion_score(cfg: PipelineConfig) -> int:
     answers_path = _require_input(cfg, "answers")
-    _require_snapshot(cfg.path("model.bin"), "model snapshot")
     model = lda.load_model(cfg.path("model.bin"))
     instances = lda.make_intrusion_instances(model, cfg.stage_seed("intrusion"))
     by_topic = {inst.topic_index: inst for inst in instances}
 
     picked, answers = [], []
     with open(answers_path, encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"answers file is not UTF-8: {answers_path} "
+                              f"(byte {exc.start})") from None
+        rows = [r for r in csv.reader(io.StringIO(text, newline=""))
                 if r and not r[0].startswith("#")]
     if not rows or [c.strip() for c in rows[0]] != ["topic", "subject", "position"]:
         raise ConfigError(
@@ -582,7 +576,6 @@ def cmd_intrusion_score(cfg: PipelineConfig) -> int:
 
 
 def cmd_grid(cfg: PipelineConfig) -> int:
-    _require_snapshot(cfg.path("dtm.bin"), "document-term matrix snapshot")
     dtm = textprep.load_dtm(cfg.path("dtm.bin"))
     n_hold = int(math.ceil(cfg.holdout * dtm.n_docs))
     if n_hold >= dtm.n_docs:
@@ -611,7 +604,6 @@ def cmd_grid(cfg: PipelineConfig) -> int:
 
 
 def cmd_xmin_scan(cfg: PipelineConfig) -> int:
-    _require_snapshot(cfg.path("corpus.jsonl"), "corpus snapshot")
     counts = corpus.load_corpus(cfg.path("corpus.jsonl")).uk
     if cfg.x_mins is not None:
         candidates = cfg.x_mins

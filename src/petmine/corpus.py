@@ -25,6 +25,7 @@ from __future__ import annotations
 import collections
 import csv
 import datetime
+import io
 import itertools
 import json
 import logging
@@ -141,7 +142,12 @@ def load_constituencies(path: str) -> tuple[ConstituencyMeta, ...]:
     out = []
     seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ArchiveFormatError(
+                f"{path}: not UTF-8 (byte {exc.start})") from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
         required = {"code", "name", "electorate"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ArchiveFormatError(
@@ -567,8 +573,12 @@ def load_corpus(path: str) -> Corpus:
     formed, and the :class:`Corpus` constructor checks the columns' layout.
     Any fault is an ArchiveFormatError naming the file and field.
     """
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+    except OSError as exc:
+        raise ArchiveFormatError(
+            f"{path}: snapshot cannot be read ({exc.strerror})") from None
     try:
         head = json.loads(lines[0])
     except (ValueError, RecursionError):

@@ -312,15 +312,17 @@ def cluster_issue_profile(share: np.ndarray, labels: np.ndarray,
 def silhouette_score(dist: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over all points (singleton clusters score 0).
 
-    Each point's distance sums per cluster come from one product of the
-    distance matrix with the one-hot label matrix; the point itself is
-    taken out of its own cluster's sum.
+    Each point's distance sum per cluster is a row sum over that cluster's
+    columns, not a BLAS product, whose last bits would depend on the
+    number of threads; the point itself is taken out of its own cluster's
+    sum.
     """
     _, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if sizes.shape[0] < 2:
         raise ValidationError("silhouette needs at least 2 clusters")
     rows = np.arange(dist.shape[0])
-    sums = dist @ (own[:, None] == np.arange(sizes.shape[0]))
+    sums = np.stack([dist[:, own == c].sum(axis=1)
+                     for c in range(sizes.shape[0])], axis=1)
     mates = sizes[own] - 1
     means = sums / sizes
     with np.errstate(invalid="ignore", divide="ignore"):

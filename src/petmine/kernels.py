@@ -1,18 +1,16 @@
 """Hot sampling loops, compiled with numba or run without a compiler.
 
 Mode is chosen once at import time: numba is used when it is importable.
-``NUMBA_ENABLED`` reports which mode is active.
-Without numba, ``init_assignments``, ``gibbs_sweep`` and ``infer_doc`` are
-rewrites over plain Python ints, floats and lists, and ``draw_uniform``
-runs the numba source over numpy scalars.  The token loops of the
-``gibbs_sweep`` and ``infer_doc`` rewrites are generated for the topic
-count K on first use, with each token's K weights unrolled into locals and
-a balanced tree of comparisons in place of the scan for the drawn topic
-(see "Kernels without a compiler" below).  Neither mode uses fast-math,
-so results are bit-identical.  The numba source of each rewritten kernel,
-run uncompiled (``.py_func`` under numba, ``__wrapped__`` without it), is
-the reference the rewrites are tested against.  ``log_likelihood`` is
-plain numpy in both modes.
+``NUMBA_ENABLED`` reports which mode is active.  The numba source is the
+two token loops, ``gibbs_sweep`` and ``infer_doc``, and the ``_mix64`` and
+``_draw`` they inline.  Without numba the loops are rewrites over plain
+Python ints, floats and lists, generated for the topic count K on first
+use (see "Kernels without a compiler" below).  Neither mode uses
+fast-math, so results are bit-identical.  The numba source of each loop,
+run uncompiled (``.py_func`` under numba, ``__wrapped__`` without it, and
+under ``np.errstate(over="ignore")``, as its uint64 arithmetic wraps), is
+the reference the rewrites are tested against.  The rest is numpy in both
+modes: ``init_assignments``, ``posterior_means`` and ``log_likelihood``.
 
 Randomness is counter-based rather than stateful.  The uniform variate for
 token ``n`` of a document in sweep ``s`` is a pure function of
@@ -36,24 +34,9 @@ except ImportError:
     numba = None
 NUMBA_ENABLED = numba is not None
 
-if NUMBA_ENABLED:
-    def _jit(fn):
-        return numba.njit(cache=True)(fn)
 
-    _inline = _jit
-else:
-    def _jit(fn):
-        # uint64 wraparound is intended; silence numpy's scalar overflow
-        # warnings for the duration of the kernel call
-        @functools.wraps(fn)
-        def wrapper(*args):
-            with np.errstate(over="ignore"):
-                return fn(*args)
-
-        return wrapper
-
-    def _inline(fn):
-        return fn
+def _jit(fn):
+    return numba.njit(cache=True)(fn) if NUMBA_ENABLED else fn
 
 
 _U11 = np.uint64(11)
@@ -68,7 +51,7 @@ _C_TOKEN = np.uint64(0xC2B2AE3D27D4EB4F)
 _INV53 = np.float64(1.0 / 9007199254740992.0)  # 2**-53
 
 
-@_inline
+@_jit
 def _mix64(x):
     x = x + _GAMMA
     x = x ^ (x >> _U30)
@@ -79,7 +62,7 @@ def _mix64(x):
     return x
 
 
-@_inline
+@_jit
 def _draw(seed, sweep, idx):
     # uniform in [0, 1) from the (seed, sweep, idx) counter triple
     x = seed ^ (np.uint64(sweep) * _C_SWEEP)
@@ -90,32 +73,8 @@ def _draw(seed, sweep, idx):
 
 
 @_jit
-def draw_uniform(seed, sweep, idx):
-    """The raw counter-based uniform draw, exposed for stream verification."""
-    return _draw(seed, sweep, idx)
-
-
-@_jit
-def init_assignments(doc_ptr, token_word, doc_seed, n_topics, z, n_kw, n_k, n_dk):
-    """Assign every token a topic from its sweep-0 draw and build counts."""
-    n_docs = doc_ptr.shape[0] - 1
-    for d in range(n_docs):
-        s = doc_seed[d]
-        start = doc_ptr[d]
-        for j in range(start, doc_ptr[d + 1]):
-            u = _draw(s, 0, j - start)
-            k = int(u * n_topics)
-            if k >= n_topics:
-                k = n_topics - 1
-            z[j] = k
-            n_kw[k, token_word[j]] += 1
-            n_k[k] += 1
-            n_dk[d, k] += 1
-
-
-@_jit
 def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
-                alpha, beta, cum):
+                alpha, beta):
     """One collapsed Gibbs sweep over every token, in document order.
 
     ``n_kw``, ``n_k`` and ``n_dk`` must be the counts of ``z``, as
@@ -125,6 +84,7 @@ def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
     n_docs = doc_ptr.shape[0] - 1
     n_topics = n_k.shape[0]
     vb = n_kw.shape[1] * beta
+    cum = np.empty(n_topics, np.float64)
     for d in range(n_docs):
         s = doc_seed[d]
         start = doc_ptr[d]
@@ -146,20 +106,6 @@ def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
             n_kw[k, w] += 1
             n_k[k] += 1
             n_dk[d, k] += 1
-
-
-def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):
-    """Per-token predictive log-likelihood under current posterior means.
-
-    Plain numpy in both modes: each token's probability is its document's
-    theta row times its word's phi column.
-    """
-    lengths = np.diff(doc_ptr)
-    theta = (n_dk + alpha) / (lengths + n_k.shape[0] * alpha)[:, None]
-    phi = (n_kw + beta) / (n_k + n_kw.shape[1] * beta)[:, None]
-    doc_of = np.repeat(np.arange(lengths.shape[0]), lengths)
-    p = np.einsum("nk,nk->n", theta[doc_of], phi.T[token_word])
-    return float(np.log(p).sum())
 
 
 @_jit
@@ -206,41 +152,16 @@ def infer_doc(words, seed, phi, alpha, n_sweeps, burn_in, sample_every, acc):
 
 
 # ---------------------------------------------------------------------------
-# Kernels without a compiler
+# Numpy in both modes
 # ---------------------------------------------------------------------------
 #
-# Run uncompiled, the kernels above would go through numpy's scalar
-# machinery for every element access and every uint64 operation.  The
-# rewrites below are bound in their place when numba is absent.  The draws
-# depend only on (seed, sweep, token index), not on the sampler state, so
-# each call mixes all of them at once over uint64 arrays, which wrap just
-# as the scalars do; that is all ``init_assignments`` needs.  The sampling
-# loops then run over plain Python ints, floats and lists.  The counts are
-# copied out (n_kw as per-word columns), and numpy builds the factor
-# lists beside them: ``n_kw.T + beta``, ``n_k + V * beta`` and
-# ``n_dk + alpha``, the same IEEE adds as Python's int + float, since each
-# count converts to a double exactly.  After the loop only ``z`` is
-# written back; ``n_kw``, ``n_k`` and ``n_dk`` are recounted from it with
-# ``np.bincount``.  That is exact because the counts are always the
-# counts of ``z`` (``init_assignments`` builds them so and each sweep
-# moves one count per token), which ``gibbs_sweep`` requires of its
-# caller.  ``doc_ptr`` must start at 0 and end at the token count.
-#
-# The token loops of ``gibbs_sweep`` and ``infer_doc`` are generated from
-# the two templates below, once per topic count K, on the first call with
-# that K.  Each token's K weights are unrolled into locals: the factor
-# lists are unpacked into ``b0``, ``v0``, ``a0``, ... and the running sums
-# are ``s0 = b0 / v0 * a0``, ``s1 = s0 + b1 / v1 * a1``, and so on.  These
-# are the floats the numba source accumulates in ``total``, formed by the
-# same operations in the same order, so the chains are bit-identical.  The
-# topic drawn is the first whose running sum exceeds ``r``, where the
-# numba source's scan stops.  The sums never decrease, so a balanced tree
-# of ``if r < s<mid>:`` tests finds it in about log2(K) comparisons; the
-# last topic's leaf is an ``else``, so an ``r`` at or above every sum draws
-# the last topic, as the scan's bound does.  The source for K is
-# registered with ``linecache`` under ``<petmine.kernels K=...>``: a
-# traceback shows its lines, and ``inspect.getsource`` on
-# ``_specialised(K).gibbs_sweep`` or ``.infer_doc`` prints it.
+# The draws depend only on (seed, sweep, token index), not on the sampler
+# state, so all of a call's draws are mixed at once over uint64 arrays,
+# which wrap just as the scalars do.  The counts are always the counts of
+# ``z``: ``_count`` builds them from ``z`` with ``np.bincount``, for
+# ``init_assignments`` and after each rewritten sweep, and each compiled
+# sweep moves one count per token.  ``doc_ptr`` must start at 0 and end
+# at the token count.
 
 _mix64_array = getattr(_mix64, "py_func", _mix64)
 
@@ -261,15 +182,77 @@ def _token_draws(doc_ptr, doc_seed, sweep):
     return _draws(doc_seed[doc_of], sweep, idx), doc_of
 
 
-def _init_assignments_fast(doc_ptr, token_word, doc_seed, n_topics,
-                           z, n_kw, n_k, n_dk):
-    u, doc_of = _token_draws(doc_ptr, doc_seed, 0)
-    k = np.minimum((u * n_topics).astype(np.int64), n_topics - 1)
-    z[:] = k
-    np.add.at(n_kw, (k, token_word), 1)
-    np.add.at(n_k, k, 1)
-    np.add.at(n_dk, (doc_of, k), 1)
+def _count(z, token_word, doc_of, n_kw, n_k, n_dk):
+    """Overwrite ``n_kw``, ``n_k`` and ``n_dk`` with the counts of ``z``."""
+    n_topics, n_terms = n_kw.shape
+    k = z.astype(np.int64)
+    n_kw[:] = np.bincount(k * n_terms + token_word,
+                          minlength=n_kw.size).reshape(n_kw.shape)
+    n_k[:] = np.bincount(k, minlength=n_topics)
+    n_dk[:] = np.bincount(doc_of * n_topics + k,
+                          minlength=n_dk.size).reshape(n_dk.shape)
 
+
+def init_assignments(doc_ptr, token_word, doc_seed, n_topics, z, n_kw, n_k,
+                     n_dk):
+    """Assign every token a topic from its sweep-0 draw and build counts."""
+    u, doc_of = _token_draws(doc_ptr, doc_seed, 0)
+    z[:] = np.minimum((u * n_topics).astype(np.int64), n_topics - 1)
+    _count(z, token_word, doc_of, n_kw, n_k, n_dk)
+
+
+def posterior_means(doc_ptr, n_kw, n_k, n_dk, alpha, beta):
+    """``(theta, phi)`` of the counts, with the Dirichlet priors folded in."""
+    lengths = np.diff(doc_ptr)
+    theta = (n_dk + alpha) / (lengths + n_k.shape[0] * alpha)[:, None]
+    phi = (n_kw + beta) / (n_k + n_kw.shape[1] * beta)[:, None]
+    return theta, phi
+
+
+def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):
+    """Per-token predictive log-likelihood under current posterior means.
+
+    Each token's probability is its document's theta row times its word's
+    phi column.
+    """
+    theta, phi = posterior_means(doc_ptr, n_kw, n_k, n_dk, alpha, beta)
+    lengths = np.diff(doc_ptr)
+    doc_of = np.repeat(np.arange(lengths.shape[0]), lengths)
+    p = np.einsum("nk,nk->n", theta[doc_of], phi.T[token_word])
+    return float(np.log(p).sum())
+
+
+# ---------------------------------------------------------------------------
+# Kernels without a compiler
+# ---------------------------------------------------------------------------
+#
+# Run uncompiled, the token loops above would go through numpy's scalar
+# machinery for every element access and every uint64 operation.  The
+# rewrites below are bound in their place when numba is absent.  They take
+# their draws from ``_draws`` and run over plain Python ints, floats and
+# lists.  The counts are copied out (n_kw as per-word columns), and numpy
+# builds the factor lists beside them: ``n_kw.T + beta``,
+# ``n_k + V * beta`` and ``n_dk + alpha``, the same IEEE adds as Python's
+# int + float, since each count converts to a double exactly.  After the
+# loop only ``z`` is written back, and ``_count`` rebuilds the counts from
+# it, which is exact because ``gibbs_sweep`` requires its caller's counts
+# to be the counts of ``z``.
+#
+# The token loops of ``gibbs_sweep`` and ``infer_doc`` are generated from
+# the two templates below, once per topic count K, on the first call with
+# that K.  Each token's K weights are unrolled into locals: the factor
+# lists are unpacked into ``b0``, ``v0``, ``a0``, ... and the running sums
+# are ``s0 = b0 / v0 * a0``, ``s1 = s0 + b1 / v1 * a1``, and so on.  These
+# are the floats the numba source accumulates in ``total``, formed by the
+# same operations in the same order, so the chains are bit-identical.  The
+# topic drawn is the first whose running sum exceeds ``r``, where the
+# numba source's scan stops.  The sums never decrease, so a balanced tree
+# of ``if r < s<mid>:`` tests finds it in about log2(K) comparisons; the
+# last topic's leaf is an ``else``, so an ``r`` at or above every sum draws
+# the last topic, as the scan's bound does.  The source for K is
+# registered with ``linecache`` under ``<petmine.kernels K=...>``: a
+# traceback shows its lines, and ``inspect.getsource`` on
+# ``_specialised(K).gibbs_sweep`` or ``.infer_doc`` prints it.
 
 # ``{b}``, ``{v}``, ``{a}`` and ``{p}`` unpack a list into one local per
 # topic; ``{weights}`` sets the running sums ``s0`` .. ``s{last}`` and
@@ -380,8 +363,7 @@ def _specialised(n_topics):
 
 
 def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
-                      n_dk, alpha, beta, cum):
-    # ``cum`` is the compiled kernel's scratch buffer; unused here
+                      n_dk, alpha, beta):
     n_topics, n_terms = n_kw.shape
     vb = n_terms * beta
     us, doc_of = _token_draws(doc_ptr, doc_seed, sweep)
@@ -392,12 +374,7 @@ def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
         (n_kw.T + beta).tolist(), (n_k + vb).tolist(),
         (n_dk + alpha).tolist(), alpha, beta, vb)
     z[:] = zs
-    k = z.astype(np.int64)
-    n_kw[:] = np.bincount(k * n_terms + token_word,
-                          minlength=n_kw.size).reshape(n_kw.shape)
-    n_k[:] = np.bincount(k, minlength=n_topics)
-    n_dk[:] = np.bincount(doc_of * n_topics + k,
-                          minlength=n_dk.size).reshape(n_dk.shape)
+    _count(z, token_word, doc_of, n_kw, n_k, n_dk)
 
 
 def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
@@ -419,7 +396,5 @@ def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
 if not NUMBA_ENABLED:
     # each rewrite takes its kernel's name; the numba source, run over
     # numpy scalars, stays reachable as ``__wrapped__``
-    init_assignments = functools.update_wrapper(_init_assignments_fast,
-                                                init_assignments)
     gibbs_sweep = functools.update_wrapper(_gibbs_sweep_fast, gibbs_sweep)
     infer_doc = functools.update_wrapper(_infer_doc_fast, infer_doc)

@@ -129,7 +129,7 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
     """Fit a topic model to a document-term matrix."""
     if dtm.counts.nnz == 0:
         raise EmptyCorpusError("document-term matrix has no nonzero entries")
-    retained = config.retained_sweeps()
+    retained = set(config.retained_sweeps())
     if not retained:
         raise ConfigError(
             "no sweeps would be retained: raise iterations or lower "
@@ -147,24 +147,19 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
     n_kw = np.zeros((k, n_terms), dtype=np.int64)
     n_k = np.zeros(k, dtype=np.int64)
     n_dk = np.zeros((n_docs, k), dtype=np.int64)
-    cum = np.empty(k, dtype=np.float64)
     kernels.init_assignments(doc_ptr, token_word, doc_seed, k, z, n_kw, n_k, n_dk)
 
     alpha, beta = float(config.alpha), float(config.beta)
-    doc_len = (doc_ptr[1:] - doc_ptr[:-1]).astype(np.float64)
     phi_acc = np.zeros((k, n_terms), dtype=np.float64)
     theta_acc = np.zeros((n_docs, k), dtype=np.float64)
-    n_samples = 0
     trace: list[float] = []
     trace_sweeps: list[int] = []
     # progress is timed over the wall clock since the previous log line
     mark_sweep, mark_time = 0, time.perf_counter()
 
     for sweep in range(1, config.iterations + 1):
-        kernels.gibbs_sweep(
-            sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
-            alpha, beta, cum,
-        )
+        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw,
+                            n_k, n_dk, alpha, beta)
         if sweep == 1 or sweep % _LL_EVERY == 0:
             ll = float(kernels.log_likelihood(
                 doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta,
@@ -180,16 +175,17 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
                      sweeps_per_s * token_word.shape[0], ll,
                      (config.iterations - sweep) / sweeps_per_s)
             mark_sweep, mark_time = sweep, now
-        if sweep > config.burn_in and (sweep - config.burn_in) % config.sample_every == 0:
-            phi_acc += (n_kw + beta) / (n_k + n_terms * beta)[:, None]
-            theta_acc += (n_dk + alpha) / (doc_len + k * alpha)[:, None]
-            n_samples += 1
+        if sweep in retained:
+            theta, phi = kernels.posterior_means(doc_ptr, n_kw, n_k, n_dk,
+                                                 alpha, beta)
+            theta_acc += theta
+            phi_acc += phi
 
-    phi = phi_acc / n_samples
-    theta = theta_acc / n_samples
+    phi = phi_acc / len(retained)
+    theta = theta_acc / len(retained)
     log.info(
         "fitted k=%d on %d docs / %d tokens: %d retained samples, final ll %.1f",
-        k, n_docs, token_word.shape[0], n_samples, trace[-1],
+        k, n_docs, token_word.shape[0], len(retained), trace[-1],
     )
     return TopicModel(
         config=config, phi=phi, theta=theta,

@@ -309,6 +309,9 @@ def load_arrays(path: str, format: str,
                 elif name.endswith(".npy"):
                     arrays[name[:-4]] = np.lib.format.read_array(
                         io.BytesIO(data))
+    except OSError as exc:
+        raise ArchiveFormatError(
+            f"{path}: snapshot cannot be read ({exc.strerror})") from None
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise ArchiveFormatError(
             f"{path}: not a readable {format} snapshot ({exc})") from None

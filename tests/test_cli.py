@@ -278,12 +278,58 @@ def test_an_input_that_is_a_directory_exits_two_writing_nothing(
     assert not out.exists()
 
 
-def test_missing_snapshot_is_runtime_error(tmp_path):
+def test_missing_snapshot_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}),
                     encoding="utf-8")
     assert cli.main(["fit", "--config", str(path)]) == 1
     assert cli.main(["report", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count(str(tmp_path / "out" / "corpus.jsonl")) == 2
+
+
+@pytest.mark.parametrize("command, name", [
+    ("fit", "corpus.jsonl"), ("report", "corpus.jsonl"),
+    ("report", "model.bin"), ("xmin-scan", "corpus.jsonl"),
+    ("grid", "dtm.bin"), ("intrusion-score", "model.bin")])
+def test_a_snapshot_that_is_a_directory_exits_one_naming_it(
+        pipeline_out, fixture_paths, tmp_path, capsys, command, name):
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    for snapshot in ("corpus.jsonl", "model.bin", "dtm.bin"):
+        shutil.copy(os.path.join(out, snapshot), tmp_path / snapshot)
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+    answers = tmp_path / "answers.csv"
+    answers.write_text("topic,subject,position\n", encoding="utf-8")
+    assert cli.main([command, "--config", str(config_path),
+                     "--output-dir", str(tmp_path),
+                     "--answers", str(answers)]) == 1
+    err = capsys.readouterr().err
+    assert "petmine: error:" in err and str(tmp_path / name) in err
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("key, code, kind", [
+    ("constituencies", 1, "error"), ("answers", 2, "config error")])
+def test_a_non_utf8_input_exits_naming_the_file_and_byte(
+        pipeline_out, fixture_paths, tmp_path, capsys, key, code, kind):
+    archive, _, config_path, _ = fixture_paths
+    # the bad byte lies past the first 8 KiB, which a text stream decodes
+    # on its own
+    header = {"constituencies": b"code,name,electorate",
+              "answers": b"topic,subject,position"}[key]
+    lines = [header] + [b"E%07d,s%d,1" % (i, i) for i in range(1000)]
+    data = b"\n".join(lines) + b"\n9,caf\xe9,1\n"
+    path = tmp_path / f"{key}.csv"
+    path.write_bytes(data)
+    argv = {"constituencies": ["ingest", "--archive", str(archive),
+                               "--output-dir", str(tmp_path / "out")],
+            "answers": ["intrusion-score", "--config", str(config_path)]}[key]
+    assert cli.main(argv + [f"--{key}", str(path)]) == code
+    err = capsys.readouterr().err
+    assert f"petmine: {kind}:" in err and str(path) in err
+    assert "byte %d" % data.index(b"\xe9") in err
 
 
 def test_usage_errors_exit_two():

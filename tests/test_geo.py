@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -486,6 +490,31 @@ def test_silhouette_sweep_shape_and_range():
 def test_silhouette_sweep_metric_validation():
     with pytest.raises(ConfigError):
         geo.silhouette_sweep(_blobs(), [2], metric="cosine")
+
+
+def test_silhouettes_do_not_depend_on_the_blas_thread_count():
+    # a BLAS product's last bits move with its thread count, so one run
+    # per count; only a host with several cores can tell the two apart
+    script = (
+        "import numpy as np\n"
+        "from scipy.spatial.distance import cdist\n"
+        "from petmine import geo\n"
+        "rng = np.random.default_rng(0)\n"
+        "z = rng.random((650, 10))\n"
+        "dist = cdist(z, z)\n"
+        "for k in range(2, 11):\n"
+        "    labels = rng.integers(0, k, size=650)\n"
+        "    print(geo.silhouette_score(dist, labels).hex())\n")
+    src = str(pathlib.Path(geo.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    outputs = [subprocess.run([sys.executable, "-c", script],
+                              env={**env, **threads}, capture_output=True,
+                              text=True, check=True).stdout
+               for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+    assert len(outputs[0].split()) == 9
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("metric", sorted(geo._METRICS))

@@ -70,22 +70,22 @@ def _assert_counts_consistent(doc_ptr, token_word, z, n_kw, n_k, n_dk):
 @given(seed=st.integers(0, MASK), sweep=st.integers(0, 10_000),
        idx=st.integers(0, 100_000))
 @settings(max_examples=200, deadline=None)
-def test_draw_uniform_matches_reference(seed, sweep, idx):
-    got = kernels.draw_uniform(np.uint64(seed), sweep, idx)
+def test_draws_match_reference(seed, sweep, idx):
+    got = kernels._draws(np.uint64(seed), sweep, idx)
     want = _draw_ref(seed, sweep, idx)
     assert got == want
     assert 0.0 <= got < 1.0
 
 
-def test_draw_uniform_sensitive_to_each_argument():
-    base = kernels.draw_uniform(np.uint64(42), 3, 7)
-    assert base != kernels.draw_uniform(np.uint64(43), 3, 7)
-    assert base != kernels.draw_uniform(np.uint64(42), 4, 7)
-    assert base != kernels.draw_uniform(np.uint64(42), 3, 8)
+def test_draws_sensitive_to_each_argument():
+    base = kernels._draws(np.uint64(42), 3, 7)
+    assert base != kernels._draws(np.uint64(43), 3, 7)
+    assert base != kernels._draws(np.uint64(42), 4, 7)
+    assert base != kernels._draws(np.uint64(42), 3, 8)
 
 
-def test_draw_uniform_roughly_uniform():
-    us = [kernels.draw_uniform(np.uint64(1), 0, i) for i in range(4000)]
+def test_draws_roughly_uniform():
+    us = kernels._draws(np.uint64(1), 0, np.arange(4000))
     assert abs(np.mean(us) - 0.5) < 0.02
     assert min(us) < 0.05 and max(us) > 0.95
 
@@ -98,22 +98,20 @@ def test_init_assignments_builds_consistent_counts():
 
 def test_gibbs_sweep_preserves_count_invariants():
     doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk = _toy_state()
-    cum = np.empty(n_k.shape[0], np.float64)
     for sweep in range(1, 6):
         kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z,
-                            n_kw, n_k, n_dk, 0.1, 0.1, cum)
+                            n_kw, n_k, n_dk, 0.1, 0.1)
         _assert_counts_consistent(doc_ptr, token_word, z, n_kw, n_k, n_dk)
 
 
 def test_gibbs_sweep_deterministic():
     a = _toy_state()
     b = _toy_state()
-    cum = np.empty(3, np.float64)
     for sweep in range(1, 4):
         kernels.gibbs_sweep(sweep, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
-                            0.1, 0.1, cum)
+                            0.1, 0.1)
         kernels.gibbs_sweep(sweep, b[0], b[1], b[2], b[3], b[4], b[5], b[6],
-                            0.1, 0.1, cum)
+                            0.1, 0.1)
     assert np.array_equal(a[3], b[3])
 
 
@@ -154,6 +152,23 @@ def _reference(kernel):
     return getattr(kernel, "py_func", None) or kernel.__wrapped__
 
 
+def _init_assignments_loop(doc_ptr, token_word, doc_seed, n_topics,
+                           z, n_kw, n_k, n_dk):
+    # the per-token loop kernels.init_assignments replaces: each token's
+    # sweep-0 draw, one scalar ``_draw`` at a time
+    for d in range(doc_ptr.shape[0] - 1):
+        s = doc_seed[d]
+        start = doc_ptr[d]
+        for j in range(start, doc_ptr[d + 1]):
+            k = int(kernels._draw(s, 0, j - start) * n_topics)
+            if k >= n_topics:
+                k = n_topics - 1
+            z[j] = k
+            n_kw[k, token_word[j]] += 1
+            n_k[k] += 1
+            n_dk[d, k] += 1
+
+
 def _corpus(n_docs, vocab, max_len, seed):
     rng = np.random.default_rng(seed)
     lengths = rng.integers(0, max_len + 1, size=n_docs)
@@ -181,19 +196,17 @@ def test_fast_sampler_bit_identical_to_numba_source(n_topics):
     doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 30, n_topics)
     want = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
     got = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
-    cum = np.empty(n_topics, np.float64)
     with np.errstate(over="ignore"):
-        _reference(kernels.init_assignments)(doc_ptr, token_word, doc_seed,
-                                             n_topics, *want)
-        kernels._init_assignments_fast(doc_ptr, token_word, doc_seed,
-                                       n_topics, *got)
+        _init_assignments_loop(doc_ptr, token_word, doc_seed, n_topics, *want)
+        kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
+                                 *got)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
         for sweep in range(1, 31):
             _reference(kernels.gibbs_sweep)(sweep, doc_ptr, token_word,
-                                            doc_seed, *want, 0.1, 0.05, cum)
+                                            doc_seed, *want, 0.1, 0.05)
             kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
-                                      *got, 0.1, 0.05, cum)
+                                      *got, 0.1, 0.05)
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
             # the counts the rewrite recounts from z, tallied by a loop
@@ -239,9 +252,8 @@ def test_specialised_kernels_are_cached_by_k_and_readable():
 
 
 def test_kernel_mode_binds_fast_kernels_without_numba():
-    fast = (kernels._init_assignments_fast, kernels._gibbs_sweep_fast,
-            kernels._infer_doc_fast)
-    bound = (kernels.init_assignments, kernels.gibbs_sweep, kernels.infer_doc)
+    fast = (kernels._gibbs_sweep_fast, kernels._infer_doc_fast)
+    bound = (kernels.gibbs_sweep, kernels.infer_doc)
     for f, b in zip(fast, bound):
         assert (b is f) == (not kernels.NUMBA_ENABLED)
         assert _reference(b) is not f
@@ -265,17 +277,14 @@ def test_compiled_and_fallback_modes_bit_identical():
         doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 20, 3)
         compiled = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
         rewrite = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
-        cum = np.empty(n_topics, np.float64)
-        kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
-                                 *compiled)
-        kernels._init_assignments_fast(doc_ptr, token_word, doc_seed,
-                                       n_topics, *rewrite)
-        for sweep in range(31):
-            if sweep:
-                kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
-                                    *compiled, 0.1, 0.1, cum)
-                kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word,
-                                          doc_seed, *rewrite, 0.1, 0.1, cum)
+        for state in (compiled, rewrite):
+            kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
+                                     *state)
+        for sweep in range(1, 31):
+            kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
+                                *compiled, 0.1, 0.1)
+            kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
+                                      *rewrite, 0.1, 0.1)
             for a, b in zip(compiled, rewrite):
                 assert a.tobytes() == b.tobytes()
 

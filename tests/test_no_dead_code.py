@@ -18,11 +18,7 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
     (ROOT / "pipeline_bench").rglob("*.py"))
 
 # reached by the tests alone, on purpose
-EXCEPTIONS = {
-    # the probe test_kernels checks the counter-based stream with, in both
-    # kernel modes; the sampler kernels inline the same draw
-    "kernels.draw_uniform",
-}
+EXCEPTIONS: set[str] = set()
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
