@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__, corpus, geo, issues, lda, powerlaw, temporal, textprep
 from .errors import ConfigError, PetmineError, ValidationError
-from .util import (check_types, config_digest, derive_seed, write_csv,
-                   write_text)
+from .util import (check_types, chunk_count, config_digest,
+                   derive_seed, fork_map, write_csv, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +44,9 @@ _LDA_DEFAULTS = {
 
 NETWORK_KEEP_FRACTION = 0.2
 SILHOUETTE_K_RANGE = range(2, 11)
+# the least estimated cost (see cmd_grid) of a chunk of grid settings
+# that repays a process of its own: about 12 ms of sampling
+_MIN_GRID_COST = 150_000
 
 
 @dataclasses.dataclass
@@ -543,20 +546,25 @@ def cmd_intrusion_score(cfg: PipelineConfig) -> int:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"answers file is not UTF-8: {answers_path} "
                               f"(byte {exc.start})") from None
-        rows = [r for r in csv.reader(io.StringIO(text, newline=""))
-                if r and not r[0].startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != ["topic", "subject", "position"]:
+    # each row but comments and blank lines, with the line it ends on
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [(reader.line_num, r) for r in reader
+            if r and not r[0].startswith("#")]
+    if not rows or [c.strip() for c in rows[0][1]] != ["topic", "subject",
+                                                       "position"]:
         raise ConfigError(
             f"answers CSV must have header topic,subject,position: {answers_path}")
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
+        where = f"{answers_path}:{line_no}"
         if len(row) != 3:
-            raise ConfigError(f"answers row {line_no} has {len(row)} fields")
+            raise ConfigError(f"{where}: answers row has {len(row)} fields")
         try:
             topic, position = int(row[0]), int(row[2])
         except ValueError:
-            raise ConfigError(f"answers row {line_no} is not numeric")
+            raise ConfigError(f"{where}: answers row is not numeric") from None
         if topic not in by_topic:
-            raise ConfigError(f"answers reference unknown topic {topic}")
+            raise ConfigError(
+                f"{where}: answers reference unknown topic {topic}")
         picked.append(by_topic[topic])
         answers.append(position)
     score = lda.score_intrusion(picked, answers)
@@ -589,18 +597,48 @@ def cmd_grid(cfg: PipelineConfig) -> int:
         prune_report=dtm.prune_report)
     hold_counts = dtm.counts[hold]
 
-    rows = []
-    for run_cfg in cfg.grid_configs():
-        model = lda.fit(train_dtm, run_cfg)
-        total, per_token = lda.held_out_log_likelihood(model, hold_counts)
-        rows.append([run_cfg.k, run_cfg.alpha, run_cfg.beta,
-                     model.log_likelihood_trace[-1], total, per_token])
+    configs = cfg.grid_configs()
+    # a setting's estimated cost: the token sweeps of its fit, and of its
+    # held-out score at half a fit's cost per token sweep, times K plus 10
+    # for the work per token that does not grow with K; the settings run
+    # in contiguous chunks of about equal cost, one per core, and each
+    # chunk returns its rows of grid.csv
+    sweeps = (int(train_dtm.counts.sum()) * configs[0].iterations
+              + int(hold_counts.sum()) * lda._INFER_SWEEPS // 2)
+    cost = np.array([(c.k + 10) * sweeps for c in configs])
+    total = int(cost.sum())
+    n = min(chunk_count(total, _MIN_GRID_COST), len(configs))
+    # each setting joins the chunk that holds the larger part of its cost
+    cuts = np.searchsorted(np.cumsum(cost) - cost / 2,
+                           total * np.arange(1, n) / n).tolist()
+    bounds = sorted({0, *cuts, len(configs)})
+    log.info("fitting %d grid settings: %d process(es), chunks of %s "
+             "settings", len(configs), len(bounds) - 1,
+             ", ".join(map(str, np.diff(bounds).tolist())))
+    chunks = fork_map(
+        lambda span: _grid_rows(train_dtm, hold_counts,
+                                configs[span[0]:span[1]]),
+        list(zip(bounds, bounds[1:])))
+    rows = [row for chunk in chunks for row in chunk]
+    for k, alpha, beta, _, _, per_token in rows:
         log.info("grid: k=%d alpha=%g beta=%g per-token %.4f",
-                 run_cfg.k, run_cfg.alpha, run_cfg.beta, per_token)
+                 k, alpha, beta, per_token)
     write_csv(cfg.path("grid.csv"), cfg.meta,
               ["k", "alpha", "beta", "train_log_likelihood",
                "holdout_log_likelihood", "holdout_per_token"], rows)
     return 0
+
+
+def _grid_rows(train_dtm, hold_counts, configs) -> list[list]:
+    """The ``grid.csv`` rows of ``configs``, each fitted to ``train_dtm``
+    and scored on ``hold_counts`` in turn."""
+    rows = []
+    for run_cfg in configs:
+        model = lda.fit(train_dtm, run_cfg)
+        total, per_token = lda.held_out_log_likelihood(model, hold_counts)
+        rows.append([run_cfg.k, run_cfg.alpha, run_cfg.beta,
+                     model.log_likelihood_trace[-1], total, per_token])
+    return rows
 
 
 def cmd_xmin_scan(cfg: PipelineConfig) -> int:

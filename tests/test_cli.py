@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from petmine import cli, geo, lda, util
-from petmine.errors import ConfigError
+from petmine.errors import ConfigError, NumericalError
 
 from conftest import write_fixture_archive
 
@@ -223,6 +223,92 @@ def test_grid_sweeps_settings(pipeline_out, fixture_paths):
     assert [r[0] for r in rows] == ["2", "3"]
     for row in rows:
         assert float(row[5]) < 0
+
+
+@pytest.mark.parametrize("row, fault", [
+    ("0,s1", "answers row has 2 fields"),
+    ("0,s1,x", "answers row is not numeric"),
+    ("99,s1,1", "answers reference unknown topic 99")])
+def test_answer_row_faults_name_the_file_and_line(
+        pipeline_out, fixture_paths, tmp_path, capsys, row, fault):
+    # a comment, a blank line and a quoted line break come before the
+    # bad row, which sits on line 7
+    _, _, config_path, _ = fixture_paths
+    answers = tmp_path / "answers.csv"
+    answers.write_text("topic,subject,position\n# first\n\n"
+                       '0,"two\nlines",1\n# second\n' + row + "\n",
+                       encoding="utf-8")
+    assert cli.main(["intrusion-score", "--config", str(config_path),
+                     "--answers", str(answers)]) == 2
+    assert capsys.readouterr().err == (
+        f"petmine: config error: {answers}:7: {fault}\n")
+
+
+# four settings whose estimated costs are in the ratio 12:12:13:13
+_GRID_FLAGS = ["--k-values", "2,3", "--alpha-values", "0.1,0.5",
+               "--iterations", "20", "--burn-in", "10", "--sample-every", "5",
+               "--holdout", "0.2"]
+_GRID_SPLITS = {1: "4", 2: "2, 2", 3: "1, 2, 1"}
+
+
+def _grid_dir(pipeline_out, tmp_path, name):
+    out = tmp_path / name
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline_out[0], "dtm.bin"), out / "dtm.bin")
+    return out
+
+
+def test_chunked_grid_matches_one_chunk(pipeline_out, fixture_paths,
+                                        tmp_path, monkeypatch, caplog):
+    _, _, config_path, _ = fixture_paths
+    monkeypatch.setattr(cli, "_MIN_GRID_COST", 1)
+    outcomes = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(util, "cores", lambda: n)
+        out = _grid_dir(pipeline_out, tmp_path, f"out{n}")
+        caplog.clear()
+        with caplog.at_level("INFO", logger="petmine.cli"):
+            assert cli.main(["grid", "--config", str(config_path),
+                             "--output-dir", str(out), *_GRID_FLAGS]) == 0
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "petmine.cli"]
+        assert messages[0] == (f"fitting 4 grid settings: {n} process(es), "
+                               f"chunks of {_GRID_SPLITS[n]} settings")
+        outcomes.append(((out / "grid.csv").read_bytes(), messages[1:]))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    lines = outcomes[0][1]
+    assert [line.split(" per-token")[0] for line in lines] == [
+        f"grid: k={k} alpha={alpha} beta=0.1"
+        for k in (2, 3) for alpha in (0.1, 0.5)]
+    header, rows = _read_csv(tmp_path / "out1" / "grid.csv")
+    assert [row[:3] for row in rows] == [
+        [str(k), str(alpha), "0.1"] for k in (2, 3) for alpha in (0.1, 0.5)]
+
+
+def test_grid_reports_the_first_failing_setting(
+        pipeline_out, fixture_paths, tmp_path, monkeypatch, capsys):
+    # the second and fourth settings fail at once, in different chunks at
+    # 2 and 3 chunks; the first setting's chunk runs in the calling
+    # process, so a later chunk's failure may come first in time
+    _, _, config_path, _ = fixture_paths
+    fit = lda.fit
+
+    def failing_fit(dtm, config):
+        if config.alpha == 0.5:
+            raise NumericalError(f"planted failure at k={config.k}")
+        return fit(dtm, config)
+
+    monkeypatch.setattr(lda, "fit", failing_fit)
+    monkeypatch.setattr(cli, "_MIN_GRID_COST", 1)
+    for n in (1, 2, 3):
+        monkeypatch.setattr(util, "cores", lambda: n)
+        out = _grid_dir(pipeline_out, tmp_path, f"out{n}")
+        assert cli.main(["grid", "--config", str(config_path),
+                         "--output-dir", str(out), *_GRID_FLAGS]) == 1
+        assert capsys.readouterr().err == (
+            "petmine: error: planted failure at k=2\n")
+        assert sorted(os.listdir(out)) == ["dtm.bin"]
 
 
 def test_xmin_scan(pipeline_out, fixture_paths):
