@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__, corpus, geo, issues, lda, powerlaw, temporal, textprep
 from .errors import ConfigError, PetmineError, ValidationError
-from .util import (check_types, chunk_count, config_digest,
-                   derive_seed, fork_map, write_csv, write_text)
+from .util import (check_types, config_digest, derive_seed, split_map,
+                   write_csv, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -605,20 +605,10 @@ def cmd_grid(cfg: PipelineConfig) -> int:
     # chunk returns its rows of grid.csv
     sweeps = (int(train_dtm.counts.sum()) * configs[0].iterations
               + int(hold_counts.sum()) * lda._INFER_SWEEPS // 2)
-    cost = np.array([(c.k + 10) * sweeps for c in configs])
-    total = int(cost.sum())
-    n = min(chunk_count(total, _MIN_GRID_COST), len(configs))
-    # each setting joins the chunk that holds the larger part of its cost
-    cuts = np.searchsorted(np.cumsum(cost) - cost / 2,
-                           total * np.arange(1, n) / n).tolist()
-    bounds = sorted({0, *cuts, len(configs)})
-    log.info("fitting %d grid settings: %d process(es), chunks of %s "
-             "settings", len(configs), len(bounds) - 1,
-             ", ".join(map(str, np.diff(bounds).tolist())))
-    chunks = fork_map(
-        lambda span: _grid_rows(train_dtm, hold_counts,
-                                configs[span[0]:span[1]]),
-        list(zip(bounds, bounds[1:])))
+    chunks = split_map(
+        lambda lo, hi: _grid_rows(train_dtm, hold_counts, configs[lo:hi]),
+        [(c.k + 10) * sweeps for c in configs], _MIN_GRID_COST,
+        "grid settings")
     rows = [row for chunk in chunks for row in chunk]
     for k, alpha, beta, _, _, per_token in rows:
         log.info("grid: k=%d alpha=%g beta=%g per-token %.4f",

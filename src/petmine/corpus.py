@@ -153,7 +153,8 @@ def load_constituencies(path: str) -> tuple[ConstituencyMeta, ...]:
             raise ArchiveFormatError(
                 f"{path}: expected CSV header code,name,electorate"
             )
-        for i, row in enumerate(reader, start=2):
+        # each row with the line it ends on
+        for i, row in ((reader.line_num, row) for row in reader):
             code = (row["code"] or "").strip()
             if not code:
                 raise ArchiveFormatError(f"{path}:{i}: empty constituency code")
@@ -280,9 +281,10 @@ class _Chunk:
     """One byte range of an archive, read.
 
     ``report`` counts its lines and holds its rejects, and the other
-    fields hold its kept records in line order, with line numbers counted
-    from the range's start.  Each record's codes are ``sizes`` entries of
-    ``keys``, indices into ``code_table``, and of ``counts``.
+    fields hold the records it accepted, duplicates included, in line
+    order, with line numbers counted from the range's start.  Each
+    record's codes are ``sizes`` entries of ``keys``, indices into
+    ``code_table``, and of ``counts``.
     """
     lines: int
     report: IngestReport
@@ -299,15 +301,18 @@ class _Chunk:
 
 def _read_chunk(path: str, start: int, end: int,
                 window: tuple[datetime.date, datetime.date] | None) -> _Chunk:
-    """Validate the lines of ``path`` in bytes ``start:end``, which start
-    a line and end one."""
+    """Validate the lines of ``path`` that start in bytes ``start:end``;
+    a newline is never part of a multi-byte UTF-8 character."""
     report = IngestReport()
     line_nos, ids, texts, days, totals, sizes = [], [], [], [], [], []
     keys, counts = [], []
-    seen = set()
-    line_no, at = 0, start
+    line_no = 0
     with open(path, "rb") as fh:
-        fh.seek(start)
+        if start:
+            # the line that holds byte start - 1 starts in an earlier range
+            fh.seek(start - 1)
+            fh.readline()
+        at = fh.tell()
         for raw in fh:
             if at >= end:
                 break
@@ -344,10 +349,6 @@ def _read_chunk(path: str, start: int, end: int,
                 report.rejects.append(
                     (line_no, "created_at outside configured window"))
                 continue
-            if pid in seen:
-                report.rejects.append((line_no, f"duplicate id {pid}"))
-                continue
-            seen.add(pid)
             line_nos.append(line_no)
             ids.append(pid)
             texts.append(text)
@@ -368,21 +369,6 @@ def _read_chunk(path: str, start: int, end: int,
         counts=np.array(counts, dtype=np.int64))
 
 
-def _line_ranges(path: str, size: int, n: int) -> list[tuple[int, int]]:
-    """At most ``n`` byte ranges of about equal size that cover ``path``'s
-    ``size`` bytes, each cut just after a newline: a character boundary
-    in UTF-8, and so where a line starts."""
-    cuts = set()
-    with open(path, "rb") as fh:
-        for i in range(1, n):
-            # the first line that starts at or after the i-th n-th
-            fh.seek(size * i // n - 1)
-            fh.readline()
-            cuts.add(fh.tell())
-    starts = sorted(cuts.union([0]) - {size}) or [0]
-    return list(zip(starts, starts[1:] + [size]))
-
-
 def load_archive(path: str,
                  window: tuple[datetime.date, datetime.date] | None = None,
                  constituencies: tuple[ConstituencyMeta, ...] = ()) -> Corpus:
@@ -400,17 +386,20 @@ def load_archive(path: str,
     UNKNOWN column with one warning per code.  Raises EmptyCorpusError
     when nothing survives.
 
-    An archive of twice ``_MIN_CHUNK_BYTES`` or more is read in byte
-    ranges, one per core (:func:`~petmine.util.fork_map`), which are then
-    merged in line order: a later range's copy of an id an earlier range
-    kept is a duplicate.  The result does not depend on how many ranges
-    there were.
+    An archive of twice ``_MIN_CHUNK_BYTES`` or more is cut into byte
+    ranges of equal size, one per core, and each range reads the lines
+    that start in it (:func:`~petmine.util.fork_map`).  The ranges are
+    merged in line order, and a record whose id an earlier line's record
+    kept is a duplicate, so the result does not depend on how many
+    ranges there were.
     """
     size = os.path.getsize(path)
-    ranges = _line_ranges(path, size, chunk_count(size, _MIN_CHUNK_BYTES))
-    log.info("reading %s: %d process(es), chunks of %s bytes", path,
-             len(ranges), ", ".join(str(b - a) for a, b in ranges))
-    chunks = fork_map(lambda span: _read_chunk(path, *span, window), ranges)
+    n = chunk_count(size, _MIN_CHUNK_BYTES)
+    cuts = [size * i // n for i in range(n + 1)]
+    log.info("reading %s: %d process(es), chunks of %s bytes", path, n,
+             ", ".join(map(str, np.diff(cuts).tolist())))
+    chunks = fork_map(lambda span: _read_chunk(path, *span, window),
+                      list(zip(cuts, cuts[1:])))
 
     report = IngestReport()
     seen: set[str] = set()
@@ -419,14 +408,15 @@ def load_archive(path: str,
     for chunk in chunks:
         report.total_lines += chunk.report.total_lines
         report.dropped_state += chunk.report.dropped_state
-        keep = np.array([pid not in seen for pid in chunk.ids], dtype=bool)
-        rejects = chunk.report.rejects + [
-            (line_no, f"duplicate id {pid}")
-            for line_no, pid, k in zip(chunk.line_nos, chunk.ids, keep)
-            if not k]
+        keep = np.ones(len(chunk.ids), dtype=bool)
+        rejects = chunk.report.rejects
+        for i, (line_no, pid) in enumerate(zip(chunk.line_nos, chunk.ids)):
+            if pid in seen:
+                keep[i] = False
+                rejects.append((line_no, f"duplicate id {pid}"))
+            seen.add(pid)
         report.rejects.extend((offset + line_no, reason)
                               for line_no, reason in sorted(rejects))
-        seen.update(chunk.ids)
         offset += chunk.lines
         ids.extend(itertools.compress(chunk.ids, keep))
         texts.extend(itertools.compress(chunk.texts, keep))

@@ -11,13 +11,15 @@ Vocabulary pruning keeps terms whose document frequency is at least
 rows stay aligned with corpus petitions.
 
 The matrix is assembled from integers.  Each distinct raw token is judged
-and stemmed once per chunk of documents (one chunk per core on a large
-corpus) and coded as the id of its kept stem, or -1 when a rule drops it;
-the chunks' codes are renumbered to one stem table and gathered into one
-array.  The unpruned
-matrix has one column per stem id; document frequency is its nonzeros
-per column, and pruning maps the surviving ids onto columns in the
-terms' lexicographic order.
+and stemmed once per chunk of documents and coded as the id of its kept
+stem, or -1 when a rule drops it; the chunks' codes are renumbered to one
+stem table and gathered into one array.  The chunks follow the package's
+one split rule (:func:`~petmine.util.split_map`): one per core on a large
+corpus, contiguous runs of documents of about equal characters, each
+document in the run that holds the larger part of its characters.  The
+unpruned matrix has one column per stem id; document frequency is its
+nonzeros per column, and pruning maps the surviving ids onto columns in
+the terms' lexicographic order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import scipy.sparse as sp
 
 from . import porter
 from .errors import ArchiveFormatError, ConfigError, EmptyCorpusError
-from .util import chunk_count, fork_map, load_arrays, save_arrays
+from .util import load_arrays, save_arrays, split_map
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +186,7 @@ def build_dtm(corpus, stopwords: frozenset[str],
     ``corpus`` provides the petitions' ``ids`` and merged ``texts``.
     Raises if no term survives pruning.  A corpus of twice
     ``_MIN_CHUNK_CHARS`` characters of text or more is coded in contiguous
-    runs of documents, one per core (:func:`~petmine.util.fork_map`); the
+    runs of documents, one per core (:func:`~petmine.util.split_map`); the
     stems are numbered as one coder would number them, so the result does
     not depend on how many runs there were.
     """
@@ -194,19 +196,10 @@ def build_dtm(corpus, stopwords: frozenset[str],
         raise EmptyCorpusError("cannot build a DTM from an empty corpus")
 
     n_docs = len(corpus.ids)
-    # chars[d]: the characters of the texts before document d
-    chars = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, corpus.texts), dtype=np.int64,
-                          count=n_docs), out=chars[1:])
-    n = chunk_count(int(chars[-1]), _MIN_CHUNK_CHARS)
-    cuts = np.searchsorted(chars, chars[-1] * np.arange(1, n) // n).tolist()
-    bounds = sorted({0, *cuts, n_docs})
-    log.info("coding %d documents: %d process(es), chunks of %s characters",
-             n_docs, len(bounds) - 1,
-             ", ".join(map(str, np.diff(chars[bounds]).tolist())))
-    chunks = fork_map(lambda span: _code_texts(corpus.texts[span[0]:span[1]],
-                                               stopwords),
-                      list(zip(bounds, bounds[1:])))
+    chunks = split_map(
+        lambda lo, hi: _code_texts(corpus.texts[lo:hi], stopwords),
+        list(map(len, corpus.texts)),
+        _MIN_CHUNK_CHARS, "documents")
     # each chunk's stem ids, renumbered in order of first appearance in
     # the corpus, which is their order in the chunks taken in turn
     stem_ids: dict[str, int] = {}

@@ -8,7 +8,7 @@ never embed timestamps or machine-local state, so re-running a pipeline
 with the same inputs and seed produces byte-identical outputs.  A loop
 over independent records may run its chunks in parallel through
 :func:`fork_map`, whose results come back in chunk order, so how many
-processes ran never shows in an output.
+processes ran never shows in an output; :func:`split_map` cuts the chunks.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import hashlib
 import io
 import json
+import logging
 import os
 import pickle
 import signal
@@ -28,6 +29,8 @@ import zipfile
 import numpy as np
 
 from .errors import ArchiveFormatError, ConfigError, PetmineError, ValidationError
+
+log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
 
@@ -337,6 +340,27 @@ def chunk_count(size: int, min_chunk: int) -> int:
     if not hasattr(os, "fork"):
         return 1
     return max(1, min(cores(), size // min_chunk))
+
+
+def split_map(fn, weights, min_weight: int, what: str) -> list:
+    """``fn(lo, hi)`` for each run ``lo:hi`` of the items whose weights
+    are ``weights``, in run order, computed in parallel by :func:`fork_map`.
+
+    The runs are contiguous and of about equal weight, as many as
+    :func:`chunk_count` gives but no more than the items: each item joins
+    the run that holds the larger part of its weight, so none is empty.
+    An INFO line names ``what`` the items are, the process count and each
+    run's number of items.
+    """
+    weights = np.asarray(weights)
+    total = int(weights.sum())
+    n = min(chunk_count(total, min_weight), len(weights))
+    cuts = np.searchsorted(np.cumsum(weights) - weights / 2,
+                           total * np.arange(1, n) / n).tolist()
+    bounds = sorted({0, *cuts, len(weights)})
+    log.info("%d %s: %d process(es), chunks of %s", len(weights), what,
+             len(bounds) - 1, ", ".join(map(str, np.diff(bounds).tolist())))
+    return fork_map(lambda span: fn(*span), list(zip(bounds, bounds[1:])))
 
 
 def fork_map(fn, chunks: list) -> list:

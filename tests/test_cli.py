@@ -267,13 +267,14 @@ def test_chunked_grid_matches_one_chunk(pipeline_out, fixture_paths,
         monkeypatch.setattr(util, "cores", lambda: n)
         out = _grid_dir(pipeline_out, tmp_path, f"out{n}")
         caplog.clear()
-        with caplog.at_level("INFO", logger="petmine.cli"):
+        with caplog.at_level("INFO", logger="petmine.cli"), \
+                caplog.at_level("INFO", logger="petmine.util"):
             assert cli.main(["grid", "--config", str(config_path),
                              "--output-dir", str(out), *_GRID_FLAGS]) == 0
         messages = [r.getMessage() for r in caplog.records
-                    if r.name == "petmine.cli"]
-        assert messages[0] == (f"fitting 4 grid settings: {n} process(es), "
-                               f"chunks of {_GRID_SPLITS[n]} settings")
+                    if r.name in ("petmine.cli", "petmine.util")]
+        assert messages[0] == (f"4 grid settings: {n} process(es), "
+                               f"chunks of {_GRID_SPLITS[n]}")
         outcomes.append(((out / "grid.csv").read_bytes(), messages[1:]))
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 

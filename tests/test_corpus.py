@@ -413,6 +413,48 @@ def test_chunked_ingest_matches_one_chunk(tmp_path, monkeypatch, caplog,
         "empty field 'action'", far_off.format(6)]
 
 
+def _line_starts(data: bytes, lo: int, hi: int) -> list[int]:
+    return [i for i in range(lo, hi) if i == 0 or data[i - 1:i] == b"\n"]
+
+
+def test_byte_ranges_own_the_lines_that_start_in_them(tmp_path, monkeypatch):
+    # a long line of three-byte characters, which some cuts fall inside,
+    # and a later copy of its id
+    e = [_sig("E1", 5)]
+    lines = [json.dumps(_record(1, by_con=e)),
+             json.dumps(_record(2, background="€" * 300, by_con=e),
+                        ensure_ascii=False),
+             "not json",
+             json.dumps(_record(3, action="Fix ü", by_con=e),
+                        ensure_ascii=False),
+             json.dumps(_record(2, by_con=e)), "", json.dumps(_record(4))]
+    path = tmp_path / "a.jsonl"
+    data = "\n".join(lines).encode("utf-8")     # the last line has no \n
+    path.write_bytes(data)
+    cuts = {n: [len(data) * i // n for i in range(n + 1)] for n in (2, 3, 4)}
+    inner = [c for cs in cuts.values() for c in cs[1:-1]]
+    assert any(data[c - 1:c] != b"\n" for c in inner)             # mid-line
+    assert any(data[c] & 0xC0 == 0x80 for c in inner)       # mid-character
+    assert not _line_starts(data, cuts[4][1], cuts[4][2])  # no line starts
+
+    monkeypatch.setattr(corpus, "_MIN_CHUNK_BYTES", 1)
+    outcomes = []
+    for n in (1, 2, 3, 4):
+        monkeypatch.setattr(util, "cores", lambda: n)
+        c = corpus.load_archive(str(path))
+        out = tmp_path / f"out{n}"
+        corpus.save_corpus(c, str(out / "corpus.jsonl"))
+        corpus.write_rejects_report(c.ingest_report,
+                                    str(out / "rejects.csv"), {})
+        outcomes.append((c.ingest_report, (out / "corpus.jsonl").read_bytes(),
+                         (out / "rejects.csv").read_bytes()))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    assert c.ids == ["1", "2", "3", "4"]
+    assert c.texts[1].endswith("€" * 300) and c.texts[2].startswith("Fix ü")
+    assert c.ingest_report == corpus.IngestReport(
+        total_lines=6, rejects=[(3, "invalid json"), (5, "duplicate id 2")])
+
+
 def test_load_archive_empty_raises(tmp_path):
     path = _write_archive(tmp_path / "a.jsonl", [
         _record(1, state="closed", by_con=[_sig("E1", 1)], total=1),
@@ -506,15 +548,22 @@ def test_load_constituencies_errors(tmp_path, body):
         corpus.load_constituencies(str(path))
 
 
-def test_load_constituencies_reserves_unknown(tmp_path):
+@pytest.mark.parametrize("body, fault", [
     # a listed UNKNOWN would be a second column of that name beside the
     # bucket for unlisted codes
-    path = tmp_path / "c.csv"
-    path.write_text("code,name,electorate\nE1,Alpha,70000\n"
-                    "UNKNOWN,Beta,68000\n", encoding="utf-8")
+    ("code,name,electorate\nE1,Alpha,70000\nUNKNOWN,Beta,68000\n",
+     "3: code UNKNOWN is reserved"),
+    # a quoted line break and a blank line before the bad row, which is
+    # the third row but on line 5
+    ('code,name,electorate\nE1,"Seat\nOne",1000\n\nE2,Two,abc\n',
+     "5: electorate is not a positive integer"),
+])
+def test_load_constituencies_fault_names_the_line(tmp_path, body, fault):
+    path = tmp_path / "cons.csv"
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(ArchiveFormatError) as err:
         corpus.load_constituencies(str(path))
-    assert str(err.value) == f"{path}:3: code UNKNOWN is reserved"
+    assert str(err.value) == f"{path}:{fault}"
 
 
 def test_constituency_meta_validates_electorate():

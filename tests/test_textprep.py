@@ -320,7 +320,7 @@ def test_chunked_build_dtm_matches_one_chunk(stopwords, tmp_path,
     for n in (1, 2, 3):
         monkeypatch.setattr(util, "cores", lambda: n)
         caplog.clear()
-        with caplog.at_level("INFO", logger="petmine.textprep"):
+        with caplog.at_level("INFO", logger="petmine.util"):
             dtm = textprep.build_dtm(c, stopwords, 0.02)
         assert f"{len(texts)} documents: {n} process(es)" in (
             caplog.records[0].getMessage())

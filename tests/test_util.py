@@ -243,12 +243,20 @@ def test_fork_map_names_the_signal_that_killed_a_child():
         util.fork_map(fn, [0, 1])
 
 
+def _write_pid(directory, i):
+    """Record this process's pid in ``<i>.pid``, which appears whole: the
+    calling process may kill this one as soon as it sees the file."""
+    tmp = directory / f"{i}.tmp"
+    tmp.write_text(str(os.getpid()))
+    os.replace(tmp, directory / f"{i}.pid")
+
+
 def test_fork_map_leaves_no_child_when_the_calling_process_fails(tmp_path):
     # the children record their pids and then wait far longer than the
     # test; the first chunk fails once they have all started
     def fn(i):
         if i:
-            (tmp_path / f"{i}.pid").write_text(str(os.getpid()))
+            _write_pid(tmp_path, i)
             time.sleep(60)
             return i
         while len(list(tmp_path.glob("*.pid"))) < 2:
@@ -270,7 +278,7 @@ def test_fork_map_leaves_no_child_when_a_child_fails(tmp_path):
             while len(list(tmp_path.glob("*.pid"))) < 3:
                 time.sleep(0.01)
             return i
-        (tmp_path / f"{i}.pid").write_text(str(os.getpid()))
+        _write_pid(tmp_path, i)
         if i == 1:
             raise ValueError("the second chunk failed")
         time.sleep(60 if i == 3 else 0)
@@ -292,3 +300,51 @@ def test_chunk_count_follows_cores_size_and_fork(monkeypatch):
     assert util.chunk_count(10**9, 100) == 4
     monkeypatch.delattr(os, "fork")
     assert util.chunk_count(10**9, 100) == 1
+
+
+# ---------------------------------------------------------------------------
+# split_map
+
+
+@pytest.mark.parametrize("cores, min_weight, weights, runs", [
+    (4, 1, [5], [(0, 1)]),
+    # never more runs than items
+    (4, 1, [1, 1], [(0, 1), (1, 2)]),
+    # each run at least the minimum weight
+    (4, 5, [1] * 10, [(0, 5), (5, 10)]),
+    (3, 1, [1] * 6, [(0, 2), (2, 4), (4, 6)]),
+    # an item that outweighs the rest: two cuts meet, and no run is empty
+    (4, 1, [100, 0, 0, 0], [(0, 1), (1, 4)]),
+    # the first item holds the larger part of its weight before the half
+    # way mark, so it runs alone; cut on the cumulative weight, both
+    # items would run in one process
+    (2, 1, [3, 1], [(0, 1), (1, 2)]),
+    (2, 1, [1, 3], [(0, 1), (1, 2)]),
+    (2, 1, [1, 2, 2, 1], [(0, 2), (2, 4)]),
+])
+def test_split_map_runs_contiguous_items_of_about_equal_weight(
+        monkeypatch, caplog, cores, min_weight, weights, runs):
+    monkeypatch.setattr(util, "cores", lambda: cores)
+    with caplog.at_level("INFO", logger="petmine.util"):
+        results = util.split_map(lambda lo, hi: (os.getpid(), lo, hi),
+                                 weights, min_weight, "things")
+    assert [(lo, hi) for _, lo, hi in results] == runs
+    # the first run here, each further one in a child of its own
+    assert results[0][0] == os.getpid()
+    assert len({pid for pid, _, _ in results}) == len(runs)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{len(weights)} things: {len(runs)} process(es), chunks of "
+        + ", ".join(str(hi - lo) for lo, hi in runs)]
+
+
+def test_split_map_forks_for_no_single_item_nor_without_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(util, "cores", lambda: 4)
+    monkeypatch.setattr(os, "fork", fork)
+    assert util.split_map(lambda lo, hi: (os.getpid(), lo, hi), [10**9], 1,
+                          "things") == [(os.getpid(), 0, 1)]
+    monkeypatch.delattr(os, "fork")
+    assert util.split_map(lambda lo, hi: (os.getpid(), lo, hi), [10**9] * 8,
+                          1, "things") == [(os.getpid(), 0, 8)]
