@@ -284,6 +284,9 @@ def cmd_fit(cfg: PipelineConfig) -> int:
     textprep.save_dtm(dtm, cfg.path("dtm.bin"))
     model = lda.fit(dtm, lda_cfg)
     lda.save_model(model, cfg.path("model.bin"))
+    write_csv(cfg.path("ll_trace.csv"), cfg.meta,
+              ["sweep", "log_likelihood"],
+              list(zip(model.trace_sweeps, model.log_likelihood_trace)))
 
     write_csv(cfg.path("topic_names.csv"), cfg.meta,
               ["topic_index", "name"], list(enumerate(names)))

@@ -431,7 +431,8 @@ def load_archive(path: str,
 
     used = set()
     for table, chunk_keys in keys:
-        used.update(table[i] for i in np.unique(chunk_keys).tolist())
+        held = np.bincount(chunk_keys, minlength=len(table))
+        used.update(table[i] for i in np.flatnonzero(held).tolist())
     if constituencies:
         codes = tuple(m.code for m in constituencies) + (UNKNOWN_CODE,)
         # geo analyses skip the UNKNOWN column, signature totals keep it

@@ -2,15 +2,23 @@
 
 Mode is chosen once at import time: numba is used when it is importable.
 ``NUMBA_ENABLED`` reports which mode is active.  The numba source is the
-two token loops, ``gibbs_sweep`` and ``infer_doc``, and the ``_mix64`` and
-``_draw`` they inline.  Without numba the loops are rewrites over plain
-Python ints, floats and lists, generated for the topic count K on first
-use (see "Kernels without a compiler" below).  Neither mode uses
+two token loops, ``_sweep_arrays`` and ``infer_doc``, and the ``_mix64``
+and ``_draw`` they inline.  Without numba the loops are rewrites over
+plain Python ints, floats and lists, generated for the topic count K on
+first use (see "Kernels without a compiler" below).  Neither mode uses
 fast-math, so results are bit-identical.  The numba source of each loop,
-run uncompiled (``.py_func`` under numba, ``__wrapped__`` without it, and
-under ``np.errstate(over="ignore")``, as its uint64 arithmetic wraps), is
-the reference the rewrites are tested against.  The rest is numpy in both
-modes: ``init_assignments``, ``posterior_means`` and ``log_likelihood``.
+run uncompiled (``.py_func`` under numba, itself or ``__wrapped__``
+without it, and under ``np.errstate(over="ignore")``, as its uint64
+arithmetic wraps), is the reference the rewrites are tested against.
+
+A fit's chain is one state value, which ``init_assignments`` builds and
+``gibbs_sweep`` advances a sweep at a time: ``z``, its counts and the
+per-fit constants the sweeps read.  With numba it is numpy arrays
+(``_ArrayState``), which the compiled loop updates in place; without, it
+is the rewrite's own lists (``_ListState``), kept from sweep to sweep.
+Either gives its counts as numpy arrays through ``counts()``.  The rest
+is numpy in both modes: ``init_assignments``, ``posterior_means`` and
+``log_likelihood``.
 
 Randomness is counter-based rather than stateful.  The uniform variate for
 token ``n`` of a document in sweep ``s`` is a pure function of
@@ -73,13 +81,12 @@ def _draw(seed, sweep, idx):
 
 
 @_jit
-def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
-                alpha, beta):
+def _sweep_arrays(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk,
+                  alpha, beta):
     """One collapsed Gibbs sweep over every token, in document order.
 
     ``n_kw``, ``n_k`` and ``n_dk`` must be the counts of ``z``, as
-    ``init_assignments`` builds them and each sweep keeps them: the
-    rewrite without a compiler recounts them from ``z`` after its loop.
+    ``init_assignments`` builds them; the sweep keeps them so.
     """
     n_docs = doc_ptr.shape[0] - 1
     n_topics = n_k.shape[0]
@@ -158,10 +165,9 @@ def infer_doc(words, seed, phi, alpha, n_sweeps, burn_in, sample_every, acc):
 # The draws depend only on (seed, sweep, token index), not on the sampler
 # state, so all of a call's draws are mixed at once over uint64 arrays,
 # which wrap just as the scalars do.  The counts are always the counts of
-# ``z``: ``_count`` builds them from ``z`` with ``np.bincount``, for
-# ``init_assignments`` and after each rewritten sweep, and each compiled
-# sweep moves one count per token.  ``doc_ptr`` must start at 0 and end
-# at the token count.
+# ``z``: ``_count`` builds them from ``z`` with ``np.bincount`` for
+# ``init_assignments``, and each sweep moves one count per token.
+# ``doc_ptr`` must start at 0 and end at the token count.
 
 _mix64_array = getattr(_mix64, "py_func", _mix64)
 
@@ -174,31 +180,70 @@ def _draws(seed, sweep, idx):
         return (x >> _U11).astype(np.float64) * _INV53
 
 
-def _token_draws(doc_ptr, doc_seed, sweep):
-    """Every token's draw in ``sweep``, and the document each token is in."""
+def _token_keys(doc_ptr, doc_seed):
+    """Each token's document, that document's seed, and the token's index
+    within it: the keys of its draws other than the sweep."""
     lengths = np.diff(doc_ptr)
     doc_of = np.repeat(np.arange(lengths.shape[0]), lengths)
-    idx = np.arange(doc_ptr[-1]) - doc_ptr[doc_of]
-    return _draws(doc_seed[doc_of], sweep, idx), doc_of
+    return doc_of, doc_seed[doc_of], np.arange(doc_ptr[-1]) - doc_ptr[doc_of]
 
 
-def _count(z, token_word, doc_of, n_kw, n_k, n_dk):
-    """Overwrite ``n_kw``, ``n_k`` and ``n_dk`` with the counts of ``z``."""
-    n_topics, n_terms = n_kw.shape
+def _count(z, token_word, doc_of, n_docs, n_topics, n_terms):
+    """``n_kw``, ``n_k`` and ``n_dk``, the counts of ``z``."""
     k = z.astype(np.int64)
-    n_kw[:] = np.bincount(k * n_terms + token_word,
-                          minlength=n_kw.size).reshape(n_kw.shape)
-    n_k[:] = np.bincount(k, minlength=n_topics)
-    n_dk[:] = np.bincount(doc_of * n_topics + k,
-                          minlength=n_dk.size).reshape(n_dk.shape)
+    n_kw = np.bincount(k * n_terms + token_word, minlength=n_topics * n_terms)
+    n_dk = np.bincount(doc_of * n_topics + k, minlength=n_docs * n_topics)
+    return (n_kw.reshape(n_topics, n_terms), np.bincount(k, minlength=n_topics),
+            n_dk.reshape(n_docs, n_topics))
 
 
-def init_assignments(doc_ptr, token_word, doc_seed, n_topics, z, n_kw, n_k,
-                     n_dk):
-    """Assign every token a topic from its sweep-0 draw and build counts."""
-    u, doc_of = _token_draws(doc_ptr, doc_seed, 0)
-    z[:] = np.minimum((u * n_topics).astype(np.int64), n_topics - 1)
-    _count(z, token_word, doc_of, n_kw, n_k, n_dk)
+class _ArrayState:
+    """A chain as numpy arrays, which the compiled sweep updates in place."""
+
+    def __init__(self, z, n_kw, n_k, n_dk, alpha, beta):
+        self.z, self.n_kw, self.n_k, self.n_dk = z, n_kw, n_k, n_dk
+        self.alpha, self.beta = alpha, beta
+
+    def assignments(self):
+        return self.z
+
+    def counts(self):
+        """``(n_kw, n_k, n_dk)``: the state's own arrays, not copies."""
+        return self.n_kw, self.n_k, self.n_dk
+
+
+def init_assignments(doc_ptr, token_word, doc_seed, n_topics, n_terms, alpha,
+                     beta):
+    """A fit's chain before its first sweep.
+
+    Every token takes a topic from its sweep-0 draw, and the counts are
+    built from those topics.  With numba the state is ``_ArrayState``;
+    without, ``_ListState``, made from it once.
+    """
+    doc_of, seeds, idx = _token_keys(doc_ptr, doc_seed)
+    z = np.minimum((_draws(seeds, 0, idx) * n_topics).astype(np.int64),
+                   n_topics - 1).astype(np.int32)
+    arrays = _ArrayState(z, *_count(z, token_word, doc_of, len(doc_ptr) - 1,
+                                    n_topics, n_terms), alpha, beta)
+    if NUMBA_ENABLED:
+        return arrays
+    return _ListState(doc_ptr, token_word, seeds, idx, arrays)
+
+
+def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state):
+    """Advance ``state`` by one collapsed Gibbs sweep, in document order.
+
+    ``state`` is the chain that ``init_assignments`` built from the same
+    ``doc_ptr``, ``token_word`` and ``doc_seed``.  Arrays go through
+    ``_sweep_arrays``; lists through its rewrite, which reads the list
+    forms of these inputs that the state holds.
+    """
+    if isinstance(state, _ListState):
+        state.advance(sweep)
+    else:
+        _sweep_arrays(sweep, doc_ptr, token_word, doc_seed, state.z,
+                      state.n_kw, state.n_k, state.n_dk, state.alpha,
+                      state.beta)
 
 
 def posterior_means(doc_ptr, n_kw, n_k, n_dk, alpha, beta):
@@ -228,15 +273,20 @@ def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):
 #
 # Run uncompiled, the token loops above would go through numpy's scalar
 # machinery for every element access and every uint64 operation.  The
-# rewrites below are bound in their place when numba is absent.  They take
-# their draws from ``_draws`` and run over plain Python ints, floats and
-# lists.  The counts are copied out (n_kw as per-word columns), and numpy
-# builds the factor lists beside them: ``n_kw.T + beta``,
-# ``n_k + V * beta`` and ``n_dk + alpha``, the same IEEE adds as Python's
-# int + float, since each count converts to a double exactly.  After the
-# loop only ``z`` is written back, and ``_count`` rebuilds the counts from
-# it, which is exact because ``gibbs_sweep`` requires its caller's counts
-# to be the counts of ``z``.
+# rewrites below run in their place when numba is absent, over plain
+# Python ints, floats and lists.  A fit's lists are ``_ListState``, made
+# once from ``init_assignments``'s arrays and kept between sweeps: ``z``,
+# the counts (n_kw as per-word columns, n_dk as per-document rows), and
+# beside them the factor lists ``n_kw.T + beta``, ``n_k + V * beta`` and
+# ``n_dk + alpha``, which numpy builds with the same IEEE adds as
+# Python's int + float, since each count converts to a double exactly.
+# The loop moves one count per token and recomputes its factor from it,
+# so the lists stay the counts of ``z`` and their factors, and nothing is
+# rebuilt between sweeps.  The per-fit constants are made once too: the
+# list forms of ``doc_ptr`` and ``token_word``, and each token's seed and
+# within-document index, over which ``_draws`` mixes a sweep's draws.
+# numpy reads the counts only through ``counts()``, which builds arrays
+# from the lists.
 #
 # The token loops of ``gibbs_sweep`` and ``infer_doc`` are generated from
 # the two templates below, once per topic count K, on the first call with
@@ -362,19 +412,35 @@ def _specialised(n_topics):
                                  infer_doc=namespace["infer_doc"])
 
 
-def _gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed, z, n_kw, n_k,
-                      n_dk, alpha, beta):
-    n_topics, n_terms = n_kw.shape
-    vb = n_terms * beta
-    us, doc_of = _token_draws(doc_ptr, doc_seed, sweep)
-    zs = z.tolist()
-    _specialised(n_topics).gibbs_sweep(
-        us.tolist(), doc_ptr.tolist(), token_word.tolist(), zs,
-        n_kw.T.tolist(), n_k.tolist(), n_dk.tolist(),
-        (n_kw.T + beta).tolist(), (n_k + vb).tolist(),
-        (n_dk + alpha).tolist(), alpha, beta, vb)
-    z[:] = zs
-    _count(z, token_word, doc_of, n_kw, n_k, n_dk)
+class _ListState:
+    """A chain as the generated sweep's own lists, kept from sweep to sweep."""
+
+    def __init__(self, doc_ptr, token_word, seeds, idx, arrays):
+        n_kw, n_k, n_dk = arrays.counts()
+        alpha, beta = arrays.alpha, arrays.beta
+        self.alpha, self.beta, self.vb = alpha, beta, n_kw.shape[1] * beta
+        self.seeds, self.idx = seeds, idx
+        self.ptr, self.words = doc_ptr.tolist(), token_word.tolist()
+        self.zs = arrays.z.tolist()
+        self.cols, self.nk = n_kw.T.tolist(), n_k.tolist()
+        self.rows = n_dk.tolist()
+        self.cols_b = (n_kw.T + beta).tolist()
+        self.nk_vb = (n_k + self.vb).tolist()
+        self.rows_a = (n_dk + alpha).tolist()
+
+    def advance(self, sweep):
+        _specialised(len(self.nk)).gibbs_sweep(
+            _draws(self.seeds, sweep, self.idx).tolist(), self.ptr,
+            self.words, self.zs, self.cols, self.nk, self.rows, self.cols_b,
+            self.nk_vb, self.rows_a, self.alpha, self.beta, self.vb)
+
+    def assignments(self):
+        return np.array(self.zs, np.int32)
+
+    def counts(self):
+        """``(n_kw, n_k, n_dk)`` as new arrays."""
+        return (np.array(self.cols, np.int64).T.copy(),
+                np.array(self.nk, np.int64), np.array(self.rows, np.int64))
 
 
 def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
@@ -394,7 +460,6 @@ def _infer_doc_fast(words, seed, phi, alpha, n_sweeps, burn_in, sample_every,
 
 
 if not NUMBA_ENABLED:
-    # each rewrite takes its kernel's name; the numba source, run over
+    # the rewrite takes its kernel's name; the numba source, run over
     # numpy scalars, stays reachable as ``__wrapped__``
-    gibbs_sweep = functools.update_wrapper(_gibbs_sweep_fast, gibbs_sweep)
     infer_doc = functools.update_wrapper(_infer_doc_fast, infer_doc)

@@ -143,13 +143,9 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
     doc_ptr, token_word = _expand_tokens(dtm.counts)
     doc_seed = _doc_seeds(derive_seed(config.seed, "lda.fit"), dtm.doc_ids)
 
-    z = np.empty(token_word.shape[0], dtype=np.int32)
-    n_kw = np.zeros((k, n_terms), dtype=np.int64)
-    n_k = np.zeros(k, dtype=np.int64)
-    n_dk = np.zeros((n_docs, k), dtype=np.int64)
-    kernels.init_assignments(doc_ptr, token_word, doc_seed, k, z, n_kw, n_k, n_dk)
-
     alpha, beta = float(config.alpha), float(config.beta)
+    state = kernels.init_assignments(doc_ptr, token_word, doc_seed, k,
+                                     n_terms, alpha, beta)
     phi_acc = np.zeros((k, n_terms), dtype=np.float64)
     theta_acc = np.zeros((n_docs, k), dtype=np.float64)
     trace: list[float] = []
@@ -158,9 +154,13 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
     mark_sweep, mark_time = 0, time.perf_counter()
 
     for sweep in range(1, config.iterations + 1):
-        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z, n_kw,
-                            n_k, n_dk, alpha, beta)
-        if sweep == 1 or sweep % _LL_EVERY == 0:
+        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
+        logged = sweep == 1 or sweep % _LL_EVERY == 0
+        if not logged and sweep not in retained:
+            continue
+        # numpy reads the counts only at these sweeps
+        n_kw, n_k, n_dk = state.counts()
+        if logged:
             ll = float(kernels.log_likelihood(
                 doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta,
             ))

@@ -18,6 +18,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -136,13 +137,25 @@ def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
     as a NumPy scalar's, and format floats beforehand when a fixed
     precision is wanted.  A value holding a comma, a quote or a line break
     is quoted, so every row reads back with the csv module.
+
+    A row is written as its fields joined with commas, unless the line
+    holds a quote, ``\r`` or ``\n``, or more commas than separators, or
+    the row is one empty field.  Only such a row can have a field that the
+    csv module quotes, and it goes through ``csv.writer``, whose rule
+    stays the only quoting rule.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows([str(v) for v in row] for row in rows)
-    header = "".join(line + "\n" for line in metadata_lines(meta))
-    write_text(path, header + buf.getvalue())
+    out = io.StringIO()
+    out.writelines(line + "\n" for line in metadata_lines(meta))
+    writer = csv.writer(out, lineterminator="\n")
+    for row in itertools.chain([fieldnames], rows):
+        fields = list(map(str, row))
+        line = ",".join(fields)
+        if ('"' in line or "\r" in line or "\n" in line
+                or line.count(",") > len(fields) - 1 or fields == [""]):
+            writer.writerow(fields)
+        else:
+            out.write(line + "\n")
+    write_text(path, out.getvalue())
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from conftest import write_fixture_archive
 
 EXPECTED_ARTIFACTS = {
     "corpus.jsonl", "rejects.csv",
-    "dtm.bin", "model.bin", "topic_names.csv", "top_words.csv",
-    "intrusion_instances.csv",
+    "dtm.bin", "model.bin", "ll_trace.csv", "topic_names.csv",
+    "top_words.csv", "intrusion_instances.csv",
     "prevalence.csv",
     "network_nodes.csv",
     "network_cooccurrence_edges.csv", "network_cooccurrence_edges_pruned.csv",
@@ -109,6 +109,16 @@ def test_top_words_recover_fixture_themes(pipeline_out):
             if stem in row[2:]:
                 themes[stem] += 1
     assert all(v == 1 for v in themes.values()), themes
+
+
+def test_ll_trace_reads_back_as_the_models_trace(pipeline_out):
+    out, _ = pipeline_out
+    header, rows = _read_csv(os.path.join(out, "ll_trace.csv"))
+    model = lda.load_model(os.path.join(out, "model.bin"))
+    assert header == ["sweep", "log_likelihood"]
+    assert [int(sweep) for sweep, _ in rows] == model.trace_sweeps
+    assert [float(ll) for _, ll in rows] == model.log_likelihood_trace
+    assert len(rows) > 1
 
 
 def test_report_rerun_is_byte_stable(pipeline_out, fixture_paths):

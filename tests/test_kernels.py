@@ -44,17 +44,14 @@ def _toy_state(n_docs=12, vocab=9, n_topics=3, seed=5):
     doc_ptr[1:] = np.cumsum(lengths)
     token_word = rng.integers(0, vocab, size=doc_ptr[-1]).astype(np.int32)
     doc_seed = rng.integers(0, 2**63, size=n_docs).astype(np.uint64)
-    z = np.zeros(doc_ptr[-1], np.int32)
-    n_kw = np.zeros((n_topics, vocab), np.int64)
-    n_k = np.zeros(n_topics, np.int64)
-    n_dk = np.zeros((n_docs, n_topics), np.int64)
-    kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
-                             z, n_kw, n_k, n_dk)
-    return doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk
+    state = kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
+                                     vocab, 0.1, 0.1)
+    return doc_ptr, token_word, doc_seed, state
 
 
-def _assert_counts_consistent(doc_ptr, token_word, z, n_kw, n_k, n_dk):
-    n_topics, vocab = n_kw.shape
+def _assert_counts_consistent(doc_ptr, token_word, state):
+    z = state.assignments()
+    n_kw, n_k, n_dk = state.counts()
     kw = np.zeros_like(n_kw)
     dk = np.zeros_like(n_dk)
     for d in range(doc_ptr.shape[0] - 1):
@@ -91,32 +88,31 @@ def test_draws_roughly_uniform():
 
 
 def test_init_assignments_builds_consistent_counts():
-    doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk = _toy_state()
-    assert z.min() >= 0 and z.max() < n_k.shape[0]
-    _assert_counts_consistent(doc_ptr, token_word, z, n_kw, n_k, n_dk)
+    doc_ptr, token_word, doc_seed, state = _toy_state()
+    z = state.assignments()
+    assert z.min() >= 0 and z.max() < 3
+    _assert_counts_consistent(doc_ptr, token_word, state)
 
 
 def test_gibbs_sweep_preserves_count_invariants():
-    doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk = _toy_state()
+    doc_ptr, token_word, doc_seed, state = _toy_state()
     for sweep in range(1, 6):
-        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, z,
-                            n_kw, n_k, n_dk, 0.1, 0.1)
-        _assert_counts_consistent(doc_ptr, token_word, z, n_kw, n_k, n_dk)
+        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
+        _assert_counts_consistent(doc_ptr, token_word, state)
 
 
 def test_gibbs_sweep_deterministic():
     a = _toy_state()
     b = _toy_state()
     for sweep in range(1, 4):
-        kernels.gibbs_sweep(sweep, a[0], a[1], a[2], a[3], a[4], a[5], a[6],
-                            0.1, 0.1)
-        kernels.gibbs_sweep(sweep, b[0], b[1], b[2], b[3], b[4], b[5], b[6],
-                            0.1, 0.1)
-    assert np.array_equal(a[3], b[3])
+        kernels.gibbs_sweep(sweep, *a)
+        kernels.gibbs_sweep(sweep, *b)
+    assert np.array_equal(a[3].assignments(), b[3].assignments())
 
 
 def test_log_likelihood_matches_numpy_reference():
-    doc_ptr, token_word, doc_seed, z, n_kw, n_k, n_dk = _toy_state()
+    doc_ptr, token_word, doc_seed, state = _toy_state()
+    n_kw, n_k, n_dk = state.counts()
     alpha, beta = 0.3, 0.05
     got = kernels.log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk,
                                  alpha, beta)
@@ -149,7 +145,8 @@ def test_infer_doc_deterministic_and_normalized():
 
 def _reference(kernel):
     """A kernel's numba source, run uncompiled."""
-    return getattr(kernel, "py_func", None) or kernel.__wrapped__
+    return (getattr(kernel, "py_func", None)
+            or getattr(kernel, "__wrapped__", kernel))
 
 
 def _init_assignments_loop(doc_ptr, token_word, doc_seed, n_topics,
@@ -186,6 +183,18 @@ def _empty_state(n_tokens, n_docs, vocab, n_topics):
             np.zeros(n_topics, np.int64), np.zeros((n_docs, n_topics), np.int64))
 
 
+def _arrays(state):
+    return (state.assignments(), *state.counts())
+
+
+def _list_state(doc_ptr, token_word, doc_seed, arrays, alpha, beta):
+    # the rewrite's state from copies of ``arrays``, in either kernel mode
+    _, seeds, idx = kernels._token_keys(doc_ptr, doc_seed)
+    copies = [a.copy() for a in arrays]
+    return kernels._ListState(doc_ptr, token_word, seeds, idx,
+                              kernels._ArrayState(*copies, alpha, beta))
+
+
 # one topic (a single leaf), and odd and even splits of the search tree
 TOPIC_COUNTS = [1, 2, 3, 5, 10, 17]
 
@@ -195,22 +204,39 @@ def test_fast_sampler_bit_identical_to_numba_source(n_topics):
     n_docs, vocab = 24, 12 * n_topics + 7
     doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 30, n_topics)
     want = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
-    got = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
     with np.errstate(over="ignore"):
         _init_assignments_loop(doc_ptr, token_word, doc_seed, n_topics, *want)
-        kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
-                                 *got)
-        for a, b in zip(want, got):
-            assert np.array_equal(a, b)
+    init = kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
+                                    vocab, 0.1, 0.05)
+    for a, b in zip(want, _arrays(init)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    got = _list_state(doc_ptr, token_word, doc_seed, want, 0.1, 0.05)
+    with np.errstate(over="ignore"):
         for sweep in range(1, 31):
-            _reference(kernels.gibbs_sweep)(sweep, doc_ptr, token_word,
-                                            doc_seed, *want, 0.1, 0.05)
-            kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
-                                      *got, 0.1, 0.05)
-            for a, b in zip(want, got):
+            _reference(kernels._sweep_arrays)(sweep, doc_ptr, token_word,
+                                              doc_seed, *want, 0.1, 0.05)
+            kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, got)
+            for a, b in zip(want, _arrays(got)):
                 assert np.array_equal(a, b)
-            # the counts the rewrite recounts from z, tallied by a loop
-            _assert_counts_consistent(doc_ptr, token_word, *got)
+            # the counts the lists kept, tallied from z by a loop
+            _assert_counts_consistent(doc_ptr, token_word, got)
+
+
+def test_list_state_keeps_its_factor_lists_equal_to_its_counts():
+    # the sweep recomputes each factor from its count, so after any number
+    # of sweeps the factors are those made from the counts afresh
+    doc_ptr, token_word, doc_seed = _corpus(20, 31, 25, 7)
+    alpha, beta = 0.3, 0.07
+    arrays = kernels.init_assignments(doc_ptr, token_word, doc_seed, 4, 31,
+                                      alpha, beta)
+    state = _list_state(doc_ptr, token_word, doc_seed, _arrays(arrays),
+                        alpha, beta)
+    for sweep in range(1, 9):
+        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
+    fresh = _list_state(doc_ptr, token_word, doc_seed, _arrays(state),
+                        alpha, beta)
+    for name in ("zs", "cols", "nk", "rows", "cols_b", "nk_vb", "rows_a"):
+        assert getattr(state, name) == getattr(fresh, name), name
 
 
 @pytest.mark.parametrize("n_words", [0, 1, 40])
@@ -252,11 +278,11 @@ def test_specialised_kernels_are_cached_by_k_and_readable():
 
 
 def test_kernel_mode_binds_fast_kernels_without_numba():
-    fast = (kernels._gibbs_sweep_fast, kernels._infer_doc_fast)
-    bound = (kernels.gibbs_sweep, kernels.infer_doc)
-    for f, b in zip(fast, bound):
-        assert (b is f) == (not kernels.NUMBA_ENABLED)
-        assert _reference(b) is not f
+    assert (kernels.infer_doc is kernels._infer_doc_fast) == (
+        not kernels.NUMBA_ENABLED)
+    assert _reference(kernels.infer_doc) is not kernels._infer_doc_fast
+    doc_ptr, token_word, doc_seed, state = _toy_state()
+    assert isinstance(state, kernels._ListState) == (not kernels.NUMBA_ENABLED)
     # the rewrites dispatch to loops built per topic count on first use;
     # importing the module builds none of them
     src = str(pathlib.Path(kernels.__file__).parents[1])
@@ -275,17 +301,15 @@ def test_compiled_and_fallback_modes_bit_identical():
     for n_topics in (1, 3, 10):
         n_docs, vocab = 30, 8 * n_topics + 1
         doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 20, 3)
-        compiled = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
-        rewrite = _empty_state(doc_ptr[-1], n_docs, vocab, n_topics)
-        for state in (compiled, rewrite):
-            kernels.init_assignments(doc_ptr, token_word, doc_seed, n_topics,
-                                     *state)
+        compiled = kernels.init_assignments(doc_ptr, token_word, doc_seed,
+                                            n_topics, vocab, 0.1, 0.1)
+        rewrite = _list_state(doc_ptr, token_word, doc_seed,
+                              _arrays(compiled), 0.1, 0.1)
         for sweep in range(1, 31):
-            kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
-                                *compiled, 0.1, 0.1)
-            kernels._gibbs_sweep_fast(sweep, doc_ptr, token_word, doc_seed,
-                                      *rewrite, 0.1, 0.1)
-            for a, b in zip(compiled, rewrite):
+            for state in (compiled, rewrite):
+                kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
+                                    state)
+            for a, b in zip(_arrays(compiled), _arrays(rewrite)):
                 assert a.tobytes() == b.tobytes()
 
         phi = np.random.default_rng(3).dirichlet(np.ones(vocab),

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
-from petmine import lda, textprep, util
+from petmine import kernels, lda, textprep, util
 from petmine.errors import ArchiveFormatError, ConfigError, EmptyCorpusError
 
 from conftest import make_model, make_planted_dtm
@@ -111,6 +111,24 @@ def test_fit_logs_kernel_k_and_progress_at_each_likelihood(caplog):
         assert int(match[1]) == sweep
         assert match[2] == f"{ll:.1f}"
     assert lines[-1].startswith("fitted k=2 on 12 docs")
+
+
+def test_fit_reads_the_counts_only_at_likelihood_and_retained_sweeps(
+        monkeypatch):
+    dtm, _, _ = make_planted_dtm(n_docs=12, tokens_per_doc=10, seed=3)
+    config = lda.LdaConfig(k=2, iterations=25, burn_in=5, sample_every=10)
+    sweeps, read = [], []
+    for state in (kernels._ArrayState, kernels._ListState):
+        counts = state.counts
+        monkeypatch.setattr(state, "counts", lambda self, counts=counts: (
+            read.append(sweeps[-1] if sweeps else 0) or counts(self)))
+    sweep = kernels.gibbs_sweep
+    monkeypatch.setattr(kernels, "gibbs_sweep", lambda *args: (
+        sweeps.append(args[0]) or sweep(*args)))
+    lda.fit(dtm, config)
+    assert sweeps == list(range(1, 26))
+    # likelihood at 1, 10, 20; samples kept at 15, 25
+    assert [s for s in read if s] == [1, 10, 15, 20, 25]
 
 
 def test_fit_seed_changes_result(small_fit):

@@ -2,14 +2,17 @@
 chunked work over forked processes."""
 
 import csv
+import io
 import json
 import os
 import signal
 import time
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from petmine import util
 from petmine.errors import ArchiveFormatError, PetmineError
@@ -75,6 +78,55 @@ def test_write_csv_quotes_commas_quotes_and_newlines(tmp_path):
         read = list(csv.reader(fh))
     assert read[0] == ["code", "name", "value"]
     assert read[1:] == [[str(v) for v in row] for row in rows]
+
+
+_CSV_CHARS = list(',"\r\n a\u00e9\u4e2d\U0001f600')
+# each special character alone too, so a row that only it makes special
+# comes up often
+_CSV_TEXT = st.sampled_from(_CSV_CHARS + [""]) | st.text(
+    st.sampled_from(_CSV_CHARS), max_size=6)
+_CSV_VALUE = (_CSV_TEXT | st.integers() | st.none() | st.booleans()
+              | st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                 -0.0]))
+_CSV_ROW = st.lists(_CSV_VALUE, max_size=5) | st.sampled_from([[""], []])
+
+
+def _writer_quoting_cr(out, lineterminator):
+    # csv.writer as it would be if it also quoted a field holding "\r":
+    # Python 3.11's quotes one only when "\r" is in the line terminator
+    class Writer:
+        def writerow(self, row):
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            out.write(line.getvalue()[:-2] + lineterminator)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+    return Writer()
+
+
+@given(fieldnames=st.lists(_CSV_TEXT, max_size=5),
+       rows=st.lists(_CSV_ROW, max_size=6))
+# one row for each reason a row goes through the csv module, and the rows
+# of no field and of one field that needs none
+@example(fieldnames=["a\rb"], rows=[["x", 'say "hi"'], ["p\nq"], ["E1", "a, b"],
+                                     [""], [], [None, True, -0.0]])
+def test_write_csv_bytes_match_the_csv_module(tmp_path_factory, fieldnames,
+                                              rows):
+    # every row the csv module could quote goes through it, so the file
+    # is what the module writes, whether or not it quotes "\r"
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    for writer in (csv.writer, _writer_quoting_cr):
+        with mock.patch.object(util, "csv", types.SimpleNamespace(
+                writer=writer)):
+            util.write_csv(str(path), {"tool": "t 1"}, fieldnames, rows)
+        want = io.StringIO()
+        want.write("# tool: t 1\n")
+        writer(want, lineterminator="\n").writerows(
+            [str(v) for v in row] for row in [fieldnames, *rows])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_save_load_arrays_roundtrip(tmp_path):
