@@ -27,7 +27,8 @@ import typing
 
 import numpy as np
 
-from . import __version__, corpus, geo, issues, lda, powerlaw, temporal, textprep
+from . import (__version__, corpus, geo, issues, kernels, lda, powerlaw,
+               temporal, textprep)
 from .errors import ConfigError, PetmineError, ValidationError
 from .util import (check_types, config_digest, derive_seed, split_map,
                    write_csv, write_text)
@@ -608,6 +609,10 @@ def cmd_grid(cfg: PipelineConfig) -> int:
     # chunk returns its rows of grid.csv
     sweeps = (int(train_dtm.counts.sum()) * configs[0].iterations
               + int(hold_counts.sum()) * lda._INFER_SWEEPS // 2)
+    if not kernels.NUMBA_ENABLED:
+        # generate each K's kernels here, once, for every chunk to inherit
+        for k in {c.k for c in configs}:
+            kernels._specialised(k)
     chunks = split_map(
         lambda lo, hi: _grid_rows(train_dtm, hold_counts, configs[lo:hi]),
         [(c.k + 10) * sweeps for c in configs], _MIN_GRID_COST,

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .errors import ArchiveFormatError, EmptyCorpusError, ValidationError
 from .util import (Members, canonical_json, chunk_count, fork_map, from_json,
-                   snapshot_meta, write_csv, write_text)
+                   snapshot_meta, write_bytes, write_csv)
 
 log = logging.getLogger(__name__)
 
@@ -476,10 +476,45 @@ _CORPUS_FORMAT = "petmine-corpus"
 _CORPUS_VERSION = 2
 # one line per column, in this order, after the _meta line
 _COLUMNS = ("ids", "texts", "day", "total", "indptr", "indices", "data")
+_STRING_COLUMNS = ("ids", "texts")
+
+
+def _digits(name: str, values: np.ndarray) -> np.ndarray:
+    """The bytes of ``values`` in decimal, joined by commas: ``b"7,0,42"``.
+
+    These are the bytes :func:`canonical_json` writes between the brackets
+    of ``values.tolist()``.  Each value gets a row of the widest value's
+    digit count plus a comma, filled from the right a digit per pass; the
+    leading zeros are then dropped, and with them every row's pad.  A
+    negative value, which no snapshot may hold, is a ValidationError
+    naming column ``name``.
+    """
+    values = np.asarray(values, np.int64)
+    if values.min(initial=0) < 0:
+        raise ValidationError(f"column '{name}' holds a negative value")
+    width = len(str(int(values.max(initial=0))))
+    digits = np.empty((len(values), width + 1), np.uint8)
+    keep = np.empty(digits.shape, bool)
+    digits[:, width], keep[:, width] = ord(","), True
+    rest = values
+    for col in range(width - 1, -1, -1):
+        keep[:, col] = rest > 0
+        quot = rest // 10
+        digits[:, col] = rest - quot * 10 + ord("0")
+        rest = quot
+    keep[:, width - 1] = True       # zero is one digit
+    return digits[keep][:-1]
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write a corpus snapshot: a ``_meta`` line, then one line per column."""
+    """Write a corpus snapshot: a ``_meta`` line, then one line per column.
+
+    The ``_meta`` line and the string columns are :func:`canonical_json`.
+    The integer columns are rendered from their arrays by :func:`_digits`,
+    in the bytes ``canonical_json`` writes for their ``tolist()``, so the
+    snapshot is byte for byte what the json module alone would write.  The
+    lines go to the file a part at a time and are never joined.
+    """
     meta = {
         "_meta": {
             "format": _CORPUS_FORMAT,
@@ -496,13 +531,21 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     sig = corpus.signatures
     columns = {
         "ids": corpus.ids, "texts": corpus.texts,
-        "day": corpus.day.tolist(), "total": corpus.total.tolist(),
-        "indptr": sig.indptr.tolist(), "indices": sig.indices.tolist(),
-        "data": sig.data.tolist(),
+        "day": corpus.day, "total": corpus.total,
+        "indptr": sig.indptr, "indices": sig.indices, "data": sig.data,
     }
-    lines = [canonical_json(meta)]
-    lines.extend(canonical_json({name: columns[name]}) for name in _COLUMNS)
-    write_text(path, "\n".join(lines) + "\n")
+
+    def parts():
+        yield canonical_json(meta).encode()
+        for name in _COLUMNS:
+            yield b"\n"
+            if name in _STRING_COLUMNS:
+                yield canonical_json({name: columns[name]}).encode()
+            else:
+                yield from (f'{{"{name}":['.encode(),
+                            _digits(name, columns[name]), b"]}")
+        yield b"\n"
+    write_bytes(path, parts())
 
 
 def parse_window(value) -> tuple[datetime.date, datetime.date]:
@@ -587,7 +630,7 @@ def load_corpus(path: str) -> Corpus:
         line = lines[line_no - 1] if line_no <= len(lines) else b""
         if not line.strip():
             raise ArchiveFormatError(f"{path}:{line_no}: missing column '{name}'")
-        read = _string_column if name in ("ids", "texts") else _int_column
+        read = _string_column if name in _STRING_COLUMNS else _int_column
         columns[name] = read(path, line_no, name, line)
     if any(line.strip() for line in lines[len(_COLUMNS) + 1:]):
         raise ArchiveFormatError(

@@ -123,9 +123,17 @@ def _replacing(path: str):
 
 def write_text(path: str, text: str) -> None:
     """Write ``text`` as UTF-8, replacing ``path`` atomically."""
-    data = text.encode("utf-8")
+    write_bytes(path, [text.encode("utf-8")])
+
+
+def write_bytes(path: str, parts) -> None:
+    """Write the bytes-like ``parts`` in turn, replacing ``path`` atomically.
+
+    ``parts`` may be a generator, so no part need be built before the one
+    ahead of it is written.
+    """
     with _replacing(path) as fh:
-        fh.write(data)
+        fh.writelines(parts)
 
 
 def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
@@ -136,25 +144,31 @@ def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
     rows from ``ndarray.tolist()``), whose ``str`` is about twice as fast
     as a NumPy scalar's, and format floats beforehand when a fixed
     precision is wanted.  A value holding a comma, a quote or a line break
-    is quoted, so every row reads back with the csv module.
+    (``\r`` or ``\n``) is quoted, so every row reads back with the csv
+    module.
 
     A row is written as its fields joined with commas, unless the line
     holds a quote, ``\r`` or ``\n``, or more commas than separators, or
     the row is one empty field.  Only such a row can have a field that the
     csv module quotes, and it goes through ``csv.writer``, whose rule
-    stays the only quoting rule.
+    stays the only quoting rule.  That writer ends its rows with ``\r\n``,
+    which makes it quote a lone ``\r`` on every Python version, and the
+    row's ``\r\n`` becomes ``\n``.
     """
     out = io.StringIO()
     out.writelines(line + "\n" for line in metadata_lines(meta))
-    writer = csv.writer(out, lineterminator="\n")
+    quoted = io.StringIO()
+    writer = csv.writer(quoted, lineterminator="\r\n")
     for row in itertools.chain([fieldnames], rows):
         fields = list(map(str, row))
         line = ",".join(fields)
         if ('"' in line or "\r" in line or "\n" in line
                 or line.count(",") > len(fields) - 1 or fields == [""]):
+            quoted.seek(0)
+            quoted.truncate()
             writer.writerow(fields)
-        else:
-            out.write(line + "\n")
+            line = quoted.getvalue()[:-2]
+        out.write(line + "\n")
     write_text(path, out.getvalue())
 
 

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from petmine import cli, geo, lda, util
+from petmine import cli, geo, kernels, lda, util
 from petmine.errors import ConfigError, NumericalError
 
 from conftest import write_fixture_archive
@@ -295,6 +295,26 @@ def test_chunked_grid_matches_one_chunk(pipeline_out, fixture_paths,
     header, rows = _read_csv(tmp_path / "out1" / "grid.csv")
     assert [row[:3] for row in rows] == [
         [str(k), str(alpha), "0.1"] for k in (2, 3) for alpha in (0.1, 0.5)]
+
+
+@pytest.mark.skipif(kernels.NUMBA_ENABLED,
+                    reason="only the pure-Python kernels are generated per K")
+def test_grid_chunks_inherit_the_generated_kernels(
+        pipeline_out, fixture_paths, tmp_path, monkeypatch):
+    # the first chunk, K=2 only, runs in the calling process, so only a
+    # generation before the fork leaves K=3's kernels in its cache
+    _, _, config_path, _ = fixture_paths
+    monkeypatch.setattr(cli, "_MIN_GRID_COST", 1)
+    grids = []
+    for n in (1, 2):
+        monkeypatch.setattr(util, "cores", lambda: n)
+        kernels._specialised.cache_clear()
+        out = _grid_dir(pipeline_out, tmp_path, f"out{n}")
+        assert cli.main(["grid", "--config", str(config_path),
+                         "--output-dir", str(out), *_GRID_FLAGS]) == 0
+        assert kernels._specialised.cache_info().currsize == 2
+        grids.append((out / "grid.csv").read_bytes())
+    assert grids[1] == grids[0]
 
 
 def test_grid_reports_the_first_failing_setting(

@@ -749,6 +749,103 @@ def test_snapshot_layout(tmp_path):
     assert lines[5]["indptr"] == [0, 2, 3]
 
 
+# the snapshot writer's digit edges: 0, each power of ten and the number
+# below it, 2**53 (the largest count a load accepts) and the int64 maximum
+_DIGIT_EDGES = sorted({0, 2**53, 2**63 - 1, *(10**e for e in range(19)),
+                       *(10**e - 1 for e in range(1, 19))})
+_SNAPSHOT_INT = st.sampled_from(_DIGIT_EDGES) | st.integers(0, 2**63 - 1)
+
+
+def _json_snapshot(c, meta_line: bytes) -> bytes:
+    """The snapshot of ``c`` with every column written by canonical_json
+    over the column as a list, after the saved ``_meta`` line."""
+    sig = c.signatures
+    columns = {"ids": c.ids, "texts": c.texts, "day": c.day.tolist(),
+               "total": c.total.tolist(), "indptr": sig.indptr.tolist(),
+               "indices": sig.indices.tolist(), "data": sig.data.tolist()}
+    lines = [util.canonical_json({name: columns[name]}).encode()
+             for name in ("ids", "texts", "day", "total", "indptr",
+                          "indices", "data")]
+    return b"\n".join([meta_line, *lines]) + b"\n"
+
+
+@st.composite
+def _int_corpora(draw):
+    """A corpus whose integer columns hold any value the constructor lets
+    through: days over a window of up to a million days, totals and
+    signature counts (explicit zeros too) anywhere in 0..2**63-1."""
+    n = draw(st.integers(0, 5))
+    n_codes = draw(st.integers(0, 3))
+    rows = [sorted(draw(st.lists(st.integers(0, max(n_codes - 1, 0)),
+                                 unique=True, max_size=n_codes)))
+            for _ in range(n)]
+
+    def column(strategy, size=n):
+        return np.array(draw(st.lists(strategy, min_size=size,
+                                      max_size=size)), dtype=np.int64)
+
+    day = column(st.sampled_from([d for d in _DIGIT_EDGES if d <= 10**6])
+                 | st.integers(0, 10**6))
+    start = datetime.date(2015, 5, 7)
+    nnz = sum(map(len, rows))
+    return corpus.Corpus(
+        ids=draw(st.lists(st.text(min_size=1, max_size=4), min_size=n,
+                          max_size=n, unique=True)),
+        texts=draw(st.lists(st.text(max_size=10), min_size=n, max_size=n)),
+        day=day, total=column(_SNAPSHOT_INT),
+        signatures=sp.csr_matrix(
+            (column(_SNAPSHOT_INT, nnz),
+             np.array([j for row in rows for j in row], dtype=np.int64),
+             np.cumsum([0, *map(len, rows)])),
+            shape=(n, n_codes)),
+        codes=tuple(f"E{j}" for j in range(n_codes)), constituencies=(),
+        window=(start, start + datetime.timedelta(
+            days=int(day.max(initial=0)) + draw(st.integers(0, 9)))))
+
+
+@given(_int_corpora())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_snapshot_bytes_are_the_json_module_s(tmp_path, c):
+    path = tmp_path / "snap.jsonl"
+    corpus.save_corpus(c, str(path))
+    saved = path.read_bytes()
+    assert saved == _json_snapshot(c, saved.split(b"\n", 1)[0])
+
+
+@pytest.mark.parametrize("values", [[], [0], [7], [10], [2**53],
+                                    _DIGIT_EDGES, _DIGIT_EDGES[::-1]])
+def test_snapshot_integer_lines_at_the_digit_edges(tmp_path, values):
+    # one petition per value, holding it as its total and its one count
+    n = len(values)
+    c = corpus.Corpus(
+        ids=[f"p{d:02d}" for d in range(n)], texts=[""] * n,
+        day=np.zeros(n, np.int64), total=np.array(values, np.int64),
+        signatures=sp.csr_matrix(
+            (np.array(values, np.int64), np.zeros(n, np.int64),
+             np.arange(n + 1)), shape=(n, 1)),
+        codes=("E1",), constituencies=(),
+        window=(datetime.date(2015, 5, 7), datetime.date(2015, 5, 7)))
+    path = tmp_path / "snap.jsonl"
+    corpus.save_corpus(c, str(path))
+    saved = path.read_bytes()
+    assert saved == _json_snapshot(c, saved.split(b"\n", 1)[0])
+    assert b'{"total":[' + ",".join(map(str, values)).encode() + b"]}" in saved
+
+
+@pytest.mark.parametrize("value", [-1, -10, -(2**63)])
+@pytest.mark.parametrize("name", ["total", "data"])
+def test_save_corpus_refuses_a_negative_value(tmp_path, name, value):
+    # no snapshot holds one: a load refuses it, so a save does too
+    c = _sample_corpus()
+    (c.signatures.data if name == "data" else c.total)[1] = value
+    path = tmp_path / "snap.jsonl"
+    with pytest.raises(ValidationError,
+                       match=f"column '{name}' holds a negative value"):
+        corpus.save_corpus(c, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_corpus_rejects_plain_archive(tmp_path):
     path = _write_archive(tmp_path / "a.jsonl", [
         _record(1, by_con=[_sig("E1", 40)]),

@@ -7,8 +7,6 @@ import json
 import os
 import signal
 import time
-import types
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,19 +90,16 @@ _CSV_VALUE = (_CSV_TEXT | st.integers() | st.none() | st.booleans()
 _CSV_ROW = st.lists(_CSV_VALUE, max_size=5) | st.sampled_from([[""], []])
 
 
-def _writer_quoting_cr(out, lineterminator):
-    # csv.writer as it would be if it also quoted a field holding "\r":
-    # Python 3.11's quotes one only when "\r" is in the line terminator
-    class Writer:
-        def writerow(self, row):
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\r\n").writerow(row)
-            out.write(line.getvalue()[:-2] + lineterminator)
-
-        def writerows(self, rows):
-            for row in rows:
-                self.writerow(row)
-    return Writer()
+def _rows_quoting_cr(rows):
+    # csv.writer's lines, but with a field holding "\r" quoted too:
+    # Python 3.11's writer quotes one only when "\r" is in its line
+    # terminator
+    out = io.StringIO()
+    for row in rows:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        out.write(line.getvalue()[:-2] + "\n")
+    return out.getvalue()
 
 
 @given(fieldnames=st.lists(_CSV_TEXT, max_size=5),
@@ -115,18 +110,13 @@ def _writer_quoting_cr(out, lineterminator):
                                      [""], [], [None, True, -0.0]])
 def test_write_csv_bytes_match_the_csv_module(tmp_path_factory, fieldnames,
                                               rows):
-    # every row the csv module could quote goes through it, so the file
-    # is what the module writes, whether or not it quotes "\r"
     path = tmp_path_factory.mktemp("csv") / "x.csv"
-    for writer in (csv.writer, _writer_quoting_cr):
-        with mock.patch.object(util, "csv", types.SimpleNamespace(
-                writer=writer)):
-            util.write_csv(str(path), {"tool": "t 1"}, fieldnames, rows)
-        want = io.StringIO()
-        want.write("# tool: t 1\n")
-        writer(want, lineterminator="\n").writerows(
-            [str(v) for v in row] for row in [fieldnames, *rows])
-        assert path.read_bytes() == want.getvalue().encode("utf-8")
+    util.write_csv(str(path), {"tool": "t 1"}, fieldnames, rows)
+    want = [[str(v) for v in row] for row in [fieldnames, *rows]]
+    text = path.read_bytes().decode("utf-8")
+    assert text == "# tool: t 1\n" + _rows_quoting_cr(want)
+    # so every row, "\r" and all, reads back
+    assert list(csv.reader(io.StringIO(text.split("\n", 1)[1]))) == want
 
 
 def test_save_load_arrays_roundtrip(tmp_path):
