@@ -82,8 +82,8 @@ class Corpus:
     the metadata codes in file order, then :data:`UNKNOWN_CODE`; without,
     the codes met in the records, sorted.  ``uk`` is its row sums: the
     signatures attributed to UK constituencies, overseas excluded.  The
-    constructor checks this layout, that no code repeats and that each
-    ``day`` is in the window.
+    constructor checks this layout, that each column index names a code,
+    that no code repeats and that each ``day`` is in the window.
     """
     ids: list[str]
     texts: list[str]                 # merged action, background and details
@@ -104,6 +104,10 @@ class Corpus:
                 raise ValidationError(
                     f"'{name}' has {len(getattr(self, name))} entries, "
                     f"expected {size} for a {rows} x {cols} signature matrix")
+        indices = self.signatures.indices
+        if indices.size and (indices.min() < 0 or indices.max() >= cols):
+            raise ValidationError(
+                f"column 'indices' holds a value outside 0..{cols - 1}")
         start, end = self.window
         outside = (self.day < 0) | (self.day > (end - start).days)
         if outside.any():
@@ -651,7 +655,7 @@ def load_corpus(path: str) -> Corpus:
             total=columns.array("total", "integer", (n,), counts),
             signatures=sp.csr_matrix(
                 (columns.array("data", "integer", nnz, counts),
-                 columns.array("indices", "integer", nnz, (0, len(codes))),
+                 columns.array("indices", "integer", nnz),
                  indptr),
                 shape=(n, len(codes))),
             codes=codes, constituencies=constituencies, window=window,

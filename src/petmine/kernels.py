@@ -5,7 +5,10 @@ Mode is chosen once at import time: numba is used when it is importable.
 two token loops, ``_sweep_arrays`` and ``infer_doc``, and the ``_mix64``
 and ``_draw`` they inline.  Without numba the loops are rewrites over
 plain Python ints, floats and lists, generated for the topic count K on
-first use (see "Kernels without a compiler" below).  Neither mode uses
+first use.  Where the numba source moves a token's counts out and back
+in, a rewrite touches no count when the token redraws its own topic, as
+most tokens do once a chain settles; its weights are still the same
+floats (see "Kernels without a compiler" below).  Neither mode uses
 fast-math, so results are bit-identical.  The numba source of each loop,
 run uncompiled (``.py_func`` under numba, itself or ``__wrapped__``
 without it, and under ``np.errstate(over="ignore")``, as its uint64
@@ -166,7 +169,7 @@ def infer_doc(words, seed, phi, alpha, n_sweeps, burn_in, sample_every, acc):
 # state, so all of a call's draws are mixed at once over uint64 arrays,
 # which wrap just as the scalars do.  The counts are always the counts of
 # ``z``: ``_count`` builds them from ``z`` with ``np.bincount`` for
-# ``init_assignments``, and each sweep moves one count per token.
+# ``init_assignments``, and each sweep keeps them so.
 # ``doc_ptr`` must start at 0 and end at the token count.
 
 _mix64_array = getattr(_mix64, "py_func", _mix64)
@@ -280,13 +283,25 @@ def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):
 # beside them the factor lists ``n_kw.T + beta``, ``n_k + V * beta`` and
 # ``n_dk + alpha``, which numpy builds with the same IEEE adds as
 # Python's int + float, since each count converts to a double exactly.
-# The loop moves one count per token and recomputes its factor from it,
-# so the lists stay the counts of ``z`` and their factors, and nothing is
-# rebuilt between sweeps.  The per-fit constants are made once too: the
-# list forms of ``doc_ptr`` and ``token_word``, and each token's seed and
-# within-document index, over which ``_draws`` mixes a sweep's draws.
-# numpy reads the counts only through ``counts()``, which builds arrays
-# from the lists.
+# The per-fit constants are made once too: the list forms of ``doc_ptr``
+# and ``token_word``, and each token's seed and within-document index,
+# over which ``_draws`` mixes a sweep's draws.  numpy reads the counts
+# only through ``counts()``, which builds arrays from the lists.
+#
+# Each token saves its own topic's factors (three in the sweep, one in
+# inference) and writes in their place the factors of that topic's counts
+# less one, ``col[old] - 1 + beta`` and so on: the int-to-float adds the
+# numba source makes after its decrements, so the token's weights are the
+# same floats.  If the draw returns the token's own topic, the saved
+# factors go back and no count and no ``zs`` entry is touched: a saved
+# factor is the very float computed from a count that has not changed.
+# Otherwise the counts move from the old topic to the new one, the old
+# topic's factors already being those of its counts less one, and the new
+# topic's are recomputed from its counts.  Either way the lists stay the
+# counts of ``z`` and their factors, and nothing is rebuilt between
+# sweeps.  Once a chain settles most draws keep their topic, and such a
+# token makes none of the six count updates and puts back saved floats in
+# place of recomputed factors.
 #
 # The token loops of ``gibbs_sweep`` and ``infer_doc`` are generated from
 # the two templates below, once per topic count K, on the first call with
@@ -310,34 +325,42 @@ def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):
 _SWEEP_TEMPLATE = """\
 def gibbs_sweep(us, ptr, words, zs, cols, nk, rows, cols_b, nk_vb, rows_a,
                 alpha, beta, vb):
-    # the three factors of each topic's weight, each recomputed from its
-    # count whenever the count changes
+    # the three factors of each topic's weight, each the float of its count;
+    # the token's own topic weighs in with its count less one
     for d, dk in enumerate(rows):
         dk_a = rows_a[d]
         for j in range(ptr[d], ptr[d + 1]):
             w = words[j]
             col = cols[w]
             col_b = cols_b[w]
-            k = zs[j]
-            col[k] -= 1
-            col_b[k] = col[k] + beta
-            nk[k] -= 1
-            nk_vb[k] = nk[k] + vb
-            dk[k] -= 1
-            dk_a[k] = dk[k] + alpha
+            old = zs[j]
+            b_old = col_b[old]
+            v_old = nk_vb[old]
+            a_old = dk_a[old]
+            col_b[old] = col[old] - 1 + beta
+            nk_vb[old] = nk[old] - 1 + vb
+            dk_a[old] = dk[old] - 1 + alpha
             {b} = col_b
             {v} = nk_vb
             {a} = dk_a
             {weights}
             r = us[j] * s{last}
             {search}
-            zs[j] = k
-            col[k] += 1
-            col_b[k] = col[k] + beta
-            nk[k] += 1
-            nk_vb[k] = nk[k] + vb
-            dk[k] += 1
-            dk_a[k] = dk[k] + alpha
+            if k == old:
+                col_b[k] = b_old
+                nk_vb[k] = v_old
+                dk_a[k] = a_old
+            else:
+                zs[j] = k
+                col[old] -= 1
+                nk[old] -= 1
+                dk[old] -= 1
+                col[k] += 1
+                col_b[k] = col[k] + beta
+                nk[k] += 1
+                nk_vb[k] = nk[k] + vb
+                dk[k] += 1
+                dk_a[k] = dk[k] + alpha
 """
 
 _INFER_TEMPLATE = """\
@@ -348,17 +371,21 @@ def infer_doc(draws, token_phi, zs, counts, total, alpha, denom, n_sweeps,
     for sweep in range(1, n_sweeps + 1):
         us = draws[sweep]
         for j, phis in enumerate(token_phi):
-            k = zs[j]
-            counts[k] -= 1
-            counts_a[k] = counts[k] + alpha
+            old = zs[j]
+            a_old = counts_a[old]
+            counts_a[old] = counts[old] - 1 + alpha
             {p} = phis
             {a} = counts_a
             {weights}
             r = us[j] * s{last}
             {search}
-            zs[j] = k
-            counts[k] += 1
-            counts_a[k] = counts[k] + alpha
+            if k == old:
+                counts_a[k] = a_old
+            else:
+                zs[j] = k
+                counts[old] -= 1
+                counts[k] += 1
+                counts_a[k] = counts[k] + alpha
         if sweep > burn_in and (sweep - burn_in) % sample_every == 0:
             n_samples += 1
             total = [a + c / denom for a, c in zip(total, counts_a)]

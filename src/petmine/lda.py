@@ -154,8 +154,11 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
     mark_sweep, mark_time = 0, time.perf_counter()
 
     for sweep in range(1, config.iterations + 1):
-        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
         logged = sweep == 1 or sweep % _LL_EVERY == 0
+        if logged:
+            # a copy, as the compiled sweep updates its array in place
+            before = state.assignments().copy()
+        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
         if not logged and sweep not in retained:
             continue
         # numpy reads the counts only at these sweeps
@@ -170,9 +173,11 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
             trace_sweeps.append(sweep)
             now = time.perf_counter()
             sweeps_per_s = (sweep - mark_sweep) / (now - mark_time)
-            log.info("fit: sweep %d/%d, %.0f tokens/s, ll %.1f, ETA %.0f s",
-                     sweep, config.iterations,
-                     sweeps_per_s * token_word.shape[0], ll,
+            kept = np.count_nonzero(before == state.assignments())
+            log.info("fit: sweep %d/%d, %.0f tokens/s, %.0f%% kept, ll %.1f, "
+                     "ETA %.0f s", sweep, config.iterations,
+                     sweeps_per_s * token_word.shape[0],
+                     100 * kept / token_word.shape[0], ll,
                      (config.iterations - sweep) / sweeps_per_s)
             mark_sweep, mark_time = sweep, now
         if sweep in retained:

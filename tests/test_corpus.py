@@ -506,6 +506,16 @@ def test_corpus_rejects_a_day_outside_the_window():
         dataclasses.replace(c, day=np.array([0, 2**53]))
 
 
+@pytest.mark.parametrize("index", [5, 2, -1])
+def test_corpus_rejects_a_column_index_that_names_no_code(index):
+    c = make_corpus([make_petition(0, {"E1": 3})])
+    signatures = sp.csr_matrix((np.array([3]), np.array([index]),
+                                np.array([0, 1])), shape=(1, 2))
+    with pytest.raises(ValidationError,
+                       match=r"column 'indices' holds a value outside 0\.\.1"):
+        dataclasses.replace(c, codes=("E1", "E2"), signatures=signatures)
+
+
 _NOT_THE_METADATA_CODES = "codes are not the constituency metadata codes"
 
 

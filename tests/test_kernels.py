@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import traceback
+import types
 
 import numpy as np
 import pytest
@@ -211,37 +212,79 @@ def test_fast_sampler_bit_identical_to_numba_source(n_topics):
     for a, b in zip(want, _arrays(init)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     got = _list_state(doc_ptr, token_word, doc_seed, want, 0.1, 0.05)
+    kept = []
     with np.errstate(over="ignore"):
         for sweep in range(1, 31):
+            before = want[0].copy()
             _reference(kernels._sweep_arrays)(sweep, doc_ptr, token_word,
                                               doc_seed, *want, 0.1, 0.05)
+            kept.append(np.count_nonzero(before == want[0]))
             kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, got)
             for a, b in zip(want, _arrays(got)):
                 assert np.array_equal(a, b)
             # the counts the lists kept, tallied from z by a loop
             _assert_counts_consistent(doc_ptr, token_word, got)
+    if n_topics == 1:
+        # every draw keeps the one topic, so nothing ever moves
+        assert kept == [doc_ptr[-1]] * 30
+        for a, b in zip(_arrays(init), _arrays(got)):
+            assert np.array_equal(a, b)
+    else:
+        # each sweep takes both of the rewrite's branches
+        assert all(0 < n < doc_ptr[-1] for n in kept), kept
 
 
 def test_list_state_keeps_its_factor_lists_equal_to_its_counts():
-    # the sweep recomputes each factor from its count, so after any number
-    # of sweeps the factors are those made from the counts afresh
+    # the sweep computes each factor from its count, so after every sweep
+    # the factors are those made from the counts afresh
     doc_ptr, token_word, doc_seed = _corpus(20, 31, 25, 7)
     alpha, beta = 0.3, 0.07
-    arrays = kernels.init_assignments(doc_ptr, token_word, doc_seed, 4, 31,
-                                      alpha, beta)
-    state = _list_state(doc_ptr, token_word, doc_seed, _arrays(arrays),
-                        alpha, beta)
-    for sweep in range(1, 9):
-        kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
-    fresh = _list_state(doc_ptr, token_word, doc_seed, _arrays(state),
-                        alpha, beta)
-    for name in ("zs", "cols", "nk", "rows", "cols_b", "nk_vb", "rows_a"):
-        assert getattr(state, name) == getattr(fresh, name), name
+    for n_topics in TOPIC_COUNTS:
+        arrays = kernels.init_assignments(doc_ptr, token_word, doc_seed,
+                                          n_topics, 31, alpha, beta)
+        state = _list_state(doc_ptr, token_word, doc_seed, _arrays(arrays),
+                            alpha, beta)
+        for sweep in range(1, 31):
+            kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
+            fresh = _list_state(doc_ptr, token_word, doc_seed,
+                                _arrays(state), alpha, beta)
+            for name in ("zs", "cols", "nk", "rows", "cols_b", "nk_vb",
+                         "rows_a"):
+                assert getattr(state, name) == getattr(fresh, name), (
+                    n_topics, sweep, name)
+
+
+def _record_infer_z(monkeypatch):
+    """A list that collects the rewrite's ``z`` as each ``infer_doc``
+    sweep starts, and once more as the call returns."""
+    seen = []
+    specialised = kernels._specialised
+
+    class Draws(list):
+        # the generated loop reads a sweep's draws as the sweep starts
+        def __getitem__(self, sweep):
+            seen.append(list(self.zs))
+            return list.__getitem__(self, sweep)
+
+    def infer_doc(draws, token_phi, zs, counts, *rest):
+        draws = Draws(draws)
+        draws.zs = zs
+        out = specialised(len(counts)).infer_doc(draws, token_phi, zs,
+                                                 counts, *rest)
+        seen.append(list(zs))
+        return out
+
+    monkeypatch.setattr(kernels, "_specialised",
+                        lambda n_topics: types.SimpleNamespace(
+                            infer_doc=infer_doc))
+    return seen
 
 
 @pytest.mark.parametrize("n_words", [0, 1, 40])
 @pytest.mark.parametrize("n_topics", TOPIC_COUNTS)
-def test_fast_infer_doc_bit_identical_to_numba_source(n_topics, n_words):
+def test_fast_infer_doc_bit_identical_to_numba_source(n_topics, n_words,
+                                                      monkeypatch):
+    seen = _record_infer_z(monkeypatch)
     vocab = 12 * n_topics + 7
     rng = np.random.default_rng(n_words)
     phi = rng.dirichlet(np.ones(vocab), size=n_topics)
@@ -255,6 +298,14 @@ def test_fast_infer_doc_bit_identical_to_numba_source(n_topics, n_words):
                                     50, 10, 4, got)
     assert n_got == n_want == 10
     assert np.array_equal(got, want)
+    kept = [sum(a == b for a, b in zip(before, after))
+            for before, after in zip(seen, seen[1:])]
+    assert len(kept) == 50
+    if n_topics == 1:
+        assert kept == [n_words] * 50
+    elif n_words == 40:
+        # the sweeps take both of the rewrite's branches
+        assert all(0 < n < n_words for n in kept), kept
 
 
 def test_specialised_kernels_are_cached_by_k_and_readable():
@@ -270,11 +321,13 @@ def test_specialised_kernels_are_cached_by_k_and_readable():
         assert text.startswith(f"def {kernel.__name__}(")
         assert weight in text
         assert text in source
-    # a fault inside a generated loop is reported at its generated line
+    # a fault inside a generated loop is reported at its generated line:
+    # with no counts, the first to fault reads the token's own factor
     with pytest.raises(IndexError) as excinfo:
         built.infer_doc([[0.0], [0.0]], [[0.25] * 4], [0], [], [0.0] * 4,
                         0.1, 1.4, 1, 0, 1)
-    assert "counts[k] -= 1" in "".join(traceback.format_tb(excinfo.tb))
+    assert "a_old = counts_a[old]" in "".join(
+        traceback.format_tb(excinfo.tb))
 
 
 def test_kernel_mode_binds_fast_kernels_without_numba():
@@ -296,21 +349,26 @@ def test_kernel_mode_binds_fast_kernels_without_numba():
 
 @pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba is not installed")
 def test_compiled_and_fallback_modes_bit_identical():
-    # the compiled kernels and their rewrites, on the same inputs; one
-    # topic, a small K, and the paper's K=10
-    for n_topics in (1, 3, 10):
+    # the compiled kernels and their rewrites, on the same inputs, at every
+    # K of the parity tests above; the chain runs until most tokens keep
+    # their topic, so both of the rewrite's branches are compared
+    for n_topics in TOPIC_COUNTS:
         n_docs, vocab = 30, 8 * n_topics + 1
         doc_ptr, token_word, doc_seed = _corpus(n_docs, vocab, 20, 3)
         compiled = kernels.init_assignments(doc_ptr, token_word, doc_seed,
-                                            n_topics, vocab, 0.1, 0.1)
+                                            n_topics, vocab, 0.1, 0.01)
         rewrite = _list_state(doc_ptr, token_word, doc_seed,
-                              _arrays(compiled), 0.1, 0.1)
-        for sweep in range(1, 31):
+                              _arrays(compiled), 0.1, 0.01)
+        for sweep in range(1, 61):
+            before = compiled.assignments().copy()
             for state in (compiled, rewrite):
                 kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed,
                                     state)
             for a, b in zip(_arrays(compiled), _arrays(rewrite)):
                 assert a.tobytes() == b.tobytes()
+        kept = np.count_nonzero(before == compiled.assignments())
+        assert kept > doc_ptr[-1] // 2, (n_topics, kept)
+        assert n_topics == 1 or kept < doc_ptr[-1], n_topics
 
         phi = np.random.default_rng(3).dirichlet(np.ones(vocab),
                                                  size=n_topics)

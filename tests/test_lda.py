@@ -92,9 +92,20 @@ def test_fit_bit_deterministic(small_fit):
     assert model.log_likelihood_trace == again.log_likelihood_trace
 
 
-def test_fit_logs_kernel_k_and_progress_at_each_likelihood(caplog):
+def test_fit_logs_kernel_k_and_progress_at_each_likelihood(caplog,
+                                                           monkeypatch):
     dtm, _, _ = make_planted_dtm(n_docs=12, tokens_per_doc=10, seed=3)
     config = lda.LdaConfig(k=2, iterations=25, burn_in=5, sample_every=5)
+    # the share of tokens each sweep left on their topic, in percent
+    kept = {}
+    gibbs_sweep = kernels.gibbs_sweep
+
+    def recording_sweep(n, *args):
+        before = args[-1].assignments().copy()
+        gibbs_sweep(n, *args)
+        kept[n] = f"{100 * np.mean(before == args[-1].assignments()):.0f}"
+
+    monkeypatch.setattr(kernels, "gibbs_sweep", recording_sweep)
     with caplog.at_level("INFO", logger="petmine.lda"):
         model = lda.fit(dtm, config)
     lines = [r.getMessage() for r in caplog.records]
@@ -102,15 +113,24 @@ def test_fit_logs_kernel_k_and_progress_at_each_likelihood(caplog):
                         "fit: numba-compiled kernels, K=2")
     progress = lines[1:-1]
     assert len(progress) == len(model.trace_sweeps) == 3
-    pattern = (r"fit: sweep (\d+)/25, \d+ tokens/s, ll (-?\d+\.\d), "
-               r"ETA \d+ s")
+    pattern = (r"fit: sweep (\d+)/25, \d+ tokens/s, (\d+)% kept, "
+               r"ll (-?\d+\.\d), ETA \d+ s")
     for line, sweep, ll in zip(progress, model.trace_sweeps,
                                model.log_likelihood_trace):
         match = re.fullmatch(pattern, line)
         assert match, line
         assert int(match[1]) == sweep
-        assert match[2] == f"{ll:.1f}"
+        assert match[2] == kept[sweep]
+        assert match[3] == f"{ll:.1f}"
     assert lines[-1].startswith("fitted k=2 on 12 docs")
+    # with one topic every draw keeps it
+    caplog.clear()
+    with caplog.at_level("INFO", logger="petmine.lda"):
+        lda.fit(dtm, lda.LdaConfig(k=1, iterations=25, burn_in=5,
+                                   sample_every=5))
+    progress = [r.getMessage() for r in caplog.records][1:-1]
+    assert len(progress) == 3
+    assert all(", 100% kept, " in line for line in progress), progress
 
 
 def test_fit_reads_the_counts_only_at_likelihood_and_retained_sweeps(
