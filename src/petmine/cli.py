@@ -88,6 +88,13 @@ class PipelineConfig:
         for name in ("k_values", "alpha_values", "beta_values"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} lists no values")
+        # a repeated setting would be fitted or scanned twice
+        for name in ("k_values", "alpha_values", "beta_values", "x_mins"):
+            values = getattr(self, name) or []
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{name} repeats {value!r}, "
+                                      f"got {values}")
         self.grid_configs()                  # and so lda_config()
         self.window_dates()
         for name in ("thresholds", "smoothing_windows"):

@@ -23,6 +23,11 @@ values; none of them writes into its inputs.
 Constituencies with zero signatures have NaN share and Z-score rows; they
 are left out of the standardization, and ``Profiles.clustered`` leaves
 them out of clustering.
+
+``scipy.spatial`` is imported in ``_distances``, its one caller, not at
+the top: with the ``scipy.linalg`` it pulls in, it would add about 16 MB
+and a tenth of a second to the start of every ``petmine`` process, and
+only ``report`` clusters.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .corpus import ConstituencyMeta, Corpus
 from .errors import ConfigError, ConvergenceError, ValidationError
@@ -80,11 +84,12 @@ def profile_constituencies(model: TopicModel, corpus: Corpus) -> Profiles:
     meta = corpus.constituencies
     if not meta:
         raise ValidationError("no constituency metadata supplied")
-    # metadata codes x docs, each row's docs ascending, so the product adds
-    # n * theta[d] per constituency in the same order as a per-pair loop
-    by_meta = corpus.signatures[:, :len(meta)].T.tocsr()
-    mass = by_meta @ model.theta
-    totals = np.asarray(by_meta.sum(axis=1), dtype=np.int64).ravel()
+    # the transpose is a codes x docs CSC matrix, whose product walks the
+    # docs in ascending order, so it adds n * theta[d] per constituency in
+    # the same order as a per-pair loop
+    sig = corpus.signatures
+    mass = (sig.T @ model.theta)[:len(meta)]
+    totals = np.asarray(sig.sum(axis=0), dtype=np.int64).ravel()[:len(meta)]
 
     share = np.full_like(mass, np.nan)
     included = totals > 0
@@ -170,6 +175,7 @@ class ClusterResult:
 def _distances(z: np.ndarray, metric: str) -> np.ndarray:
     if metric not in _METRICS:
         raise ConfigError(f"metric must be one of {sorted(_METRICS)}")
+    from scipy.spatial.distance import cdist
     return cdist(z, z, metric=_METRICS[metric])
 
 

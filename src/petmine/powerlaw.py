@@ -10,6 +10,11 @@ discrete variant.
 below the fitted line at chosen thresholds, in log10 units of CCDF: the
 fitted tail probability is anchored at the empirical mass at or above
 x_min, so a perfectly power-law sample scores about zero everywhere.
+
+``scipy.optimize`` and ``scipy.special`` are imported in the functions
+that call them, not at the top, so a ``petmine`` process that fits no
+power law (``ingest``, ``fit``, ``grid``, ``intrusion-score``) does not
+load them at start-up; ``report`` and ``xmin-scan`` load them on first use.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import zeta
 
 from .errors import ConfigError, NumericalError, ValidationError
 
@@ -68,6 +71,7 @@ def _tail(counts, x_min: int) -> np.ndarray:
 
 def ks_statistic(counts, x_min: int, alpha: float) -> float:
     """Max CCDF gap between the empirical tail and the fitted power law."""
+    from scipy.special import zeta
     emp = ccdf(_tail(counts, x_min))
     fit = zeta(alpha, emp.x) / zeta(alpha, x_min)
     return float(np.abs(emp.p - fit).max())
@@ -75,6 +79,8 @@ def ks_statistic(counts, x_min: int, alpha: float) -> float:
 
 def fit_powerlaw(counts, x_min: int) -> PowerLawFit:
     """Discrete maximum-likelihood power-law fit to the tail >= x_min."""
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
     tail = _tail(counts, x_min)
     n = tail.size
     log_sum = float(np.log(tail).sum())
@@ -114,6 +120,7 @@ def threshold_divergence(counts, fit: PowerLawFit, thresholds) -> dict[int, floa
     power law.  Thresholds beyond the largest observation (empirical CCDF
     zero) or below x_min (outside the fitted support) map to NaN.
     """
+    from scipy.special import zeta
     arr = np.asarray(counts, dtype=np.int64).ravel()
     if arr.size == 0:
         raise ValidationError("no observations")

@@ -243,6 +243,8 @@ def archive_run(tmp_path_factory):
         "archive": archive,
         "constituencies": constituencies,
         "output_dir": str(out),
+        # the paper's span, so records outside it are rejected
+        "window": ["2015-05-07", "2017-05-03"],
     }
     stopwords = os.environ.get(STOPWORDS_ENV)
     if stopwords:

@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import typing
 
 import jsonschema
@@ -494,6 +496,33 @@ def test_bad_x_mins_exit_two_before_snapshot_read(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("grid", "k_values", [5, 10, 5], "k_values repeats 5, got [5, 10, 5]"),
+    ("grid", "alpha_values", [0.1, 0.1],
+     "alpha_values repeats 0.1, got [0.1, 0.1]"),
+    ("grid", "beta_values", [0.5, 0.01, 0.5],
+     "beta_values repeats 0.5, got [0.5, 0.01, 0.5]"),
+    ("xmin-scan", "x_mins", [10, 10], "x_mins repeats 10, got [10, 10]"),
+])
+@pytest.mark.parametrize("route", ["file", "flag"])
+def test_repeated_list_values_exit_two_before_writing(
+        tmp_path, capsys, command, key, value, message, route):
+    # no snapshot exists, so a check that ran after the load would exit 1
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    flag = ["--" + key.replace("_", "-"), ",".join(map(str, value))]
+    path.write_text(json.dumps({"output_dir": str(out),
+                                **({key: value} if route == "file" else {})}),
+                    encoding="utf-8")
+    assert cli.main([command, "--config", str(path),
+                     *(flag if route == "flag" else [])]) == 2
+    assert f"petmine: config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+    # the order of the values is free
+    descending = sorted(set(value), reverse=True)
+    assert getattr(cli.PipelineConfig(**{key: descending}), key) == descending
+
+
 def test_bad_sampler_settings_caught_at_load(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"lda": {"k": 0}}), encoding="utf-8")
@@ -974,7 +1003,7 @@ def test_report_builds_one_distance_matrix_and_solves_each_k_once(
     for name in ("corpus.jsonl", "model.bin"):
         shutil.copy(os.path.join(out, name), tmp_path / name)
     real = {name: getattr(geo, name)
-            for name in ("cdist", "_pam_exact", "_pam_swap")}
+            for name in ("_distances", "_pam_exact", "_pam_swap")}
     calls = []
 
     def spy(name, k_of):
@@ -983,15 +1012,66 @@ def test_report_builds_one_distance_matrix_and_solves_each_k_once(
             return real[name](*args, **kwargs)
         monkeypatch.setattr(geo, name, wrapper)
 
-    spy("cdist", lambda *args: None)
+    spy("_distances", lambda *args: None)
     spy("_pam_exact", lambda dist, k: k)
     spy("_pam_swap", lambda dist, medoids: len(medoids))
     assert cli.main(["report", "--config", str(config_path),
                      "--output-dir", str(tmp_path), "--pam-k", "3"]) == 0
     # the 5 clustered constituencies give silhouettes at k = 2..4, and the
     # pam_k clustering is the sweep's k = 3, solved first
-    assert calls == [("cdist", None), ("_pam_exact", 3), ("_pam_exact", 2),
-                     ("_pam_exact", 4)]
+    assert calls == [("_distances", None), ("_pam_exact", 3),
+                     ("_pam_exact", 2), ("_pam_exact", 4)]
+
+
+_SCIPY_ON_DEMAND = ("scipy.optimize", "scipy.spatial", "scipy.special")
+
+# one process runs each command in turn and prints, after the imports and
+# after each command, which of the on-demand scipy packages it has loaded;
+# numba, where installed, is imported first and what it loads is the floor
+_IMPORT_SCRIPT = """
+import json, sys
+try:
+    import numba  # noqa: F401
+except ImportError:
+    pass
+config, out, answers, packages = sys.argv[1:5]
+packages = packages.split(",")
+
+def loaded(step):
+    print(json.dumps([step, [p for p in packages if p in sys.modules]]))
+
+loaded("numba")
+from petmine import cli
+loaded("import")
+flags = ["--config", config, "--output-dir", out]
+for command, extra in (("ingest", []), ("fit", []),
+                       ("grid", ["--k-values", "2,3"]),
+                       ("intrusion-score", ["--answers", answers]),
+                       ("report", [])):
+    assert cli.main([command, *flags, *extra]) == 0, command
+    loaded(command)
+"""
+
+
+def test_scipy_optimize_spatial_and_special_load_only_for_report(
+        fixture_paths, tmp_path):
+    _, _, config_path, _ = fixture_paths
+    answers = tmp_path / "answers.csv"
+    answers.write_text("topic,subject,position\n0,s1,0\n", encoding="utf-8")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT, str(config_path),
+         str(tmp_path / "out"), str(answers), ",".join(_SCIPY_ON_DEMAND)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True)
+    assert run.returncode == 0, run.stderr
+    steps = dict(json.loads(line) for line in run.stdout.splitlines())
+    assert list(steps) == ["numba", "import", "ingest", "fit", "grid",
+                           "intrusion-score", "report"]
+    floor = set(steps.pop("numba"))
+    assert sorted(steps.pop("report")) == sorted(_SCIPY_ON_DEMAND)
+    for step, packages in steps.items():
+        assert set(packages) <= floor, step
 
 
 @pytest.mark.parametrize("flag", ["--pam-k", "--entropy-window-days",
