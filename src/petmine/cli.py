@@ -27,11 +27,11 @@ import typing
 
 import numpy as np
 
-from . import (__version__, corpus, geo, issues, kernels, lda, powerlaw,
-               temporal, textprep)
+from . import (__version__, corpus, geo, issues, lda, powerlaw, temporal,
+               textprep)
 from .errors import ConfigError, PetmineError, ValidationError
-from .util import (check_types, config_digest, derive_seed, split_map,
-                   write_csv, write_text)
+from .util import (check_types, config_digest, derive_seed, write_csv,
+                   write_text)
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +45,6 @@ _LDA_DEFAULTS = {
 
 NETWORK_KEEP_FRACTION = 0.2
 SILHOUETTE_K_RANGE = range(2, 11)
-# the least estimated cost (see cmd_grid) of a chunk of grid settings
-# that repays a process of its own: about 12 ms of sampling
-_MIN_GRID_COST = 150_000
 
 
 @dataclasses.dataclass
@@ -604,27 +601,8 @@ def cmd_grid(cfg: PipelineConfig) -> int:
     hold, train = np.sort(order[:n_hold]), np.sort(order[n_hold:])
     train_dtm = textprep.DocumentTermMatrix(
         n_docs=len(train), vocabulary=dtm.vocabulary,
-        counts=dtm.counts[train], doc_ids=tuple(dtm.doc_ids[i] for i in train),
-        prune_report=dtm.prune_report)
-    hold_counts = dtm.counts[hold]
-
-    configs = cfg.grid_configs()
-    # a setting's estimated cost: the token sweeps of its fit, and of its
-    # held-out score at half a fit's cost per token sweep, times K plus 10
-    # for the work per token that does not grow with K; the settings run
-    # in contiguous chunks of about equal cost, one per core, and each
-    # chunk returns its rows of grid.csv
-    sweeps = (int(train_dtm.counts.sum()) * configs[0].iterations
-              + int(hold_counts.sum()) * lda._INFER_SWEEPS // 2)
-    if not kernels.NUMBA_ENABLED:
-        # generate each K's kernels here, once, for every chunk to inherit
-        for k in {c.k for c in configs}:
-            kernels._specialised(k)
-    chunks = split_map(
-        lambda lo, hi: _grid_rows(train_dtm, hold_counts, configs[lo:hi]),
-        [(c.k + 10) * sweeps for c in configs], _MIN_GRID_COST,
-        "grid settings")
-    rows = [row for chunk in chunks for row in chunk]
+        counts=dtm.counts[train], doc_ids=tuple(dtm.doc_ids[i] for i in train))
+    rows = lda.grid_rows(train_dtm, dtm.counts[hold], cfg.grid_configs())
     for k, alpha, beta, _, _, per_token in rows:
         log.info("grid: k=%d alpha=%g beta=%g per-token %.4f",
                  k, alpha, beta, per_token)
@@ -632,18 +610,6 @@ def cmd_grid(cfg: PipelineConfig) -> int:
               ["k", "alpha", "beta", "train_log_likelihood",
                "holdout_log_likelihood", "holdout_per_token"], rows)
     return 0
-
-
-def _grid_rows(train_dtm, hold_counts, configs) -> list[list]:
-    """The ``grid.csv`` rows of ``configs``, each fitted to ``train_dtm``
-    and scored on ``hold_counts`` in turn."""
-    rows = []
-    for run_cfg in configs:
-        model = lda.fit(train_dtm, run_cfg)
-        total, per_token = lda.held_out_log_likelihood(model, hold_counts)
-        rows.append([run_cfg.k, run_cfg.alpha, run_cfg.beta,
-                     model.log_likelihood_trace[-1], total, per_token])
-    return rows
 
 
 def cmd_xmin_scan(cfg: PipelineConfig) -> int:
@@ -658,7 +624,7 @@ def cmd_xmin_scan(cfg: PipelineConfig) -> int:
         if len(candidates) > 200:
             idx = np.linspace(0, len(candidates) - 1, 200).round().astype(int)
             candidates = [candidates[i] for i in np.unique(idx)]
-    feasible = [v for v in candidates if (counts >= v).sum() >= 2]
+    feasible = [v for v in candidates if powerlaw.fittable(counts, v)]
     dropped = sorted(set(candidates) - set(feasible))
     if dropped:
         log.warning("xmin-scan: dropped infeasible candidates %s", dropped)

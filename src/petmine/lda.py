@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from . import kernels
 from .errors import (ArchiveFormatError, ConfigError, EmptyCorpusError,
                      NumericalError, ValidationError)
 from .util import (config_digest, derive_seed, from_json, load_arrays,
-                   save_arrays)
+                   save_arrays, split_map)
 
 log = logging.getLogger(__name__)
 
@@ -210,32 +209,21 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     return [model.terms[i] for i in order[:n]]
 
 
-def infer_theta(model: TopicModel, doc_counts, seed: int | None = None
-                ) -> np.ndarray:
+def infer_theta(model: TopicModel, words, seed: int) -> np.ndarray:
     """Topic weights for one new document, phi held fixed.
 
-    ``doc_counts`` is a length-V count vector (dense or sparse).  An
-    all-zero vector carries no evidence: a uniform vector is returned and
-    a UserWarning is emitted.
+    ``words`` holds the document's tokens as vocabulary indices.
     """
-    vec = np.asarray(
-        doc_counts.todense() if sp.issparse(doc_counts) else doc_counts
-    ).ravel()
-    if vec.shape[0] != model.phi.shape[1]:
+    words, n_terms = np.asarray(words), model.phi.shape[1]
+    outside = words[(words < 0) | (words >= n_terms)]
+    if outside.size:
         raise ConfigError(
-            f"doc vector has {vec.shape[0]} terms, model has {model.phi.shape[1]}"
-        )
-    if vec.sum() == 0:
-        warnings.warn("empty document: returning uniform topic weights")
-        return np.full(model.k, 1.0 / model.k)
-    if seed is None:
-        seed = derive_seed(model.config.seed, "lda.infer")
-    words = np.repeat(np.arange(vec.shape[0]), vec.astype(np.int64)).astype(np.int32)
+            f"word index {outside[0]} is outside the model's {n_terms} terms")
     acc = np.zeros(model.k, dtype=np.float64)
     n = kernels.infer_doc(
-        words, np.uint64(seed), np.ascontiguousarray(model.phi),
-        float(model.config.alpha), _INFER_SWEEPS, _INFER_BURN_IN,
-        _INFER_SAMPLE_EVERY, acc,
+        words.astype(np.int32), np.uint64(seed),
+        np.ascontiguousarray(model.phi), float(model.config.alpha),
+        _INFER_SWEEPS, _INFER_BURN_IN, _INFER_SAMPLE_EVERY, acc,
     )
     return acc / n
 
@@ -244,25 +232,58 @@ def held_out_log_likelihood(model: TopicModel, counts, seed: int | None = None
                             ) -> tuple[float, float]:
     """(total, per-token) predictive log-likelihood of held-out rows.
 
-    Topic weights for each row are inferred with phi fixed; rows with no
-    tokens contribute nothing.
+    Topic weights for each row are inferred with phi fixed, from a seed
+    keyed by the row's position; rows with no tokens contribute nothing.
     """
-    csr = counts.tocsr() if sp.issparse(counts) else sp.csr_matrix(counts)
+    csr = counts.tocsr()
+    if csr.shape[1] != model.phi.shape[1]:
+        raise ConfigError(f"held-out rows have {csr.shape[1]} terms, "
+                          f"model has {model.phi.shape[1]}")
     if seed is None:
         seed = derive_seed(model.config.seed, "lda.heldout")
-    total = 0.0
-    n_tokens = 0
-    for d in range(csr.shape[0]):
-        row = csr.getrow(d)
-        if row.nnz == 0:
-            continue
-        theta = infer_theta(model, row, seed=derive_seed(seed, f"row:{d}"))
-        word_p = theta @ model.phi[:, row.indices]
-        total += float(np.dot(row.data, np.log(word_p)))
-        n_tokens += int(row.data.sum())
-    if n_tokens == 0:
+    doc_ptr, token_word = _expand_tokens(csr)
+    if doc_ptr[-1] == 0:
         raise EmptyCorpusError("held-out rows contain no tokens")
-    return total, total / n_tokens
+    total = 0.0
+    for d in np.flatnonzero(np.diff(doc_ptr)).tolist():
+        theta = infer_theta(model, token_word[doc_ptr[d]:doc_ptr[d + 1]],
+                            derive_seed(seed, f"row:{d}"))
+        entries = slice(csr.indptr[d], csr.indptr[d + 1])
+        word_p = theta @ model.phi[:, csr.indices[entries]]
+        total += float(np.dot(csr.data[entries], np.log(word_p)))
+    return total, total / int(doc_ptr[-1])
+
+
+# the least estimated cost (see grid_rows) of a chunk of grid settings
+# that repays a process of its own: about 12 ms of sampling
+_MIN_GRID_COST = 150_000
+
+
+def grid_rows(train_dtm, hold_counts, configs: list[LdaConfig]) -> list[list]:
+    """Per setting, in order: k, alpha, beta, the final log-likelihood of
+    its fit to ``train_dtm`` and its held-out total and per-token scores.
+
+    The settings run over ``split_map``, weighted by estimated cost: the
+    token sweeps of the fit, and of the held-out score at half a fit's
+    cost each, times K plus 10 for the work per token that K does not grow.
+    """
+    sweeps = (int(train_dtm.counts.sum()) * configs[0].iterations
+              + int(hold_counts.sum()) * _INFER_SWEEPS // 2)
+    if not kernels.NUMBA_ENABLED:
+        # generate each K's kernels here, once, for every chunk to inherit
+        for k in {c.k for c in configs}:
+            kernels._specialised(k)
+
+    def row(config: LdaConfig) -> list:
+        model = fit(train_dtm, config)
+        return [config.k, config.alpha, config.beta,
+                model.log_likelihood_trace[-1],
+                *held_out_log_likelihood(model, hold_counts)]
+
+    chunks = split_map(lambda lo, hi: [row(c) for c in configs[lo:hi]],
+                       [(c.k + 10) * sweeps for c in configs],
+                       _MIN_GRID_COST, "grid settings")
+    return [row for chunk in chunks for row in chunk]
 
 
 # ---------------------------------------------------------------------------

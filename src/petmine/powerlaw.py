@@ -62,11 +62,22 @@ def _tail(counts, x_min: int) -> np.ndarray:
         raise ConfigError("x_min must be a positive integer")
     arr = np.asarray(counts, dtype=np.int64).ravel()
     tail = arr[arr >= x_min]
-    if tail.size < 2:
-        raise ValidationError(
-            f"need at least 2 observations >= {x_min}, have {tail.size}"
-        )
+    # 2 distinct values imply 2 observations; one value alone has no
+    # slope, and its likelihood rises to the alpha bound
+    values = np.unique(tail)
+    if values.size < 2:
+        raise ValidationError(f"need at least 2 distinct values >= {x_min}, "
+                              f"have {tail.size} of {values.tolist()}")
     return tail
+
+
+def fittable(counts, x_min: int) -> bool:
+    """Whether :func:`fit_powerlaw` takes ``x_min`` (see ``_tail``)."""
+    try:
+        _tail(counts, x_min)
+    except ValidationError:
+        return False
+    return True
 
 
 def ks_statistic(counts, x_min: int, alpha: float) -> float:

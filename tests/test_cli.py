@@ -9,13 +9,14 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 import typing
 
 import jsonschema
 import numpy as np
 import pytest
 
-from petmine import cli, geo, kernels, lda, util
+from petmine import cli, corpus, geo, kernels, lda, util
 from petmine.errors import ConfigError, NumericalError
 
 from conftest import write_fixture_archive
@@ -273,7 +274,7 @@ def _grid_dir(pipeline_out, tmp_path, name):
 def test_chunked_grid_matches_one_chunk(pipeline_out, fixture_paths,
                                         tmp_path, monkeypatch, caplog):
     _, _, config_path, _ = fixture_paths
-    monkeypatch.setattr(cli, "_MIN_GRID_COST", 1)
+    monkeypatch.setattr(lda, "_MIN_GRID_COST", 1)
     outcomes = []
     for n in (1, 2, 3):
         monkeypatch.setattr(util, "cores", lambda: n)
@@ -306,7 +307,7 @@ def test_grid_chunks_inherit_the_generated_kernels(
     # the first chunk, K=2 only, runs in the calling process, so only a
     # generation before the fork leaves K=3's kernels in its cache
     _, _, config_path, _ = fixture_paths
-    monkeypatch.setattr(cli, "_MIN_GRID_COST", 1)
+    monkeypatch.setattr(lda, "_MIN_GRID_COST", 1)
     grids = []
     for n in (1, 2):
         monkeypatch.setattr(util, "cores", lambda: n)
@@ -333,7 +334,7 @@ def test_grid_reports_the_first_failing_setting(
         return fit(dtm, config)
 
     monkeypatch.setattr(lda, "fit", failing_fit)
-    monkeypatch.setattr(cli, "_MIN_GRID_COST", 1)
+    monkeypatch.setattr(lda, "_MIN_GRID_COST", 1)
     for n in (1, 2, 3):
         monkeypatch.setattr(util, "cores", lambda: n)
         out = _grid_dir(pipeline_out, tmp_path, f"out{n}")
@@ -354,6 +355,26 @@ def test_xmin_scan(pipeline_out, fixture_paths):
     assert header == ["x_min", "exponent", "n_tail", "ks_distance", "best"]
     assert [r[0] for r in rows] == ["5", "10", "50"]
     assert sum(int(r[4]) for r in rows) == 1
+
+
+def test_xmin_scan_passes_over_a_one_value_tail(tmp_path, monkeypatch,
+                                                caplog):
+    # 16 petitions at one cap above a Pareto body: at x_min = 500,000 the
+    # tail holds a single value, whose fit ends at the alpha bound with a
+    # KS distance of 0 and would win the scan
+    rng = np.random.Generator(np.random.PCG64(1))
+    body = np.floor(10 * (rng.pareto(1.5, 10_000) + 1)).astype(np.int64)
+    counts = np.concatenate([body, np.full(16, 500_000)])
+    monkeypatch.setattr(corpus, "load_corpus",
+                        lambda path: types.SimpleNamespace(uk=counts))
+    with caplog.at_level("WARNING", logger="petmine.cli"):
+        assert cli.main(["xmin-scan", "--output-dir", str(tmp_path)]) == 0
+    assert caplog.messages == [
+        "xmin-scan: dropped infeasible candidates [500000]"]
+    _, rows = _read_csv(tmp_path / "xmin_scan.csv")
+    assert "500000" not in [row[0] for row in rows]
+    [best] = [row for row in rows if row[4] == "1"]
+    assert float(best[3]) > 0 and float(best[1]) < 3
 
 
 # ---------------------------------------------------------------------------

@@ -260,47 +260,89 @@ def test_top_words_errors():
 def test_infer_theta_recovers_planted_topic(planted):
     dtm, _, doc_topic, model = planted
     # a fresh document built purely from topic 0's word block
-    vec = np.zeros(len(model.terms), dtype=np.int64)
-    vec[5] = 20
-    vec[11] = 15
-    theta = lda.infer_theta(model, vec, seed=4)
+    words = np.repeat([5, 11], [20, 15])
+    theta = lda.infer_theta(model, words, seed=4)
     planted_topic = int(model.phi[:, 5].argmax())
     assert theta.argmax() == planted_topic
     assert theta[planted_topic] > 0.8
     assert theta.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(theta, lda.infer_theta(model, vec, seed=4))
+    assert np.array_equal(theta, lda.infer_theta(model, words, seed=4))
 
 
 def test_infer_theta_seed_matters_on_ambiguous_doc():
     # two indistinguishable topics: assignments are pure chance, so the
     # sampled weights depend on the seed
     model = make_model(np.eye(2), phi=np.full((2, 8), 1 / 8))
-    vec = np.full(8, 3, dtype=np.int64)
-    a = lda.infer_theta(model, vec, seed=1)
-    b = lda.infer_theta(model, vec, seed=2)
+    words = np.repeat(np.arange(8), 3)
+    a = lda.infer_theta(model, words, seed=1)
+    b = lda.infer_theta(model, words, seed=2)
     assert not np.array_equal(a, b)
 
 
-def test_infer_theta_accepts_sparse_rows(planted):
-    _, _, _, model = planted
-    vec = np.zeros(len(model.terms), dtype=np.int64)
-    vec[0] = 7
-    dense = lda.infer_theta(model, vec, seed=9)
-    sparse = lda.infer_theta(model, sp.csr_matrix(vec), seed=9)
-    assert np.array_equal(dense, sparse)
-
-
-def test_infer_theta_empty_doc_uniform(planted):
-    _, _, _, model = planted
-    with pytest.warns(UserWarning, match="empty document"):
-        theta = lda.infer_theta(model, np.zeros(len(model.terms)))
-    assert np.array_equal(theta, np.full(model.k, 1.0 / model.k))
-
-
 def test_infer_theta_wrong_width(planted):
+    # a word index the model's 120 terms do not cover
     _, _, _, model = planted
-    with pytest.raises(ConfigError, match="terms"):
-        lda.infer_theta(model, np.zeros(3))
+    for index in (-1, 120, 121):
+        with pytest.raises(ConfigError,
+                           match=f"word index {index} is outside the "
+                                 "model's 120 terms"):
+            lda.infer_theta(model, [0, index, 3], seed=1)
+
+
+def _held_out_dense_rows(model, counts, seed):
+    """The per-row path ``held_out_log_likelihood`` took before it unrolled
+    its rows once: each row made dense, its words rebuilt from the dense
+    vector, and one ``kernels.infer_doc`` call per row with tokens."""
+    csr = counts.tocsr()
+    total, n_tokens = 0.0, 0
+    for d in range(csr.shape[0]):
+        row = csr.getrow(d)
+        if row.nnz == 0:
+            continue
+        vec = np.asarray(row.todense()).ravel()
+        words = np.repeat(np.arange(vec.shape[0]),
+                          vec.astype(np.int64)).astype(np.int32)
+        acc = np.zeros(model.k, dtype=np.float64)
+        n = kernels.infer_doc(
+            words, np.uint64(util.derive_seed(seed, f"row:{d}")),
+            np.ascontiguousarray(model.phi), float(model.config.alpha),
+            lda._INFER_SWEEPS, lda._INFER_BURN_IN, lda._INFER_SAMPLE_EVERY,
+            acc)
+        word_p = (acc / n) @ model.phi[:, row.indices]
+        total += float(np.dot(row.data, np.log(word_p)))
+        n_tokens += int(row.data.sum())
+    return total, total / n_tokens
+
+
+@pytest.mark.parametrize("dtm_seed", [0, 1, 2])
+def test_held_out_matches_the_dense_row_path(dtm_seed):
+    # topics that share words, so each row's weights depend on its seed;
+    # planted rows repeat words (60 tokens over a 40-word block), and an
+    # empty row and a one-token row sit between them, so a row's position
+    # differs from its place among the rows with tokens
+    rng = np.random.Generator(np.random.PCG64(dtm_seed))
+    model = make_model(np.eye(3), phi=rng.dirichlet(np.ones(120), size=3))
+    held, _, _ = make_planted_dtm(n_docs=6, seed=dtm_seed)
+    assert held.counts.max() > 1
+    one_token = sp.csr_matrix(([1], ([0], [7])), shape=(1, 120),
+                              dtype=np.int32)
+    empty = sp.csr_matrix((1, 120), dtype=np.int32)
+    rows = sp.vstack([held.counts[:2], empty, one_token, held.counts[2:],
+                      empty], format="csr")
+    for seed in (3, None):
+        want = _held_out_dense_rows(
+            model, rows, util.derive_seed(model.config.seed, "lda.heldout")
+            if seed is None else seed)
+        assert lda.held_out_log_likelihood(model, rows, seed=seed) == want
+
+
+@pytest.mark.parametrize("n_terms", [119, 121])
+def test_held_out_rows_of_the_wrong_width(planted, n_terms):
+    _, _, _, model = planted
+    rows = sp.csr_matrix(([2], ([0], [0])), shape=(2, n_terms), dtype=np.int32)
+    with pytest.raises(ConfigError, match=f"held-out rows have {n_terms} "
+                                          "terms, model has 120"):
+        lda.held_out_log_likelihood(model, rows, seed=3)
 
 
 def test_held_out_log_likelihood(planted):

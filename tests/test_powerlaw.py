@@ -106,6 +106,14 @@ def test_tail_validation():
         powerlaw.fit_powerlaw([5, 6, 7], x_min=0)
     with pytest.raises(ValidationError, match="at least 2"):
         powerlaw.fit_powerlaw([1, 2, 50], x_min=40)
+    # one value has no slope: the fit would end at the alpha bound
+    counts = [3, 5, 8, 40, 40, 40]
+    assert powerlaw.fittable(counts, 8)
+    assert not powerlaw.fittable(counts, 40)
+    assert not powerlaw.fittable(counts, 41)
+    with pytest.raises(ValidationError, match=r"need at least 2 distinct "
+                                              r"values >= 40, have 3 of \[40\]"):
+        powerlaw.fit_powerlaw(counts, 40)
 
 
 def test_ks_statistic_zero_on_exact_match():
