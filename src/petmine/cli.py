@@ -118,9 +118,6 @@ class PipelineConfig:
                 f"pam_metric must be one of {sorted(geo._METRICS)}, "
                 f"got {self.pam_metric!r}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def lda_config(self) -> "lda.LdaConfig":
         seed = self.lda["seed"]
         return lda.LdaConfig(**dict(
@@ -148,7 +145,8 @@ class PipelineConfig:
     def meta(self) -> dict:
         """The header every artifact of a run carries, digested once."""
         # where the files are written is not part of what they hold
-        values = {k: v for k, v in self.to_dict().items() if k != "output_dir"}
+        values = {k: v for k, v in dataclasses.asdict(self).items()
+                  if k != "output_dir"}
         return {
             "tool": f"petmine {__version__}",
             "config": config_digest(values),
@@ -187,7 +185,7 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     values: dict = {}
     if config_path is not None:
         try:
-            with open(config_path, encoding="utf-8") as fh:
+            with open(config_path, encoding="utf-8-sig") as fh:
                 values = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"{config_path}: config file cannot be read "
@@ -228,18 +226,13 @@ def _require_input(cfg: PipelineConfig, key: str) -> str:
 
 
 def _sanitize(obj):
-    """Make a payload JSON-safe: numpy scalars to Python, non-finite to None."""
+    """Make a payload of Python values JSON-safe: non-finite floats to None."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -272,9 +265,9 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
     c = corpus.load_archive(archive, cfg.window_dates(), constituencies)
     corpus.save_corpus(c, cfg.path("corpus.jsonl"))
     corpus.write_rejects_report(c.ingest_report, cfg.path("rejects.csv"), cfg.meta)
-    log.info("ingest: %d accepted, %d rejected, %d UK signatures",
-             len(c.ids), len(c.ingest_report.rejects),
-             corpus.uk_signature_total(c))
+    log.info("ingest: %d accepted, %d rejected, %d dropped for state, "
+             "%d UK signatures", len(c.ids), len(c.ingest_report.rejects),
+             c.ingest_report.dropped_state, corpus.uk_signature_total(c))
     return 0
 
 
@@ -548,7 +541,7 @@ def cmd_intrusion_score(cfg: PipelineConfig) -> int:
     by_topic = {inst.topic_index: inst for inst in instances}
 
     picked, answers = [], []
-    with open(answers_path, encoding="utf-8", newline="") as fh:
+    with open(answers_path, encoding="utf-8-sig", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -630,7 +623,7 @@ def cmd_xmin_scan(cfg: PipelineConfig) -> int:
         log.warning("xmin-scan: dropped infeasible candidates %s", dropped)
     if not feasible:
         raise PetmineError("no feasible x_min candidate")
-    fits = powerlaw.scan_xmin(counts, feasible)
+    fits = [powerlaw.fit_powerlaw(counts, v) for v in feasible]
     best = powerlaw.best_by_ks(fits)
     write_csv(cfg.path("xmin_scan.csv"), cfg.meta,
               ["x_min", "exponent", "n_tail", "ks_distance", "best"],

@@ -22,6 +22,7 @@ re-serializing a loaded corpus reproduces it byte-for-byte.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import csv
 import datetime
@@ -145,7 +146,7 @@ def load_constituencies(path: str) -> tuple[ConstituencyMeta, ...]:
     """
     out = []
     seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -316,6 +317,10 @@ def _read_chunk(path: str, start: int, end: int,
             # the line that holds byte start - 1 starts in an earlier range
             fh.seek(start - 1)
             fh.readline()
+        elif fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            # a byte-order mark is skipped at the start of the file only;
+            # anywhere else it is data
+            fh.seek(0)
         at = fh.tell()
         for raw in fh:
             if at >= end:
@@ -381,7 +386,8 @@ def load_archive(path: str,
     Each record is validated straight into flat column buffers, whose rows
     are then sorted by id once.  Lines end at ``\\n`` only: a ``\\r``
     before it is stripped, and one elsewhere stays in the line, where JSON
-    reads it as whitespace between tokens.  Record-level problems go to
+    reads it as whitespace between tokens.  A UTF-8 byte-order mark that
+    opens the file is skipped.  Record-level problems go to
     ``corpus.ingest_report.rejects`` as ``(line_no, reason)``, lines that
     are not UTF-8 or not JSON included; records whose state is not
     ``accepted`` are dropped and counted.  ``window`` defaults to the span

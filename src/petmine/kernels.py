@@ -221,16 +221,16 @@ def init_assignments(doc_ptr, token_word, doc_seed, n_topics, n_terms, alpha,
 
     Every token takes a topic from its sweep-0 draw, and the counts are
     built from those topics.  With numba the state is ``_ArrayState``;
-    without, ``_ListState``, made from it once.
+    without, ``_ListState``, made from the same arrays.
     """
     doc_of, seeds, idx = _token_keys(doc_ptr, doc_seed)
     z = np.minimum((_draws(seeds, 0, idx) * n_topics).astype(np.int64),
                    n_topics - 1).astype(np.int32)
-    arrays = _ArrayState(z, *_count(z, token_word, doc_of, len(doc_ptr) - 1,
-                                    n_topics, n_terms), alpha, beta)
+    counts = _count(z, token_word, doc_of, len(doc_ptr) - 1, n_topics,
+                    n_terms)
     if NUMBA_ENABLED:
-        return arrays
-    return _ListState(doc_ptr, token_word, seeds, idx, arrays)
+        return _ArrayState(z, *counts, alpha, beta)
+    return _ListState(doc_ptr, token_word, seeds, idx, z, *counts, alpha, beta)
 
 
 def gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state):
@@ -257,13 +257,13 @@ def posterior_means(doc_ptr, n_kw, n_k, n_dk, alpha, beta):
     return theta, phi
 
 
-def log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta):
-    """Per-token predictive log-likelihood under current posterior means.
+def log_likelihood(doc_ptr, token_word, theta, phi):
+    """Per-token predictive log-likelihood under posterior means ``theta``
+    and ``phi``, as ``posterior_means`` gives them.
 
     Each token's probability is its document's theta row times its word's
     phi column.
     """
-    theta, phi = posterior_means(doc_ptr, n_kw, n_k, n_dk, alpha, beta)
     lengths = np.diff(doc_ptr)
     doc_of = np.repeat(np.arange(lengths.shape[0]), lengths)
     p = np.einsum("nk,nk->n", theta[doc_of], phi.T[token_word])
@@ -442,13 +442,12 @@ def _specialised(n_topics):
 class _ListState:
     """A chain as the generated sweep's own lists, kept from sweep to sweep."""
 
-    def __init__(self, doc_ptr, token_word, seeds, idx, arrays):
-        n_kw, n_k, n_dk = arrays.counts()
-        alpha, beta = arrays.alpha, arrays.beta
+    def __init__(self, doc_ptr, token_word, seeds, idx, z, n_kw, n_k, n_dk,
+                 alpha, beta):
         self.alpha, self.beta, self.vb = alpha, beta, n_kw.shape[1] * beta
         self.seeds, self.idx = seeds, idx
         self.ptr, self.words = doc_ptr.tolist(), token_word.tolist()
-        self.zs = arrays.z.tolist()
+        self.zs = z.tolist()
         self.cols, self.nk = n_kw.T.tolist(), n_k.tolist()
         self.rows = n_dk.tolist()
         self.cols_b = (n_kw.T + beta).tolist()

@@ -68,9 +68,6 @@ class LdaConfig:
             if (s - self.burn_in) % self.sample_every == 0
         ]
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class TopicModel:
@@ -160,12 +157,12 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
         kernels.gibbs_sweep(sweep, doc_ptr, token_word, doc_seed, state)
         if not logged and sweep not in retained:
             continue
-        # numpy reads the counts only at these sweeps
-        n_kw, n_k, n_dk = state.counts()
+        # numpy reads the counts only at these sweeps, and makes their
+        # means once for the likelihood and the retained sample alike
+        theta, phi = kernels.posterior_means(doc_ptr, *state.counts(),
+                                             alpha, beta)
         if logged:
-            ll = float(kernels.log_likelihood(
-                doc_ptr, token_word, n_kw, n_k, n_dk, alpha, beta,
-            ))
+            ll = kernels.log_likelihood(doc_ptr, token_word, theta, phi)
             if not np.isfinite(ll):
                 raise NumericalError(f"log-likelihood became {ll} at sweep {sweep}")
             trace.append(ll)
@@ -180,8 +177,6 @@ def fit(dtm, config: LdaConfig) -> TopicModel:
                      (config.iterations - sweep) / sweeps_per_s)
             mark_sweep, mark_time = sweep, now
         if sweep in retained:
-            theta, phi = kernels.posterior_means(doc_ptr, n_kw, n_k, n_dk,
-                                                 alpha, beta)
             theta_acc += theta
             phi_acc += phi
 
@@ -228,19 +223,18 @@ def infer_theta(model: TopicModel, words, seed: int) -> np.ndarray:
     return acc / n
 
 
-def held_out_log_likelihood(model: TopicModel, counts, seed: int | None = None
-                            ) -> tuple[float, float]:
+def held_out_log_likelihood(model: TopicModel, counts) -> tuple[float, float]:
     """(total, per-token) predictive log-likelihood of held-out rows.
 
     Topic weights for each row are inferred with phi fixed, from a seed
-    keyed by the row's position; rows with no tokens contribute nothing.
+    derived from the model's seed and keyed by the row's position; rows
+    with no tokens contribute nothing.
     """
     csr = counts.tocsr()
     if csr.shape[1] != model.phi.shape[1]:
         raise ConfigError(f"held-out rows have {csr.shape[1]} terms, "
                           f"model has {model.phi.shape[1]}")
-    if seed is None:
-        seed = derive_seed(model.config.seed, "lda.heldout")
+    seed = derive_seed(model.config.seed, "lda.heldout")
     doc_ptr, token_word = _expand_tokens(csr)
     if doc_ptr[-1] == 0:
         raise EmptyCorpusError("held-out rows contain no tokens")
@@ -389,7 +383,7 @@ def save_model(model: TopicModel, path: str) -> None:
         meta={
             "format": _MODEL_FORMAT,
             "version": _MODEL_VERSION,
-            "config": model.config.to_dict(),
+            "config": dataclasses.asdict(model.config),
             "vocab_hash": model.vocab_hash,
             "terms": list(model.terms),
             "doc_ids": list(model.doc_ids),

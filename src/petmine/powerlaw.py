@@ -112,14 +112,6 @@ def fit_powerlaw(counts, x_min: int) -> PowerLawFit:
     )
 
 
-def scan_xmin(counts, candidates) -> list[PowerLawFit]:
-    """Fit at each candidate x_min, in the given order."""
-    cands = list(candidates)
-    if not cands:
-        raise ConfigError("no x_min candidates supplied")
-    return [fit_powerlaw(counts, int(c)) for c in cands]
-
-
 def best_by_ks(fits: list[PowerLawFit]) -> PowerLawFit:
     return min(fits, key=lambda f: (f.ks_distance, f.x_min))
 

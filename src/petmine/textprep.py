@@ -68,7 +68,7 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
         )
     else:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(

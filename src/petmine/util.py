@@ -184,16 +184,15 @@ def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
-def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write ``arrays`` (plus optional ``meta`` JSON) to a deterministic zip.
+def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write ``arrays`` and the ``meta`` JSON to a deterministic zip.
 
     Like :func:`write_text`, the archive replaces ``path`` atomically.
     """
     with _replacing(path) as fh, \
             zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
-        if meta is not None:
-            info = zipfile.ZipInfo("meta.json", date_time=_EPOCH)
-            zf.writestr(info, canonical_json(meta))
+        info = zipfile.ZipInfo("meta.json", date_time=_EPOCH)
+        zf.writestr(info, canonical_json(meta))
         for name in sorted(arrays):
             buf = io.BytesIO()
             np.lib.format.write_array(

@@ -207,6 +207,45 @@ def test_intrusion_score_roundtrip(pipeline_out, fixture_paths, tmp_path):
     assert float(by_topic["overall"][2]) == 0.5
 
 
+def test_byte_order_mark_opens_the_answers_and_the_config(
+        pipeline_out, fixture_paths, tmp_path):
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    text = config_path.read_text("utf-8")
+    marked = tmp_path / "config.json"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert cli.load_config(str(marked), {}) == cli.load_config(
+        str(config_path), {})
+    # one answers path for both runs, as the header digests the path
+    answers = tmp_path / "answers.csv"
+    scores = []
+    for name, mark in (("plain", ""), ("marked", "\ufeff")):
+        answers.write_text(mark + "topic,subject,position\n0,s1,2\n1,s1,3\n",
+                           encoding="utf-8")
+        run = tmp_path / name
+        run.mkdir()
+        shutil.copy(os.path.join(out, "model.bin"), run)
+        assert cli.main(["intrusion-score", "--config", str(config_path),
+                         "--answers", str(answers),
+                         "--output-dir", str(run)]) == 0
+        scores.append((run / "intrusion_score.csv").read_bytes())
+    assert scores[1] == scores[0]
+
+
+def test_ingest_logs_the_records_dropped_for_state(fixture_paths, tmp_path,
+                                                   caplog):
+    # the fixture plants one rejected-state record and one malformed one
+    _, _, config_path, _ = fixture_paths
+    with caplog.at_level("INFO", logger="petmine.cli"):
+        assert cli.main(["ingest", "--config", str(config_path),
+                         "--output-dir", str(tmp_path)]) == 0
+    total = corpus.uk_signature_total(
+        corpus.load_corpus(str(tmp_path / "corpus.jsonl")))
+    assert [m for m in caplog.messages if m.startswith("ingest:")] == [
+        f"ingest: 60 accepted, 1 rejected, 1 dropped for state, "
+        f"{total} UK signatures"]
+
+
 def test_intrusion_score_rejects_malformed_answers(pipeline_out,
                                                    fixture_paths, tmp_path):
     _, _, config_path, _ = fixture_paths
@@ -355,6 +394,19 @@ def test_xmin_scan(pipeline_out, fixture_paths):
     assert header == ["x_min", "exponent", "n_tail", "ks_distance", "best"]
     assert [r[0] for r in rows] == ["5", "10", "50"]
     assert sum(int(r[4]) for r in rows) == 1
+
+
+def test_xmin_scan_without_a_feasible_candidate_exits_one(
+        pipeline_out, tmp_path, capsys):
+    # no fixture petition reaches 500,000 signatures, so no candidate is
+    # left to fit
+    out, _ = pipeline_out
+    shutil.copy(os.path.join(out, "corpus.jsonl"), tmp_path)
+    assert cli.main(["xmin-scan", "--output-dir", str(tmp_path),
+                     "--x-mins", "500000"]) == 1
+    assert capsys.readouterr().err == (
+        "petmine: error: no feasible x_min candidate\n")
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
 
 
 def test_xmin_scan_passes_over_a_one_value_tail(tmp_path, monkeypatch,

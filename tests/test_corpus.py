@@ -531,6 +531,34 @@ def test_corpus_rejects_codes_out_of_step_with_constituencies():
     assert loose.uk.tolist() == c.uk.tolist()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_byte_order_mark_opens_an_archive(tmp_path, monkeypatch, n):
+    # two lines of one length, so that with the mark the two-way cut falls
+    # inside its three bytes' reach of the second line's start: only a
+    # first range that counts the mark's bytes leaves that line to the
+    # second range
+    lines = [json.dumps(_record(1)), json.dumps(_record(2))]
+    monkeypatch.setattr(corpus, "_MIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(util, "cores", lambda: n)
+    loaded = []
+    for name, first in (("plain", lines[0]), ("marked", "\ufeff" + lines[0])):
+        c = corpus.load_archive(
+            _write_archive(tmp_path / f"{name}.jsonl", [first, lines[1]]))
+        corpus.save_corpus(c, str(tmp_path / f"{name}.snapshot"))
+        loaded.append((c.ingest_report,
+                       (tmp_path / f"{name}.snapshot").read_bytes()))
+    assert loaded[1] == loaded[0]
+    assert loaded[0][0].rejects == []
+    # one record after the mark is an archive of one petition
+    one = corpus.load_archive(
+        _write_archive(tmp_path / "one.jsonl", ["\ufeff" + lines[0]]))
+    assert one.ids == ["1"] and one.ingest_report.rejects == []
+    # anywhere but the file's start the mark is data, and no JSON
+    inner = corpus.load_archive(_write_archive(
+        tmp_path / "inner.jsonl", [lines[0], "\ufeff" + lines[1]]))
+    assert inner.ingest_report.rejects == [(2, "invalid json")]
+
+
 # ---------------------------------------------------------------------------
 # load_constituencies
 
@@ -542,6 +570,9 @@ def test_load_constituencies(tmp_path):
     cons = corpus.load_constituencies(str(path))
     assert [c.code for c in cons] == ["E1", "E2"]
     assert cons[0].electorate == 70000
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + path.read_text("utf-8"), encoding="utf-8")
+    assert corpus.load_constituencies(str(marked)) == cons
 
 
 @pytest.mark.parametrize("body", [

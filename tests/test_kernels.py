@@ -115,8 +115,8 @@ def test_log_likelihood_matches_numpy_reference():
     doc_ptr, token_word, doc_seed, state = _toy_state()
     n_kw, n_k, n_dk = state.counts()
     alpha, beta = 0.3, 0.05
-    got = kernels.log_likelihood(doc_ptr, token_word, n_kw, n_k, n_dk,
-                                 alpha, beta)
+    got = kernels.log_likelihood(doc_ptr, token_word, *kernels.posterior_means(
+        doc_ptr, n_kw, n_k, n_dk, alpha, beta))
     vocab = n_kw.shape[1]
     phi = (n_kw + beta) / (n_k[:, None] + vocab * beta)
     want = 0.0
@@ -189,11 +189,11 @@ def _arrays(state):
 
 
 def _list_state(doc_ptr, token_word, doc_seed, arrays, alpha, beta):
-    # the rewrite's state from copies of ``arrays``, in either kernel mode
+    # the rewrite's state from ``arrays``, which it copies into its lists,
+    # in either kernel mode
     _, seeds, idx = kernels._token_keys(doc_ptr, doc_seed)
-    copies = [a.copy() for a in arrays]
-    return kernels._ListState(doc_ptr, token_word, seeds, idx,
-                              kernels._ArrayState(*copies, alpha, beta))
+    return kernels._ListState(doc_ptr, token_word, seeds, idx, *arrays, alpha,
+                              beta)
 
 
 # one topic (a single leaf), and odd and even splits of the search tree

@@ -31,6 +31,9 @@ def test_load_stopwords_custom_file(tmp_path):
     path.write_text("# comment\nfoo\nBAR\n\n  baz  \n")
     sw = textprep.load_stopwords(str(path))
     assert sw == frozenset({"foo", "bar", "baz"})
+    # a byte-order mark is not part of the first word
+    path.write_text("\ufefffoo\nBAR\n  baz  \n", encoding="utf-8")
+    assert textprep.load_stopwords(str(path)) == sw
 
 
 def test_clean_tokens_basic(stopwords):

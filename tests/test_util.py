@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -147,11 +148,21 @@ def _truncated(path):
     path.write_bytes(path.read_bytes()[:-30])
 
 
+def _without_meta(path):
+    # the same arrays in a zip with no meta.json member
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()
+                   if name != "meta.json"}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda p: p.write_bytes(b"not a zip at all"), "not a readable test"),
     (lambda p: p.write_bytes(b""), "not a readable test"),
     (_truncated, "not a readable test"),
-    (lambda p: util.save_arrays(str(p), {"x": np.arange(3)}), "not a test"),
+    (_without_meta, "not a test"),
     (lambda p: util.save_arrays(str(p), {"x": np.arange(3)},
                                 {"format": "other", "version": 1}),
      "not a test"),
