@@ -566,6 +566,10 @@ def cmd_intrusion_score(cfg: PipelineConfig) -> int:
         if topic not in by_topic:
             raise ConfigError(
                 f"{where}: answers reference unknown topic {topic}")
+        shown = len(by_topic[topic].shown_words)
+        if not 0 <= position < shown:
+            raise ConfigError(f"{where}: answer position {position} "
+                              f"is outside 0..{shown - 1}")
         picked.append(by_topic[topic])
         answers.append(position)
     score = lda.score_intrusion(picked, answers)

@@ -296,6 +296,28 @@ def test_answer_row_faults_name_the_file_and_line(
         f"petmine: config error: {answers}:7: {fault}\n")
 
 
+@pytest.mark.parametrize("position", [9, -4, 6])
+def test_answer_position_outside_the_shown_words_exits_two(
+        pipeline_out, fixture_paths, tmp_path, capsys, position):
+    # 0 and 5, the ends of the six shown words, pass; the row after them
+    # is refused before anything is written
+    out, _ = pipeline_out
+    _, _, config_path, _ = fixture_paths
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(os.path.join(out, "model.bin"), run)
+    answers = tmp_path / "answers.csv"
+    answers.write_text("topic,subject,position\n0,s1,0\n1,s1,5\n"
+                       f"2,s1,{position}\n", encoding="utf-8")
+    assert cli.main(["intrusion-score", "--config", str(config_path),
+                     "--answers", str(answers),
+                     "--output-dir", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        f"petmine: config error: {answers}:4: answer position {position} "
+        "is outside 0..5\n")
+    assert [p.name for p in run.iterdir()] == ["model.bin"]
+
+
 # four settings whose estimated costs are in the ratio 12:12:13:13
 _GRID_FLAGS = ["--k-values", "2,3", "--alpha-values", "0.1,0.5",
                "--iterations", "20", "--burn-in", "10", "--sample-every", "5",
@@ -1096,18 +1118,22 @@ def test_report_builds_one_distance_matrix_and_solves_each_k_once(
                      ("_pam_exact", 2), ("_pam_exact", 4)]
 
 
-_SCIPY_ON_DEMAND = ("scipy.optimize", "scipy.spatial", "scipy.special")
+# the scipy packages that a command could load on top of numpy and
+# scipy.sparse: only the power-law fits need one, scipy.special
+_SCIPY_HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.spatial",
+                "scipy.special")
 
-# one process runs each command in turn and prints, after the imports and
-# after each command, which of the on-demand scipy packages it has loaded;
-# numba, where installed, is imported first and what it loads is the floor
+# one process runs the given commands in turn and prints, after the
+# imports and after each command, which of the heavy scipy packages it
+# has loaded; numba, where installed, is imported first and what it loads
+# is the floor
 _IMPORT_SCRIPT = """
 import json, sys
 try:
     import numba  # noqa: F401
 except ImportError:
     pass
-config, out, answers, packages = sys.argv[1:5]
+config, out, answers, packages, commands = sys.argv[1:6]
 packages = packages.split(",")
 
 def loaded(step):
@@ -1117,34 +1143,40 @@ loaded("numba")
 from petmine import cli
 loaded("import")
 flags = ["--config", config, "--output-dir", out]
-for command, extra in (("ingest", []), ("fit", []),
-                       ("grid", ["--k-values", "2,3"]),
-                       ("intrusion-score", ["--answers", answers]),
-                       ("report", [])):
-    assert cli.main([command, *flags, *extra]) == 0, command
+extra = {"grid": ["--k-values", "2,3"], "intrusion-score": ["--answers", answers]}
+for command in commands.split(","):
+    assert cli.main([command, *flags, *extra.get(command, [])]) == 0, command
     loaded(command)
 """
 
 
-def test_scipy_optimize_spatial_and_special_load_only_for_report(
-        fixture_paths, tmp_path):
+def test_only_the_power_law_commands_load_scipy_special(fixture_paths,
+                                                        tmp_path):
     _, _, config_path, _ = fixture_paths
     answers = tmp_path / "answers.csv"
     answers.write_text("topic,subject,position\n0,s1,0\n", encoding="utf-8")
     src = str(pathlib.Path(cli.__file__).parents[1])
-    run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_SCRIPT, str(config_path),
-         str(tmp_path / "out"), str(answers), ",".join(_SCIPY_ON_DEMAND)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True)
-    assert run.returncode == 0, run.stderr
-    steps = dict(json.loads(line) for line in run.stdout.splitlines())
-    assert list(steps) == ["numba", "import", "ingest", "fit", "grid",
-                           "intrusion-score", "report"]
-    floor = set(steps.pop("numba"))
-    assert sorted(steps.pop("report")) == sorted(_SCIPY_ON_DEMAND)
-    for step, packages in steps.items():
-        assert set(packages) <= floor, step
+    steps = {}
+    # xmin-scan in a fresh process, so it is not credited with what
+    # report loaded
+    for commands in ("ingest,fit,grid,intrusion-score,report", "xmin-scan"):
+        run = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SCRIPT, str(config_path),
+             str(tmp_path / "out"), str(answers), ",".join(_SCIPY_HEAVY),
+             commands],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True)
+        assert run.returncode == 0, run.stderr
+        lines = [json.loads(line) for line in run.stdout.splitlines()]
+        assert [step for step, _ in lines] == ["numba", "import",
+                                               *commands.split(",")]
+        floor = set(lines[0][1])
+        for step, packages in lines[1:]:
+            steps[step] = set(packages)
+    special = floor | {"scipy.special"}
+    assert steps == {"import": floor, "ingest": floor, "fit": floor,
+                     "grid": floor, "intrusion-score": floor,
+                     "report": special, "xmin-scan": special}
 
 
 @pytest.mark.parametrize("flag", ["--pam-k", "--entropy-window-days",

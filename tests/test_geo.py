@@ -221,6 +221,29 @@ def test_scaling_fit_errors():
 # clustering
 
 
+# scipy's name for each of geo's metrics: cdist is the reference
+_CDIST_METRIC = {"euclidean": "euclidean", "manhattan": "cityblock"}
+
+
+@pytest.mark.parametrize("metric", sorted(geo._METRICS))
+@pytest.mark.parametrize("n", [1, 2, 120, 650])
+@pytest.mark.parametrize("k", [1, 10])
+def test_distances_are_cdist_bytes(metric, n, k):
+    from scipy.spatial.distance import cdist
+    rng = np.random.default_rng(1000 * n + k)
+    # Z-score-like rows at three scales, and repeated rows, whose
+    # distance is exactly zero
+    z = rng.normal(size=(n, k)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    if n > 1:
+        z[-1] = z[0]
+    if n > 2:
+        z[n // 2] = z[1]
+    got = geo._distances(z, metric)
+    want = cdist(z, z, _CDIST_METRIC[metric])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _blobs(n_per=6, spread=0.05, seed=0):
     # two tight blobs of Z-score rows: n_per rows each, the first blob first
     rng = np.random.default_rng(seed)
@@ -526,7 +549,7 @@ def test_silhouette_sweep_clusterings_are_pam_cluster(metric, monkeypatch):
     assert [math.comb(30, k) <= geo._EXACT_BUDGET for k in ks] == \
         [False, True, True, True, False, False, False]
     from scipy.spatial.distance import cdist
-    dist = cdist(z, z, geo._METRICS[metric])
+    dist = cdist(z, z, _CDIST_METRIC[metric])
     builds, starts = [], {}
     build, swap = geo._pam_build, geo._pam_swap
 

@@ -1,5 +1,7 @@
 """Signature-count distribution: CCDF, power-law fitting, divergences."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from petmine import powerlaw
-from petmine.errors import ConfigError, ValidationError
+from petmine.errors import ConfigError, NumericalError, ValidationError
 
 
 def sample_discrete(alpha: float, x_min: int, n: int, seed: int,
@@ -175,6 +177,102 @@ def test_best_by_ks_tie_breaks_low_x_min():
     b = powerlaw.PowerLawFit(x_min=5, exponent=2.1, n_tail=80,
                              ks_distance=0.05)
     assert powerlaw.best_by_ks([a, b]) is b
+
+
+# ---------------------------------------------------------------------------
+# the bounded minimizer, against scipy's as the reference
+
+
+def _counted(func):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return func(x)
+    return wrapped, calls
+
+
+def _both_minimizers(func, bounds, **options):
+    """(x, evaluations, failure) from the in-tree minimizer, and (x,
+    evaluations, status) from ``scipy.optimize.minimize_scalar``."""
+    from scipy.optimize import minimize_scalar
+    ours, our_calls = _counted(func)
+    x, failure = powerlaw._minimize_bounded(ours, *bounds, xatol=1e-10)
+    theirs, their_calls = _counted(func)
+    res = minimize_scalar(theirs, bounds=bounds, method="bounded",
+                          options={"xatol": 1e-10, **options})
+    assert res.nfev == len(their_calls)
+    return (x, len(our_calls), failure), (float(res.x), res.nfev, res.status)
+
+
+def _tails():
+    """200 seeded discrete power-law tails, with their x_min."""
+    rng = np.random.default_rng(29)
+    for case in range(200):
+        if case % 5 == 0:
+            # log-uniform values: the fit lands near the lower alpha bound
+            x_min = 1
+            counts = np.int64(1) << rng.integers(0, int(rng.integers(8, 62)),
+                                                 size=int(rng.integers(5, 300)))
+        elif case % 5 == 1:
+            # a steep tail far from 1: the fit lands at or near alpha = 25
+            x_min = int(rng.integers(200, 800))
+            counts = sample_discrete(float(rng.uniform(20.0, 32.0)), x_min,
+                                     int(rng.integers(20, 300)), seed=case)
+        else:
+            x_min = int(rng.integers(1, 60))
+            counts = sample_discrete(float(rng.uniform(1.5, 6.0)), x_min,
+                                     int(rng.integers(5, 2000)), seed=case)
+        yield counts, x_min
+
+
+def test_minimizer_is_scipys_on_powerlaw_tails():
+    alphas = []
+    for counts, x_min in _tails():
+        tail = counts[counts >= x_min]
+        n, log_sum = tail.size, float(np.log(tail).sum())
+
+        def negll(alpha):
+            return alpha * log_sum + n * math.log(zeta(alpha, x_min))
+
+        ours, theirs = _both_minimizers(negll, powerlaw._ALPHA_BOUNDS)
+        assert ours[:2] == theirs[:2], (x_min, counts.tolist())
+        assert ours[2] is None and theirs[2] == 0
+        assert powerlaw.fit_powerlaw(counts, x_min).exponent == ours[0]
+        alphas.append(ours[0])
+    # both ends of the alpha bounds are reached
+    assert min(alphas) < 1.06 and max(alphas) > 24.99999
+
+
+@pytest.mark.parametrize("center", [-3.0, 0.5, 1.0001, 1.00011, 2.0, 7.25,
+                                    24.99, 25.0, 40.0])
+@pytest.mark.parametrize("shape", ["square", "abs", "quartic"])
+def test_minimizer_is_scipys_on_plain_functions(center, shape):
+    # minima below, at, inside and above the bounds; a parabolic step that
+    # lands within tol2 of an end of the bracket takes scipy's clamp, at
+    # the lower end for the quartic at 1.0001 and the square at 7.25
+    func = {"square": lambda x: (x - center) ** 2,
+            "abs": lambda x: abs(x - center),
+            "quartic": lambda x: (x - center) ** 4 - (x - center) ** 2}[shape]
+    ours, theirs = _both_minimizers(func, powerlaw._ALPHA_BOUNDS)
+    assert ours[:2] == theirs[:2]
+    assert ours[2] is None and theirs[2] == 0
+
+
+def test_minimizer_names_why_it_stopped_short(monkeypatch):
+    # the evaluation budget: scipy's maxiter is the same count
+    monkeypatch.setattr(powerlaw, "_MAX_EVALUATIONS", 5)
+    ours, theirs = _both_minimizers(lambda x: (x - 7.0) ** 2, (1.0, 25.0),
+                                    maxiter=5)
+    assert ours == (theirs[0], 5, "5 evaluations ran out")
+    assert theirs[1:] == (5, 1)
+    with pytest.raises(NumericalError, match="5 evaluations ran out"):
+        powerlaw.fit_powerlaw(sample_discrete(2.0, 5, 500, seed=1), 5)
+    monkeypatch.undo()
+    # a NaN, here from the first evaluation on
+    ours, theirs = _both_minimizers(lambda x: math.nan, (1.0, 25.0))
+    assert ours == (theirs[0], theirs[1], "a NaN appeared")
+    assert theirs[2] == 2
 
 
 # ---------------------------------------------------------------------------
