@@ -4,9 +4,9 @@ Each analysis stage is a subcommand that reads and writes files under a
 single output directory, so stages compose through snapshots rather than
 in-memory state.  All randomness flows from one top-level seed: stage
 seeds are derived as ``derive_seed(seed, "stage:<name>")``, which keeps
-partial reruns reproducible.  Every output file starts with a metadata
-header carrying the tool version, the configuration digest, and the
-seed.
+partial reruns reproducible.  Every CSV and JSON output starts with a
+metadata header carrying the tool version, the configuration digest and
+the seed; a snapshot records its format and version instead.
 """
 
 import argparse
@@ -30,8 +30,8 @@ import numpy as np
 from . import (__version__, corpus, geo, issues, lda, powerlaw, temporal,
                textprep)
 from .errors import ConfigError, PetmineError, ValidationError
-from .util import (check_types, config_digest, derive_seed, write_csv,
-                   write_text)
+from .util import (check_types, config_digest, derive_seed, read_text,
+                   write_csv, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -184,13 +184,10 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     """
     values: dict = {}
     if config_path is not None:
+        text = read_text(config_path, "config file", ConfigError)
         try:
-            with open(config_path, encoding="utf-8-sig") as fh:
-                values = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"{config_path}: config file cannot be read "
-                              f"({exc.strerror})") from None
-        except ValueError as exc:     # not UTF-8 or not JSON
+            values = json.loads(text)
+        except ValueError as exc:
             raise ConfigError(
                 f"{config_path}: config file is not valid JSON ({exc})"
             ) from None
@@ -541,12 +538,7 @@ def cmd_intrusion_score(cfg: PipelineConfig) -> int:
     by_topic = {inst.topic_index: inst for inst in instances}
 
     picked, answers = [], []
-    with open(answers_path, encoding="utf-8-sig", newline="") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"answers file is not UTF-8: {answers_path} "
-                              f"(byte {exc.start})") from None
+    text = read_text(answers_path, "answers file", ConfigError)
     # each row but comments and blank lines, with the line it ends on
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = [(reader.line_num, r) for r in reader

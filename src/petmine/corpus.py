@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .errors import ArchiveFormatError, EmptyCorpusError, ValidationError
 from .util import (Members, canonical_json, chunk_count, fork_map, from_json,
-                   snapshot_meta, write_bytes, write_csv)
+                   read_text, reading, snapshot_meta, write_bytes, write_csv)
 
 log = logging.getLogger(__name__)
 
@@ -146,36 +146,31 @@ def load_constituencies(path: str) -> tuple[ConstituencyMeta, ...]:
     """
     out = []
     seen = set()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    text = read_text(path, "constituency file", ArchiveFormatError)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    required = {"code", "name", "electorate"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ArchiveFormatError(
+            f"{path}: expected CSV header code,name,electorate"
+        )
+    # each row with the line it ends on
+    for i, row in ((reader.line_num, row) for row in reader):
+        code = (row["code"] or "").strip()
+        if not code:
+            raise ArchiveFormatError(f"{path}:{i}: empty constituency code")
+        if code in seen:
+            raise ArchiveFormatError(f"{path}:{i}: duplicate code {code}")
+        if code == UNKNOWN_CODE:
+            # the name of the column that sums unlisted codes
+            raise ArchiveFormatError(
+                f"{path}:{i}: code {UNKNOWN_CODE} is reserved")
+        seen.add(code)
         try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
+            out.append(ConstituencyMeta(code=code, name=row["name"],
+                                        electorate=int(row["electorate"])))
+        except (TypeError, ValueError, ValidationError):
             raise ArchiveFormatError(
-                f"{path}: not UTF-8 (byte {exc.start})") from None
-        reader = csv.DictReader(io.StringIO(text, newline=""))
-        required = {"code", "name", "electorate"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ArchiveFormatError(
-                f"{path}: expected CSV header code,name,electorate"
-            )
-        # each row with the line it ends on
-        for i, row in ((reader.line_num, row) for row in reader):
-            code = (row["code"] or "").strip()
-            if not code:
-                raise ArchiveFormatError(f"{path}:{i}: empty constituency code")
-            if code in seen:
-                raise ArchiveFormatError(f"{path}:{i}: duplicate code {code}")
-            if code == UNKNOWN_CODE:
-                # the name of the column that sums unlisted codes
-                raise ArchiveFormatError(
-                    f"{path}:{i}: code {UNKNOWN_CODE} is reserved")
-            seen.add(code)
-            try:
-                out.append(ConstituencyMeta(code=code, name=row["name"],
-                                            electorate=int(row["electorate"])))
-            except (TypeError, ValueError, ValidationError):
-                raise ArchiveFormatError(
-                    f"{path}:{i}: electorate is not a positive integer") from None
+                f"{path}:{i}: electorate is not a positive integer") from None
     return tuple(out)
 
 
@@ -312,7 +307,7 @@ def _read_chunk(path: str, start: int, end: int,
     line_nos, ids, texts, days, totals, sizes = [], [], [], [], [], []
     keys, counts = [], []
     line_no = 0
-    with open(path, "rb") as fh:
+    with reading(path, "archive", ArchiveFormatError), open(path, "rb") as fh:
         if start:
             # the line that holds byte start - 1 starts in an earlier range
             fh.seek(start - 1)
@@ -394,7 +389,8 @@ def load_archive(path: str,
     of the creation dates.  A record's repeated codes are summed, and so,
     with ``constituencies``, are the codes they do not list, into the
     UNKNOWN column with one warning per code.  Raises EmptyCorpusError
-    when nothing survives.
+    when nothing survives, and ArchiveFormatError when the file cannot be
+    read.
 
     An archive of twice ``_MIN_CHUNK_BYTES`` or more is cut into byte
     ranges of equal size, one per core, and each range reads the lines
@@ -403,7 +399,8 @@ def load_archive(path: str,
     kept is a duplicate, so the result does not depend on how many
     ranges there were.
     """
-    size = os.path.getsize(path)
+    with reading(path, "archive", ArchiveFormatError):
+        size = os.path.getsize(path)
     n = chunk_count(size, _MIN_CHUNK_BYTES)
     cuts = [size * i // n for i in range(n + 1)]
     log.info("reading %s: %d process(es), chunks of %s bytes", path, n,
@@ -617,12 +614,8 @@ def load_corpus(path: str) -> Corpus:
     formed, and the :class:`Corpus` constructor checks the columns' layout.
     Any fault is an ArchiveFormatError naming the file and field.
     """
-    try:
-        with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-    except OSError as exc:
-        raise ArchiveFormatError(
-            f"{path}: snapshot cannot be read ({exc.strerror})") from None
+    with reading(path, "snapshot", ArchiveFormatError), open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
     try:
         head = json.loads(lines[0])
     except (ValueError, RecursionError):

@@ -258,8 +258,8 @@ def posterior_means(doc_ptr, n_kw, n_k, n_dk, alpha, beta):
 
 
 def log_likelihood(doc_ptr, token_word, theta, phi):
-    """Per-token predictive log-likelihood under posterior means ``theta``
-    and ``phi``, as ``posterior_means`` gives them.
+    """Per-token predictive log-likelihood under ``theta`` and ``phi``:
+    a fit's posterior means, or held-out rows' inferred weights.
 
     Each token's probability is its document's theta row times its word's
     phi column.

@@ -230,21 +230,19 @@ def held_out_log_likelihood(model: TopicModel, counts) -> tuple[float, float]:
     derived from the model's seed and keyed by the row's position; rows
     with no tokens contribute nothing.
     """
-    csr = counts.tocsr()
-    if csr.shape[1] != model.phi.shape[1]:
-        raise ConfigError(f"held-out rows have {csr.shape[1]} terms, "
+    if counts.shape[1] != model.phi.shape[1]:
+        raise ConfigError(f"held-out rows have {counts.shape[1]} terms, "
                           f"model has {model.phi.shape[1]}")
     seed = derive_seed(model.config.seed, "lda.heldout")
-    doc_ptr, token_word = _expand_tokens(csr)
+    doc_ptr, token_word = _expand_tokens(counts)
     if doc_ptr[-1] == 0:
         raise EmptyCorpusError("held-out rows contain no tokens")
-    total = 0.0
+    # a row without tokens keeps zero weights, which no token reads
+    theta = np.zeros((counts.shape[0], model.k), dtype=np.float64)
     for d in np.flatnonzero(np.diff(doc_ptr)).tolist():
-        theta = infer_theta(model, token_word[doc_ptr[d]:doc_ptr[d + 1]],
-                            derive_seed(seed, f"row:{d}"))
-        entries = slice(csr.indptr[d], csr.indptr[d + 1])
-        word_p = theta @ model.phi[:, csr.indices[entries]]
-        total += float(np.dot(csr.data[entries], np.log(word_p)))
+        theta[d] = infer_theta(model, token_word[doc_ptr[d]:doc_ptr[d + 1]],
+                               derive_seed(seed, f"row:{d}"))
+    total = kernels.log_likelihood(doc_ptr, token_word, theta, model.phi)
     return total, total / int(doc_ptr[-1])
 
 

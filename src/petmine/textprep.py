@@ -27,16 +27,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 import unicodedata
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import porter
 from .errors import ArchiveFormatError, ConfigError, EmptyCorpusError
-from .util import load_arrays, save_arrays, split_map
+from .util import load_arrays, read_text, save_arrays, split_map
 
 log = logging.getLogger(__name__)
 
@@ -62,22 +62,9 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     ``path``.
     """
     if path is None:
-        text = (
-            resources.files("petmine").joinpath("data/stopwords_en.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(
-                f"stopwords file cannot be read: {path} ({exc.strerror})"
-            ) from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"stopwords file is not UTF-8: {path} (byte {exc.start})"
-            ) from None
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "stopwords_en.txt")
+    text = read_text(path, "stopwords file", ConfigError)
     words = set()
     for line in text.splitlines():
         line = line.strip()

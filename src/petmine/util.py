@@ -1,5 +1,5 @@
 """Deterministic plumbing: seed derivation, canonical serialization,
-artifact I/O and chunked work over forked processes.
+input and artifact I/O and chunked work over forked processes.
 
 Every random procedure in the package draws its seed through
 :func:`derive_seed`, so one master seed fans out into stable, documented
@@ -13,6 +13,7 @@ processes ran never shows in an output; :func:`split_map` cuts the chunks.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import functools
@@ -119,6 +120,31 @@ def _replacing(path: str):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def reading(path: str, what: str, error: type[PetmineError]):
+    """Raise an OSError from the block as ``error``, naming ``path``,
+    ``what`` it is and the operating system's reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"{path}: {what} cannot be read ({exc.strerror})") from None
+
+
+def read_text(path: str, what: str, error: type[PetmineError]) -> str:
+    """The text of UTF-8 input file ``path``, ``\\r`` kept and an opening
+    byte-order mark skipped; ``error`` names ``path`` and ``what`` it is if
+    it cannot be read or a byte, counted from its first, is not UTF-8."""
+    with reading(path, what, error), open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec counts from after the mark it skips
+        mark = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        raise error(f"{path}: {what} is not UTF-8 "
+                    f"(byte {exc.start + mark})") from None
 
 
 def write_text(path: str, text: str) -> None:
@@ -330,7 +356,8 @@ def load_arrays(path: str, format: str,
     arrays = Members(path)
     meta = None
     try:
-        with zipfile.ZipFile(path, "r") as zf:
+        with (reading(path, "snapshot", ArchiveFormatError),
+              zipfile.ZipFile(path, "r") as zf):
             for name in zf.namelist():
                 data = zf.read(name)
                 if name == "meta.json":
@@ -338,9 +365,6 @@ def load_arrays(path: str, format: str,
                 elif name.endswith(".npy"):
                     arrays[name[:-4]] = np.lib.format.read_array(
                         io.BytesIO(data))
-    except OSError as exc:
-        raise ArchiveFormatError(
-            f"{path}: snapshot cannot be read ({exc.strerror})") from None
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise ArchiveFormatError(
             f"{path}: not a readable {format} snapshot ({exc})") from None

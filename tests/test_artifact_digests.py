@@ -37,7 +37,7 @@ UNPINNED = frozenset({
     "prevalence.csv", "network_nodes.csv",
     "network_cooccurrence_edges.csv", "network_cooccurrence_edges_pruned.csv",
     "network_worddist_edges.csv", "network_worddist_edges_pruned.csv",
-    "scaling_raw.json", "scaling_binned.json", "summary.json", "grid.csv",
+    "scaling_raw.json", "scaling_binned.json", "summary.json",
 })
 
 COMMANDS = ("ingest", "fit", "report", "grid", "xmin-scan", "intrusion-score")

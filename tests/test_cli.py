@@ -656,7 +656,7 @@ def test_config_values_of_the_wrong_type_exit_two(
 @pytest.mark.parametrize("text, reason", [
     ("[1]", "config file must hold a JSON object"),
     ('{"pam_k": ', "config file is not valid JSON"),
-    (b"{\"archive\": \"\xff\"}", "config file is not valid JSON"),
+    (b"{\"archive\": \"\xff\"}", "config file is not UTF-8 (byte 13)"),
     (None, "config file cannot be read"),
 ], ids=["not-object", "not-json", "not-utf8", "missing"])
 def test_config_file_faults_name_the_file(tmp_path, capsys, text, reason):
@@ -914,6 +914,66 @@ def test_unreadable_stopwords_exit_two_before_snapshot_read(
                      "--stopwords", str(stopwords)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and reason in err and str(stopwords) in err
+
+
+# each input file: the exit code of a fault in it, and what its messages
+# call it
+_INPUTS = {
+    "archive": (1, "archive"),
+    "constituencies": (1, "constituency file"),
+    "stopwords": (2, "stopwords file"),
+    "answers": (2, "answers file"),
+    "config": (2, "config file"),
+}
+
+
+def _read_input(name, path, pipeline_out, fixture_paths, tmp_path) -> int:
+    """Run the command that reads input ``name`` first, given as ``path``."""
+    archive, _, config_path, _ = fixture_paths
+    out = tmp_path / "out"
+    if name == "answers":
+        # intrusion-score reads the model before the answers
+        out.mkdir()
+        shutil.copy(os.path.join(pipeline_out[0], "model.bin"), out)
+        argv = ["intrusion-score", "--config", str(config_path),
+                "--answers", path]
+    elif name == "stopwords":
+        argv = ["fit", "--stopwords", path]
+    elif name == "config":
+        argv = ["ingest", "--config", path]
+    elif name == "archive":
+        argv = ["ingest", "--archive", path]
+    else:
+        argv = ["ingest", "--archive", str(archive), f"--{name}", path]
+    return cli.main([*argv, "--output-dir", str(out)])
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/mem"),
+                    reason="no /proc/self/mem")
+@pytest.mark.parametrize("name", list(_INPUTS))
+def test_unreadable_input_is_a_named_error(
+        pipeline_out, fixture_paths, tmp_path, capsys, name):
+    # /proc/self/mem is a regular file whose read at offset 0 fails (EIO)
+    path = "/proc/self/mem"
+    code, _ = _INPUTS[name]
+    assert _read_input(name, path, pipeline_out, fixture_paths,
+                       tmp_path) == code
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "cannot be read" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["constituencies", "stopwords", "answers",
+                                  "config"])
+def test_not_utf8_offset_counts_the_byte_order_mark(
+        pipeline_out, fixture_paths, tmp_path, capsys, name):
+    # the bad byte sits at offset 10 of the file, after a 3-byte mark
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbfabc\ndef\xff\n")
+    code, what = _INPUTS[name]
+    assert _read_input(name, str(path), pipeline_out, fixture_paths,
+                       tmp_path) == code
+    assert f"{path}: {what} is not UTF-8 (byte 10)" in capsys.readouterr().err
 
 
 def test_flag_overrides_win_over_file(tmp_path):

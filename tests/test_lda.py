@@ -1,6 +1,7 @@
 """Topic model fitting, inference, intrusion scoring, and snapshots."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -291,11 +292,13 @@ def test_infer_theta_wrong_width(planted):
 
 
 def _held_out_dense_rows(model, counts, seed):
-    """The per-row path ``held_out_log_likelihood`` took before it unrolled
-    its rows once: each row made dense, its words rebuilt from the dense
-    vector, and one ``kernels.infer_doc`` call per row with tokens."""
+    """Each row's topic weights by the per-row path ``held_out_log_likelihood``
+    took before it unrolled its rows once: each row made dense, its words
+    rebuilt from the dense vector, and one ``kernels.infer_doc`` call per
+    row with tokens; and the total of its tokens' log probabilities, one
+    token at a time."""
     csr = counts.tocsr()
-    total, n_tokens = 0.0, 0
+    thetas, total = {}, 0.0
     for d in range(csr.shape[0]):
         row = csr.getrow(d)
         if row.nnz == 0:
@@ -309,14 +312,15 @@ def _held_out_dense_rows(model, counts, seed):
             np.ascontiguousarray(model.phi), float(model.config.alpha),
             lda._INFER_SWEEPS, lda._INFER_BURN_IN, lda._INFER_SAMPLE_EVERY,
             acc)
-        word_p = (acc / n) @ model.phi[:, row.indices]
-        total += float(np.dot(row.data, np.log(word_p)))
-        n_tokens += int(row.data.sum())
-    return total, total / n_tokens
+        thetas[d] = acc / n
+        for w in words.tolist():
+            total += math.log(sum(t * p for t, p in zip(
+                thetas[d].tolist(), model.phi[:, w].tolist())))
+    return thetas, total
 
 
 @pytest.mark.parametrize("dtm_seed", [0, 1, 2])
-def test_held_out_matches_the_dense_row_path(dtm_seed):
+def test_held_out_matches_the_dense_row_path(dtm_seed, monkeypatch):
     # topics that share words, so each row's weights depend on its seed;
     # planted rows repeat words (60 tokens over a 40-word block), and an
     # empty row and a one-token row sit between them, so a row's position
@@ -330,11 +334,21 @@ def test_held_out_matches_the_dense_row_path(dtm_seed):
     empty = sp.csr_matrix((1, 120), dtype=np.int32)
     rows = sp.vstack([held.counts[:2], empty, one_token, held.counts[2:],
                       empty], format="csr")
+    scored = []
+    score = kernels.log_likelihood
+    monkeypatch.setattr(kernels, "log_likelihood",
+                        lambda *args: scored.append(args[2]) or score(*args))
     for seed in (0, 3):
         model = make_model(np.eye(3), phi=phi, seed=seed)
-        want = _held_out_dense_rows(
+        thetas, want = _held_out_dense_rows(
             model, rows, util.derive_seed(seed, "lda.heldout"))
-        assert lda.held_out_log_likelihood(model, rows) == want
+        total, per_token = lda.held_out_log_likelihood(model, rows)
+        theta = scored.pop()
+        assert sorted(thetas) == [0, 1, 3, 4, 5, 6, 7]
+        for d, row in thetas.items():
+            assert theta[d].tobytes() == row.tobytes()
+        assert total == pytest.approx(want, rel=1e-12)
+        assert per_token == total / int(rows.sum())
 
 
 @pytest.mark.parametrize("n_terms", [119, 121])

@@ -1,5 +1,5 @@
-"""Hashing, seed derivation, the deterministic array container, and
-chunked work over forked processes."""
+"""Hashing, seed derivation, the input reader, the deterministic array
+container, and chunked work over forked processes."""
 
 import csv
 import io
@@ -229,6 +229,37 @@ def test_write_text_replaces_and_creates_directories(tmp_path):
     util.write_text(str(path), "zweite Zeile é\n")
     assert path.read_bytes() == "zweite Zeile é\n".encode("utf-8")
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+def test_read_text_skips_one_opening_mark_and_keeps_line_ends(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\r\nb\rc\xef\xbb\xbf\n")
+    assert util.read_text(str(path), "input", ArchiveFormatError) == \
+        "a\r\nb\rc\ufeff\n"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\n")
+    assert util.read_text(str(path), "input", ArchiveFormatError) == \
+        "\ufeffa\n"
+
+
+@pytest.mark.parametrize("content, offset", [
+    (b"ab\xffc", 2), (b"\xef\xbb\xbfab\xffc", 5), (b"\xef\xbbab", 0),
+])
+def test_read_text_names_a_byte_that_is_not_utf8(tmp_path, content, offset):
+    path = tmp_path / "in.txt"
+    path.write_bytes(content)
+    with pytest.raises(PetmineError) as err:
+        util.read_text(str(path), "input", PetmineError)
+    assert str(err.value) == f"{path}: input is not UTF-8 (byte {offset})"
+
+
+def test_read_text_names_a_file_that_cannot_be_read(tmp_path):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(ArchiveFormatError) as err:
+        util.read_text(str(path), "input", ArchiveFormatError)
+    assert str(err.value) == (
+        f"{path}: input cannot be read (No such file or directory)")
+    with pytest.raises(ArchiveFormatError, match="input cannot be read"):
+        util.read_text(str(tmp_path), "input", ArchiveFormatError)
 
 
 # ---------------------------------------------------------------------------
