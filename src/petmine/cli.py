@@ -30,8 +30,8 @@ import numpy as np
 from . import (__version__, corpus, geo, issues, lda, powerlaw, temporal,
                textprep)
 from .errors import ConfigError, PetmineError, ValidationError
-from .util import (check_types, config_digest, derive_seed, read_text,
-                   write_csv, write_text)
+from .util import (check_types, config_digest, derive_seed, float_rows,
+                   read_text, write_csv, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -216,9 +216,9 @@ def _require_input(cfg: PipelineConfig, key: str) -> str:
     if path is None:
         raise ConfigError(f"no {key} path configured: set '{key}' (--{key})")
     if not os.path.exists(path):
-        raise ConfigError(f"{key} not found: {path}")
+        raise ConfigError(f"{path}: {key} not found")
     if not os.path.isfile(path):
-        raise ConfigError(f"{key} is not a regular file: {path}")
+        raise ConfigError(f"{path}: {key} is not a regular file")
     return path
 
 
@@ -364,12 +364,12 @@ def _report_temporal(cfg, model, c):
     days = [d.isoformat() for d in series.dates]
     headers = ["date"] + [f"issue_{k}" for k in range(model.k)]
     write_csv(cfg.path("series_raw.csv"), cfg.meta, headers,
-              [[d, *row] for d, row in zip(days, series.values.tolist())])
+              [[d, *row] for d, row in zip(days, float_rows(series.values))])
     for w in cfg.smoothing_windows:
         smoothed = temporal.smooth(series, w)
         write_csv(cfg.path(f"series_smooth_{w}.csv"), cfg.meta, headers,
                   [[d, *row] for d, row in
-                   zip(days, smoothed.values.tolist())])
+                   zip(days, float_rows(smoothed.values))])
     es = temporal.entropy_series(series, cfg.entropy_window_days)
     try:
         flags = temporal.detect_volatility(es)
@@ -379,8 +379,8 @@ def _report_temporal(cfg, model, c):
     write_csv(cfg.path("entropy.csv"), cfg.meta,
               ["date", "entropy", "pct_change", "flagged", "direction"],
               [[day, h, pct, int(d in flags), flags.get(d, "")]
-               for d, day, h, pct in zip(es.dates, days, es.h.tolist(),
-                                         es.pct_change.tolist())])
+               for d, day, h, pct in zip(es.dates, days, float_rows(es.h),
+                                         float_rows(es.pct_change))])
     mean, std, n = temporal.pct_change_stats(es)
     finite = es.h[np.isfinite(es.h)]
     stats = {
@@ -532,12 +532,9 @@ def cmd_report(cfg: PipelineConfig) -> int:
 
 
 def cmd_intrusion_score(cfg: PipelineConfig) -> int:
+    # the answers are read before the model snapshot, as fit reads its
+    # stopwords first, so a fault in them is not hidden behind the model's
     answers_path = _require_input(cfg, "answers")
-    model = lda.load_model(cfg.path("model.bin"))
-    instances = lda.make_intrusion_instances(model, cfg.stage_seed("intrusion"))
-    by_topic = {inst.topic_index: inst for inst in instances}
-
-    picked, answers = [], []
     text = read_text(answers_path, "answers file", ConfigError)
     # each row but comments and blank lines, with the line it ends on
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -547,6 +544,11 @@ def cmd_intrusion_score(cfg: PipelineConfig) -> int:
                                                        "position"]:
         raise ConfigError(
             f"answers CSV must have header topic,subject,position: {answers_path}")
+    model = lda.load_model(cfg.path("model.bin"))
+    instances = lda.make_intrusion_instances(model, cfg.stage_seed("intrusion"))
+    by_topic = {inst.topic_index: inst for inst in instances}
+
+    picked, answers = [], []
     for line_no, row in rows[1:]:
         where = f"{answers_path}:{line_no}"
         if len(row) != 3:

@@ -104,8 +104,11 @@ def _expand_tokens(counts: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     unrolling does not depend on how the counts were assembled.
     """
     csr = counts.tocsr()
-    csr.sum_duplicates()
-    csr.sort_indices()
+    if not csr.has_canonical_format:
+        # tocsr() hands back a CSR input itself: sort and merge a copy, so
+        # the caller's matrix is left as it was
+        csr = csr.copy()
+        csr.sum_duplicates()
     doc_ptr = np.zeros(csr.shape[0] + 1, dtype=np.int64)
     lengths = np.asarray(csr.sum(axis=1)).ravel().astype(np.int64)
     np.cumsum(lengths, out=doc_ptr[1:])

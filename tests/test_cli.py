@@ -478,17 +478,32 @@ def test_missing_archive_is_usage_error(tmp_path):
     assert cli.main(["ingest", "--config", str(path)]) == 2
 
 
+def _ingest_with(fixture_paths, key, path, out) -> int:
+    """Exit code of `ingest` on the fixture's inputs, input ``key`` at
+    ``path``, writing to ``out``."""
+    inputs = {"archive": fixture_paths[0],
+              "constituencies": fixture_paths[1], key: path}
+    return cli.main(["ingest", "--archive", str(inputs["archive"]),
+                     "--constituencies", str(inputs["constituencies"]),
+                     "--output-dir", str(out)])
+
+
 @pytest.mark.parametrize("key", ["archive", "constituencies"])
 def test_an_input_that_is_a_directory_exits_two_writing_nothing(
         fixture_paths, tmp_path, capsys, key):
-    inputs = {"archive": fixture_paths[0],
-              "constituencies": fixture_paths[1], key: tmp_path}
     out = tmp_path / "out"
-    assert cli.main(["ingest", "--archive", str(inputs["archive"]),
-                     "--constituencies", str(inputs["constituencies"]),
-                     "--output-dir", str(out)]) == 2
-    assert f"{key} is not a regular file: {tmp_path}" in (
+    assert _ingest_with(fixture_paths, key, tmp_path, out) == 2
+    assert f"{tmp_path}: {key} is not a regular file" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["archive", "constituencies"])
+def test_a_missing_input_exits_two_writing_nothing(
+        fixture_paths, tmp_path, capsys, key):
+    missing, out = tmp_path / "no-such-file", tmp_path / "out"
+    assert _ingest_with(fixture_paths, key, missing, out) == 2
+    assert f"{missing}: {key} not found" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -927,14 +942,14 @@ _INPUTS = {
 }
 
 
-def _read_input(name, path, pipeline_out, fixture_paths, tmp_path) -> int:
+def _read_input(name, path, fixture_paths, tmp_path) -> int:
     """Run the command that reads input ``name`` first, given as ``path``."""
     archive, _, config_path, _ = fixture_paths
     out = tmp_path / "out"
     if name == "answers":
-        # intrusion-score reads the model before the answers
+        # an output directory without model.bin: intrusion-score reads the
+        # answers first
         out.mkdir()
-        shutil.copy(os.path.join(pipeline_out[0], "model.bin"), out)
         argv = ["intrusion-score", "--config", str(config_path),
                 "--answers", path]
     elif name == "stopwords":
@@ -952,12 +967,11 @@ def _read_input(name, path, pipeline_out, fixture_paths, tmp_path) -> int:
                     reason="no /proc/self/mem")
 @pytest.mark.parametrize("name", list(_INPUTS))
 def test_unreadable_input_is_a_named_error(
-        pipeline_out, fixture_paths, tmp_path, capsys, name):
+        fixture_paths, tmp_path, capsys, name):
     # /proc/self/mem is a regular file whose read at offset 0 fails (EIO)
     path = "/proc/self/mem"
     code, _ = _INPUTS[name]
-    assert _read_input(name, path, pipeline_out, fixture_paths,
-                       tmp_path) == code
+    assert _read_input(name, path, fixture_paths, tmp_path) == code
     err = capsys.readouterr().err
     assert f"{path}: " in err and "cannot be read" in err
     assert "Traceback" not in err
@@ -966,13 +980,12 @@ def test_unreadable_input_is_a_named_error(
 @pytest.mark.parametrize("name", ["constituencies", "stopwords", "answers",
                                   "config"])
 def test_not_utf8_offset_counts_the_byte_order_mark(
-        pipeline_out, fixture_paths, tmp_path, capsys, name):
+        fixture_paths, tmp_path, capsys, name):
     # the bad byte sits at offset 10 of the file, after a 3-byte mark
     path = tmp_path / "input"
     path.write_bytes(b"\xef\xbb\xbfabc\ndef\xff\n")
     code, what = _INPUTS[name]
-    assert _read_input(name, str(path), pipeline_out, fixture_paths,
-                       tmp_path) == code
+    assert _read_input(name, str(path), fixture_paths, tmp_path) == code
     assert f"{path}: {what} is not UTF-8 (byte 10)" in capsys.readouterr().err
 
 

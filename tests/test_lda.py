@@ -374,6 +374,50 @@ def test_held_out_log_likelihood(planted):
             model, sp.csr_matrix((3, len(model.terms)), dtype=np.int32))
 
 
+def _non_canonical(counts):
+    """``counts`` with each row's entries reversed and every count above
+    one split in two, so no row is sorted or free of duplicates."""
+    data, indices, indptr = [], [], [0]
+    for lo, hi in zip(counts.indptr[:-1].tolist(), counts.indptr[1:].tolist()):
+        for j, v in zip(counts.indices[lo:hi][::-1].tolist(),
+                        counts.data[lo:hi][::-1].tolist()):
+            parts = [1, v - 1] if v > 1 else [v]
+            indices += [j] * len(parts)
+            data += parts
+        indptr.append(len(data))
+    return sp.csr_matrix((np.array(data, counts.dtype), indices, indptr),
+                         shape=counts.shape)
+
+
+def _parts(counts):
+    return [a.copy() for a in (counts.indptr, counts.indices, counts.data)]
+
+
+def test_a_non_canonical_input_is_read_as_its_canonical_copy_and_kept():
+    # term 2 twice, out of order
+    rows = sp.csr_matrix((np.array([1, 2, 3], np.int32), [2, 0, 2], [0, 3]),
+                         shape=(1, 3))
+    model = make_model([[0.5, 0.5]], phi=[[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+    before, canonical = _parts(rows), sp.csr_matrix(rows.toarray())
+    assert (lda.held_out_log_likelihood(model, rows)
+            == lda.held_out_log_likelihood(model, canonical))
+    for got, want in zip(_parts(rows), before):
+        np.testing.assert_array_equal(got, want)
+
+    dtm, _, _ = make_planted_dtm(n_docs=12, tokens_per_doc=10)
+    counts = _non_canonical(dtm.counts)
+    assert not counts.has_canonical_format
+    before = _parts(counts)
+    config = lda.LdaConfig(k=2, iterations=10, burn_in=0, sample_every=5)
+    got = lda.fit(dataclasses.replace(dtm, counts=counts), config)
+    want = lda.fit(dtm, config)
+    assert got.phi.tobytes() == want.phi.tobytes()
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.log_likelihood_trace == want.log_likelihood_trace
+    for got_part, want_part in zip(_parts(counts), before):
+        np.testing.assert_array_equal(got_part, want_part)
+
+
 # ---------------------------------------------------------------------------
 # word intrusion
 

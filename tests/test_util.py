@@ -120,6 +120,31 @@ def test_write_csv_bytes_match_the_csv_module(tmp_path_factory, fieldnames,
     assert list(csv.reader(io.StringIO(text.split("\n", 1)[1]))) == want
 
 
+# floats whose text a shortcut could get wrong: zeros of both signs, NaNs
+# of other payloads and signs, infinities, subnormals, and values on either
+# side of 1e16 and 1e-5, where repr switches between plain and exponent form
+_FLOAT_BITS = [0x7FF8000000000001, 0x7FF0000000000001, -0x0008000000000000,
+               0x7FF8DEADBEEF0000]
+_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308,
+           9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,
+           9.999999999999999e-06, 1e-05, 1.0000000000000001e-05, -1e-05,
+           0.1, 1 / 3] + np.array(_FLOAT_BITS).view(np.float64).tolist()
+
+
+@pytest.mark.parametrize("shape", [(727,), (1, 1), (1, 2), (1, 10), (727, 1),
+                                   (727, 2), (727, 10)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_float_rows_are_the_str_of_each_value(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = np.array(_FLOATS)[rng.integers(len(_FLOATS), size=shape)]
+    # a long run of one value, as a sparse daily series has
+    values.reshape(-1)[: values.size // 2] = 1 / 7
+    values.reshape(-1)[:2] = [0.0, -0.0][: values.size]
+    want = ([str(v) for v in values.tolist()] if values.ndim == 1 else
+            [[str(v) for v in row] for row in values.tolist()])
+    assert util.float_rows(values) == want
+
+
 def test_save_load_arrays_roundtrip(tmp_path):
     path = str(tmp_path / "arrays.bin")
     arrays = {
