@@ -30,8 +30,8 @@ import numpy as np
 from . import (__version__, corpus, geo, issues, lda, powerlaw, temporal,
                textprep)
 from .errors import ConfigError, PetmineError, ValidationError
-from .util import (check_types, config_digest, derive_seed, float_rows,
-                   read_text, write_csv, write_text)
+from .util import (check_types, config_digest, derive_seed, read_text,
+                   transpose, write_csv, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -276,23 +276,33 @@ def cmd_fit(cfg: PipelineConfig) -> int:
     stopwords = textprep.load_stopwords(cfg.stopwords)
     c = corpus.load_corpus(cfg.path("corpus.jsonl"))
     dtm = textprep.build_dtm(c, stopwords, cfg.min_doc_fraction)
+    # the word tables and intrusion instances need six distinct words a
+    # topic and an intruder, so a smaller vocabulary is refused unsampled
+    n_terms = len(dtm.vocabulary.terms)
+    if n_terms < lda.MIN_TERMS:
+        raise ConfigError(
+            f"the vocabulary has {n_terms} terms (document frequency >= "
+            f"{dtm.prune_report.df_threshold}, from min_doc_fraction "
+            f"{cfg.min_doc_fraction}); fit needs at least {lda.MIN_TERMS}")
     textprep.save_dtm(dtm, cfg.path("dtm.bin"))
     model = lda.fit(dtm, lda_cfg)
     lda.save_model(model, cfg.path("model.bin"))
     write_csv(cfg.path("ll_trace.csv"), cfg.meta,
               ["sweep", "log_likelihood"],
-              list(zip(model.trace_sweeps, model.log_likelihood_trace)))
+              [model.trace_sweeps, model.log_likelihood_trace])
 
+    topics = range(model.k)
+    words = [f"word{i}" for i in range(1, 7)]
     write_csv(cfg.path("topic_names.csv"), cfg.meta,
-              ["topic_index", "name"], list(enumerate(names)))
-    write_csv(cfg.path("top_words.csv"), cfg.meta,
-              ["topic", "name"] + [f"word{i}" for i in range(1, 7)],
-              [[t, names[t]] + lda.top_words(model, t, 6)
-               for t in range(model.k)])
+              ["topic_index", "name"], [topics, names])
+    write_csv(cfg.path("top_words.csv"), cfg.meta, ["topic", "name", *words],
+              [topics, names, *transpose(
+                  [lda.top_words(model, t, 6) for t in topics], 6)])
     instances = lda.make_intrusion_instances(model, cfg.stage_seed("intrusion"))
     write_csv(cfg.path("intrusion_instances.csv"), cfg.meta,
-              ["topic"] + [f"word{i}" for i in range(1, 7)],
-              [[inst.topic_index, *inst.shown_words] for inst in instances])
+              ["topic", *words],
+              [[inst.topic_index for inst in instances],
+               *transpose([inst.shown_words for inst in instances], 6)])
     log.info("fit: k=%d, vocabulary=%d, %d retained samples",
              model.k, len(model.terms), len(model.config.retained_sweeps()))
     return 0
@@ -310,16 +320,14 @@ def _report_prevalence(cfg, model, c, names):
         columns += [f"success_{t}", f"success_smoothed_{t}"]
         table += success[t]
     write_csv(cfg.path("prevalence.csv"), cfg.meta, columns,
-              [[k, names[k], *row] for k, row in
-               enumerate(zip(*(column.tolist() for column in table)))])
+              [range(model.k), names, *table])
     return prev, success
 
 
 def _report_networks(cfg, model, prev, names):
     write_csv(cfg.path("network_nodes.csv"), cfg.meta,
               ["topic", "name", "signatures"],
-              [[k, names[k], mass]
-               for k, mass in enumerate(prev.by_signatures.tolist())])
+              [range(model.k), names, prev.by_signatures])
     nets = {
         "network_cooccurrence": issues.co_occurrence_network(model),
         "network_worddist": issues.word_distribution_network(model),
@@ -328,10 +336,11 @@ def _report_networks(cfg, model, prev, names):
     for stem, weights in nets.items():
         edges = issues.edge_list(weights)
         write_csv(cfg.path(f"{stem}_edges.csv"), cfg.meta,
-                  ["source", "target", "weight"], edges)
+                  ["source", "target", "weight"], transpose(edges, 3))
         pruned = issues.prune_network(weights, NETWORK_KEEP_FRACTION)
         write_csv(cfg.path(f"{stem}_edges_pruned.csv"), cfg.meta,
-                  ["source", "target", "weight"], issues.edge_list(pruned))
+                  ["source", "target", "weight"],
+                  transpose(issues.edge_list(pruned), 3))
         if edges:
             i, j, _ = max(edges, key=lambda e: (e[2], -e[0], -e[1]))
             strongest[stem] = [i, j]
@@ -364,12 +373,11 @@ def _report_temporal(cfg, model, c):
     days = [d.isoformat() for d in series.dates]
     headers = ["date"] + [f"issue_{k}" for k in range(model.k)]
     write_csv(cfg.path("series_raw.csv"), cfg.meta, headers,
-              [[d, *row] for d, row in zip(days, float_rows(series.values))])
+              [days, *series.values.T])
     for w in cfg.smoothing_windows:
         smoothed = temporal.smooth(series, w)
         write_csv(cfg.path(f"series_smooth_{w}.csv"), cfg.meta, headers,
-                  [[d, *row] for d, row in
-                   zip(days, float_rows(smoothed.values))])
+                  [days, *smoothed.values.T])
     es = temporal.entropy_series(series, cfg.entropy_window_days)
     try:
         flags = temporal.detect_volatility(es)
@@ -378,9 +386,9 @@ def _report_temporal(cfg, model, c):
         flags = {}
     write_csv(cfg.path("entropy.csv"), cfg.meta,
               ["date", "entropy", "pct_change", "flagged", "direction"],
-              [[day, h, pct, int(d in flags), flags.get(d, "")]
-               for d, day, h, pct in zip(es.dates, days, float_rows(es.h),
-                                         float_rows(es.pct_change))])
+              [days, es.h, es.pct_change,
+               [int(d in flags) for d in es.dates],
+               [flags.get(d, "") for d in es.dates]])
     mean, std, n = temporal.pct_change_stats(es)
     finite = es.h[np.isfinite(es.h)]
     stats = {
@@ -418,16 +426,16 @@ def _report_geo(cfg, model, c):
     result = sweep[cfg.pam_k][0]
     labels = result.labels.tolist()
     write_csv(cfg.path("clusters.csv"), cfg.meta, ["code", "cluster"],
-              sorted(zip(codes, labels)))
+              transpose(sorted(zip(codes, labels)), 2))
     shares = geo.cluster_issue_profile(profiles.share[rows], result.labels,
                                        cfg.pam_k)
     write_csv(cfg.path("cluster_issue_shares.csv"), cfg.meta,
               ["cluster"] + [f"share_{k}" for k in range(k_issues)],
-              [[i, *row] for i, row in enumerate(shares.tolist())])
+              [range(len(shares)), *shares.T])
 
     silhouette = {k: sweep[k][1] for k in ks}
     write_csv(cfg.path("silhouette.csv"), cfg.meta, ["k", "score"],
-              silhouette.items())
+              [list(silhouette), list(silhouette.values())])
 
     cluster = [""] * len(profiles.meta)
     for i, label in zip(rows.tolist(), labels):
@@ -437,11 +445,10 @@ def _report_geo(cfg, model, c):
               ["code", "name", "electorate", "total_signatures", "per_elector"]
               + [f"share_{k}" for k in range(k_issues)]
               + [f"z_{k}" for k in range(k_issues)] + ["cluster"],
-              [[m.code, m.name, m.electorate, total, pe, *share, *z_row, cl]
-               for m, total, pe, share, z_row, cl in zip(
-                   profiles.meta, profiles.totals.tolist(),
-                   per_elector.tolist(), profiles.share.tolist(),
-                   profiles.z.tolist(), cluster)])
+              [*transpose([(m.code, m.name, m.electorate)
+                           for m in profiles.meta], 3),
+               profiles.totals, per_elector, *profiles.share.T,
+               *profiles.z.T, cluster])
 
     stats = {
         "scaling": scaling,
@@ -461,8 +468,7 @@ def _report_geo(cfg, model, c):
 def _report_powerlaw(cfg, c):
     counts = c.uk
     cc = powerlaw.ccdf(counts)
-    write_csv(cfg.path("ccdf.csv"), cfg.meta, ["x", "p"],
-              zip(cc.x.tolist(), cc.p.tolist()))
+    write_csv(cfg.path("ccdf.csv"), cfg.meta, ["x", "p"], [cc.x, cc.p])
     # fit below the first threshold: behavior changes once a petition
     # crosses it, so the power law is only claimed for the region before
     truncated = counts[counts <= cfg.thresholds[0]] if cfg.thresholds else counts
@@ -576,7 +582,8 @@ def cmd_intrusion_score(cfg: PipelineConfig) -> int:
                 for t in sorted(score.per_topic)]
     rows_out.append(["overall", len(answers), score.overall, ""])
     write_csv(cfg.path("intrusion_score.csv"), cfg.meta,
-              ["topic", "n_answers", "accuracy", "flagged"], rows_out)
+              ["topic", "n_answers", "accuracy", "flagged"],
+              transpose(rows_out, 4))
     log.info("intrusion-score: overall accuracy %.3f, %d topics flagged",
              score.overall, len(score.flagged))
     return 0
@@ -599,7 +606,8 @@ def cmd_grid(cfg: PipelineConfig) -> int:
                  k, alpha, beta, per_token)
     write_csv(cfg.path("grid.csv"), cfg.meta,
               ["k", "alpha", "beta", "train_log_likelihood",
-               "holdout_log_likelihood", "holdout_per_token"], rows)
+               "holdout_log_likelihood", "holdout_per_token"],
+              transpose(rows, 6))
     return 0
 
 
@@ -625,8 +633,8 @@ def cmd_xmin_scan(cfg: PipelineConfig) -> int:
     best = powerlaw.best_by_ks(fits)
     write_csv(cfg.path("xmin_scan.csv"), cfg.meta,
               ["x_min", "exponent", "n_tail", "ks_distance", "best"],
-              [[f.x_min, f.exponent, f.n_tail, f.ks_distance,
-                int(f.x_min == best.x_min)] for f in fits])
+              transpose([[f.x_min, f.exponent, f.n_tail, f.ks_distance,
+                          int(f.x_min == best.x_min)] for f in fits], 5))
     log.info("xmin-scan: KS-minimizing x_min=%d (alpha=%.4f)",
              best.x_min, best.exponent)
     return 0
@@ -648,7 +656,10 @@ def _flag_type(hint):
     return _flag_type(args[0]) if args else hint
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: each
+    subcommand stores the name of the function that runs it."""
     # one flag per setting, named after its config key
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
@@ -669,32 +680,33 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"petmine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the commands are looked up now, not at import, so a replaced one runs
     for name, command, about in (
-            ("ingest", cmd_ingest, "parse the archive into a corpus snapshot"),
-            ("fit", cmd_fit, "fit the topic model and export top words"),
-            ("report", cmd_report, "run all analytics and write the summary"),
-            ("intrusion-score", cmd_intrusion_score,
+            ("ingest", "cmd_ingest",
+             "parse the archive into a corpus snapshot"),
+            ("fit", "cmd_fit", "fit the topic model and export top words"),
+            ("report", "cmd_report",
+             "run all analytics and write the summary"),
+            ("intrusion-score", "cmd_intrusion_score",
              "score annotator answers against the hidden intruders"),
-            ("grid", cmd_grid,
+            ("grid", "cmd_grid",
              "sweep sampler settings against held-out likelihood"),
-            ("xmin-scan", cmd_xmin_scan,
+            ("xmin-scan", "cmd_xmin_scan",
              "fit the signature tail at every cutoff candidate")):
         sub.add_parser(name, parents=[common], help=about
-                       ).set_defaults(func=command)
+                       ).set_defaults(run=command)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config,
                           {dest: getattr(args, dest) for dest in _FLAGS})
-        # the output directory is made by the first file written to it
-        return args.func(cfg)
+        # the command is looked up now, so a replaced one runs; the output
+        # directory is made by the first file written to it
+        return globals()[args.run](cfg)
     except ConfigError as exc:
         print(f"petmine: config error: {exc}", file=sys.stderr)
         return 2

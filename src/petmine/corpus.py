@@ -39,7 +39,8 @@ import scipy.sparse as sp
 
 from .errors import ArchiveFormatError, EmptyCorpusError, ValidationError
 from .util import (Members, canonical_json, chunk_count, fork_map, from_json,
-                   read_text, reading, snapshot_meta, write_bytes, write_csv)
+                   read_text, reading, snapshot_meta, transpose, write_bytes,
+                   write_csv)
 
 log = logging.getLogger(__name__)
 
@@ -664,4 +665,4 @@ def load_corpus(path: str) -> Corpus:
 
 
 def write_rejects_report(report: IngestReport, path: str, meta: dict) -> None:
-    write_csv(path, meta, ["line_no", "reason"], report.rejects)
+    write_csv(path, meta, ["line_no", "reason"], transpose(report.rejects, 2))

@@ -285,6 +285,11 @@ def grid_rows(train_dtm, hold_counts, configs: list[LdaConfig]) -> list[list]:
 # Word intrusion
 # ---------------------------------------------------------------------------
 
+# an instance shows a topic's top five words and an intruder from outside
+# them, which must lie at or below the topic's median
+MIN_TERMS = 7
+
+
 @dataclass(frozen=True)
 class IntrusionInstance:
     topic_index: int
@@ -299,8 +304,8 @@ def make_intrusion_instances(model: TopicModel, seed: int) -> list[IntrusionInst
     topic is at or below the topic's median (excluding the top-5 words
     themselves, so the six shown words are always distinct).
     """
-    if len(model.terms) < 7:
-        raise ConfigError("need a vocabulary of at least 7 terms")
+    if len(model.terms) < MIN_TERMS:
+        raise ConfigError(f"need a vocabulary of at least {MIN_TERMS} terms")
     instances = []
     for t in range(model.k):
         top5 = top_words(model, t, 5)

@@ -162,58 +162,86 @@ def write_bytes(path: str, parts) -> None:
         fh.writelines(parts)
 
 
-def write_csv(path: str, meta: dict, fieldnames: list[str], rows) -> None:
+def write_csv(path: str, meta: dict, fieldnames: list[str], columns) -> None:
     """Write a CSV file with a ``#``-comment metadata header.
 
-    ``rows`` is an iterable of sequences aligned with ``fieldnames``.
-    Values are formatted with ``str``; callers pass Python scalars (take
-    rows from ``ndarray.tolist()``), whose ``str`` is about twice as fast
-    as a NumPy scalar's, and format floats beforehand when a fixed
-    precision is wanted.  A float64 table whose values repeat reads faster
-    from :func:`float_rows`, which formats each distinct value once and
-    gives the same text.  A value holding a comma, a quote or a line break
-    (``\r`` or ``\n``) is quoted, so every row reads back with the csv
-    module.
+    ``columns`` holds one sequence per field of ``fieldnames``, all of one
+    length; a table of another width, or a column of another length, is a
+    ValueError and nothing is written.  Each column is turned into text
+    once.  The float64 arrays among them take ``str`` once per distinct
+    value (:func:`_float_text`); another array goes through ``tolist`` and
+    any other sequence straight to ``str``, so pass Python scalars, whose
+    ``str`` is about twice as fast as a NumPy scalar's, and format floats
+    beforehand when a fixed precision is wanted.  A value holding a comma,
+    a quote or a line break (``\r`` or ``\n``) is quoted, so every row
+    reads back with the csv module.
 
-    A row is written as its fields joined with commas, unless the line
-    holds a quote, ``\r`` or ``\n``, or more commas than separators, or
-    the row is one empty field.  Only such a row can have a field that the
-    csv module quotes, and it goes through ``csv.writer``, whose rule
-    stays the only quoting rule.  That writer ends its rows with ``\r\n``,
-    which makes it quote a lone ``\r`` on every Python version, and the
-    row's ``\r\n`` becomes ``\n``.
+    The rows are their fields joined with commas, and the csv module's
+    quoting rule is checked once on the whole text: it holds no quote or
+    ``\r``, as many ``\n`` and commas as the table's shape implies, and no
+    row of one empty field.  Only when that check fails are the rows that
+    break it found and written through ``csv.writer``, whose rule stays
+    the only quoting rule.  That writer ends its rows with ``\r\n``, which
+    makes it quote a lone ``\r`` on every Python version, and the row's
+    ``\r\n`` becomes ``\n``.
     """
-    out = io.StringIO()
-    out.writelines(line + "\n" for line in metadata_lines(meta))
-    quoted = io.StringIO()
-    writer = csv.writer(quoted, lineterminator="\r\n")
-    for row in itertools.chain([fieldnames], rows):
-        fields = list(map(str, row))
-        line = ",".join(fields)
-        if ('"' in line or "\r" in line or "\n" in line
-                or line.count(",") > len(fields) - 1 or fields == [""]):
-            quoted.seek(0)
-            quoted.truncate()
-            writer.writerow(fields)
-            line = quoted.getvalue()[:-2]
-        out.write(line + "\n")
-    write_text(path, out.getvalue())
+    width = len(fieldnames)
+    if len(columns) != width or not width:
+        raise ValueError(f"{path}: {len(columns)} columns for the fields "
+                         f"{fieldnames}")
+    texts = [[str(name), *text]
+             for name, text in zip(fieldnames, _column_texts(columns))]
+    lines = list(map(",".join, zip(*texts, strict=True)))
+    body = "\n".join(lines)
+    if ('"' in body or "\r" in body or body.count("\n") != len(lines) - 1
+            or body.count(",") != (width - 1) * len(lines)
+            or (width == 1 and "" in texts[0])):
+        quoted = io.StringIO()
+        writer = csv.writer(quoted, lineterminator="\r\n")
+        for i, fields in enumerate(zip(*texts)):
+            line = lines[i]
+            if ('"' in line or "\r" in line or "\n" in line
+                    or line.count(",") > width - 1 or fields == ("",)):
+                quoted.seek(0)
+                quoted.truncate()
+                writer.writerow(fields)
+                lines[i] = quoted.getvalue()[:-2]
+        body = "\n".join(lines)
+    write_text(path, "".join(line + "\n" for line in metadata_lines(meta))
+               + body + "\n")
 
 
-def float_rows(values: np.ndarray) -> list:
-    """``[[str(v) for v in row] for row in values.tolist()]`` for a float64
-    array ``values`` (a flat list if it is 1-D), with ``str`` taken once per
-    distinct value.
+def _column_texts(columns) -> list[list[str]]:
+    """The text of each field of each column; the float64 arrays' text
+    comes from one :func:`_float_text` over them all."""
+    is_float = [isinstance(c, np.ndarray) and c.dtype == np.float64
+                for c in columns]
+    floats = [c for c, f in zip(columns, is_float) if f]
+    text = iter(_float_text(np.concatenate(floats)) if floats else ())
+    return [list(itertools.islice(text, len(c))) if f
+            else list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
+            for c, f in zip(columns, is_float)]
+
+
+def _float_text(values: np.ndarray) -> list[str]:
+    """``[str(v) for v in values.tolist()]`` for a 1-D float64 array
+    ``values``, with ``str`` taken once per distinct value.
 
     Values are told apart by their bits, not compared as floats: ``0.0``
     and ``-0.0`` are equal but print differently, and NaNs of any payload
     all print ``nan``, so equal bits always give the same text.
     """
-    keys, inverse = np.unique(values.ravel().view(np.int64),
-                              return_inverse=True)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
     text = np.array([str(v) for v in keys.view(np.float64).tolist()],
                     dtype=object)
-    return text[inverse].reshape(values.shape).tolist()
+    return text[inverse].tolist()
+
+
+def transpose(rows, width: int) -> list:
+    """The ``width`` columns of ``rows``, sequences of ``width`` fields
+    each; no rows give ``width`` empty columns, so a table of them is its
+    header alone.  Rows of unequal width are a ValueError."""
+    return list(zip(*rows, strict=True)) or [()] * width
 
 
 # ---------------------------------------------------------------------------

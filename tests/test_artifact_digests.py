@@ -1,7 +1,9 @@
 """Every artifact's bytes, pinned by its sha256.
 
 The six commands run on the fixture archive with short settings, and each
-file they write is compared with ``tests/data/artifact_digests.json``.
+file they write is compared with ``tests/data/artifact_digests.json``;
+every CSV among them reads back with the csv module, each row as wide as
+its header.
 They run from a fresh working directory with relative input paths,
 because the ``# config:`` header digests the configured paths.
 
@@ -12,6 +14,7 @@ A change that moves bytes on purpose regenerates the digest file::
 and names the files whose digests changed.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -21,6 +24,7 @@ import sys
 import tempfile
 
 import numpy as np
+import pytest
 import scipy
 
 from petmine import cli, kernels
@@ -43,9 +47,9 @@ UNPINNED = frozenset({
 COMMANDS = ("ingest", "fit", "report", "grid", "xmin-scan", "intrusion-score")
 
 
-def artifact_digests() -> dict[str, str]:
-    """Run every command in the current directory; the sha256 of each
-    file written, by name."""
+def run_commands() -> pathlib.Path:
+    """Run every command in the current directory; the directory they
+    wrote to."""
     write_fixture_archive(pathlib.Path("."))
     config = json.loads(pathlib.Path("config.json").read_text("utf-8"))
     config.update(lda={"k": 3, "iterations": 40, "burn_in": 20,
@@ -59,7 +63,11 @@ def artifact_digests() -> dict[str, str]:
         "utf-8")
     for command in COMMANDS:
         assert cli.main([command, "--config", "config.json"]) == 0, command
-    out = pathlib.Path(config["output_dir"])
+    return pathlib.Path(config["output_dir"]).resolve()
+
+
+def artifact_digests(out: pathlib.Path) -> dict[str, str]:
+    """The sha256 of each file in ``out``, by name."""
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
 
@@ -70,9 +78,16 @@ def _versions() -> str:
             f"scipy {scipy.__version__}, {mode} kernels")
 
 
-def test_artifact_bytes_match_the_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    got = artifact_digests()
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """The directory the six commands wrote, from one run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("commands"))
+        return run_commands()
+
+
+def test_artifact_bytes_match_the_pinned_digests(artifacts):
+    got = artifact_digests(artifacts)
     want = json.loads(DIGESTS.read_text("utf-8"))
     assert UNPINNED <= set(got), sorted(UNPINNED - set(got))
     pinned = {name: digest for name, digest in got.items()
@@ -83,13 +98,25 @@ def test_artifact_bytes_match_the_pinned_digests(tmp_path, monkeypatch):
                         f"{', '.join(differ)} ({_versions()})")
 
 
+def test_every_csv_reads_back_as_wide_as_its_header(artifacts):
+    tables = sorted(artifacts.glob("*.csv"))
+    assert len(tables) == 23
+    for path in tables:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = [row for row in csv.reader(fh)
+                             if not row[0].startswith("#")]
+        assert rows, path.name
+        assert {len(row) for row in rows} == {len(header)}, path.name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
         home = os.getcwd()
         os.chdir(directory)
         try:
             digests = {name: digest
-                       for name, digest in artifact_digests().items()
+                       for name, digest in artifact_digests(
+                           run_commands()).items()
                        if name not in UNPINNED}
         finally:
             os.chdir(home)

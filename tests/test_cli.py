@@ -19,7 +19,7 @@ import pytest
 from petmine import cli, corpus, geo, kernels, lda, util
 from petmine.errors import ConfigError, NumericalError
 
-from conftest import write_fixture_archive
+from conftest import make_petition, write_fixture_archive
 
 EXPECTED_ARTIFACTS = {
     "corpus.jsonl", "rejects.csv",
@@ -770,6 +770,29 @@ def test_every_setting_has_exactly_one_flag(tmp_path, monkeypatch):
             assert cfg.seed == 0 and cfg.lda_config().seed == value
 
 
+def test_the_parser_is_built_once_and_runs_a_replaced_command(
+        fixture_paths, tmp_path, monkeypatch):
+    # a build adds the subcommands once
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kw: built.append(self)
+                        or add_subparsers(self, **kw))
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.main(["ingest", "--archive", str(fixture_paths[0]),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        # a command replaced after the parser was built still runs
+        ran = []
+        monkeypatch.setattr(cli, "cmd_ingest",
+                            lambda cfg: ran.append(cfg.output_dir) or 0)
+        assert cli.main(["ingest", "--output-dir", str(tmp_path / "b")]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert ran == [str(tmp_path / "b")]
+
+
 def test_config_types_accept_an_int_for_a_float(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"lda": {"alpha": 1, "seed": None}}),
@@ -858,6 +881,28 @@ def test_fit_checks_topic_names_before_any_work(fixture_paths, tmp_path,
     assert cli.main(["fit", "--config", str(config_path),
                      "--output-dir", str(out), "--topic-names", "a,b"]) == 2
     assert "2 topic names for 3 topics" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl",
+                                                     "rejects.csv"]
+
+
+def test_fit_refuses_a_vocabulary_too_small_before_sampling(tmp_path, capsys):
+    # 12 petitions of 4 words: every word passes the document-frequency
+    # threshold, but an intrusion instance needs 7 terms
+    words = ["housing", "school", "tax", "road"]
+    archive = tmp_path / "archive.jsonl"
+    archive.write_text("".join(json.dumps(make_petition(
+        i, {}, created=f"2016-01-{i:02d}", action=" ".join(words[i % 4:]),
+        background=" ".join(words))) + "\n" for i in range(1, 13)),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--archive", str(archive),
+                     "--output-dir", str(out)]) == 0
+    assert cli.main(["fit", "--output-dir", str(out), "--k", "2",
+                     "--iterations", "20", "--burn-in", "10",
+                     "--sample-every", "5", "--min-doc-fraction", "0.01"]) == 2
+    assert ("config error: the vocabulary has 4 terms (document frequency "
+            ">= 1, from min_doc_fraction 0.01); fit needs at least 7"
+            in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl",
                                                      "rejects.csv"]
 
@@ -1272,7 +1317,8 @@ def test_counts_below_one_exit_two_before_report_writes(
 def test_report_tables_hold_python_scalars(pipeline_out, fixture_paths,
                                            tmp_path, monkeypatch):
     # str(float) is the artifacts' text and about twice as fast as
-    # str(np.float64), so no table hands write_csv a NumPy scalar
+    # str(np.float64), so no column but an array, which write_csv turns
+    # into text itself, hands write_csv a NumPy scalar
     out, _ = pipeline_out
     _, _, config_path, _ = fixture_paths
     for name in ("corpus.jsonl", "model.bin"):
@@ -1280,12 +1326,12 @@ def test_report_tables_hold_python_scalars(pipeline_out, fixture_paths,
     real = cli.write_csv
     numpy_cells = {}
 
-    def spy(path, meta, fieldnames, rows):
-        rows = [list(row) for row in rows]
-        found = [v for row in rows for v in row if isinstance(v, np.generic)]
+    def spy(path, meta, fieldnames, columns):
+        found = [v for column in columns if not isinstance(column, np.ndarray)
+                 for v in column if isinstance(v, np.generic)]
         if found:
             numpy_cells[os.path.basename(path)] = type(found[0]).__name__
-        return real(path, meta, fieldnames, rows)
+        return real(path, meta, fieldnames, columns)
 
     monkeypatch.setattr(cli, "write_csv", spy)
     assert cli.main(["report", "--config", str(config_path),

@@ -61,7 +61,7 @@ def test_config_digest_stable():
 def test_metadata_lines_and_write_csv(tmp_path):
     path = tmp_path / "x.csv"
     util.write_csv(str(path), {"tool": "t 1", "seed": 5}, ["a", "b"],
-                   [[1, 2], [3, 4]])
+                   [[1, 3], [2, 4]])
     text = path.read_text()
     assert text == "# tool: t 1\n# seed: 5\na,b\n1,2\n3,4\n"
 
@@ -71,13 +71,24 @@ def test_write_csv_quotes_commas_quotes_and_newlines(tmp_path):
     rows = [["E14000905", "Ross, Skye and Lochaber", 1.5],
             [0, 'the "bedroom tax"', None],
             [1, "line one\nline two", ""]]
-    util.write_csv(str(path), {"tool": "t 1"}, ["code", "name", "value"], rows)
+    util.write_csv(str(path), {"tool": "t 1"}, ["code", "name", "value"],
+                   util.transpose(rows, 3))
     with open(path, encoding="utf-8", newline="") as fh:
         assert fh.readline() == "# tool: t 1\n"
         read = list(csv.reader(fh))
     assert read[0] == ["code", "name", "value"]
     assert read[1:] == [[str(v) for v in row] for row in rows]
 
+
+# floats whose text a shortcut could get wrong: zeros of both signs, NaNs
+# of other payloads and signs, infinities, subnormals, and values on either
+# side of 1e16 and 1e-5, where repr switches between plain and exponent form
+_FLOAT_BITS = [0x7FF8000000000001, 0x7FF0000000000001, -0x0008000000000000,
+               0x7FF8DEADBEEF0000]
+_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308,
+           9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,
+           9.999999999999999e-06, 1e-05, 1.0000000000000001e-05, -1e-05,
+           0.1, 1 / 3] + np.array(_FLOAT_BITS).view(np.float64).tolist()
 
 _CSV_CHARS = list(',"\r\n a\u00e9\u4e2d\U0001f600')
 # each special character alone too, so a row that only it makes special
@@ -88,7 +99,25 @@ _CSV_VALUE = (_CSV_TEXT | st.integers() | st.none() | st.booleans()
               | st.floats(allow_nan=True, allow_infinity=True)
               | st.sampled_from([float("nan"), float("inf"), float("-inf"),
                                  -0.0]))
-_CSV_ROW = st.lists(_CSV_VALUE, max_size=5) | st.sampled_from([[""], []])
+_FLOAT_VALUE = st.sampled_from(_FLOATS) | st.floats()
+
+
+@st.composite
+def _tables(draw):
+    """A header and columns of 1-5 fields and 0-6 rows: lists of any
+    value, float64 arrays, or (one field wide) empty fields alone."""
+    width, n = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    fieldnames = draw(st.lists(_CSV_TEXT, min_size=width, max_size=width))
+    if width == 1 and draw(st.booleans()):
+        return fieldnames, [[""] * n]
+    columns = []
+    for _ in range(width):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(
+                _FLOAT_VALUE, min_size=n, max_size=n)), dtype=np.float64))
+        else:
+            columns.append(draw(st.lists(_CSV_VALUE, min_size=n, max_size=n)))
+    return fieldnames, columns
 
 
 def _rows_quoting_cr(rows):
@@ -103,46 +132,74 @@ def _rows_quoting_cr(rows):
     return out.getvalue()
 
 
-@given(fieldnames=st.lists(_CSV_TEXT, max_size=5),
-       rows=st.lists(_CSV_ROW, max_size=6))
-# one row for each reason a row goes through the csv module, and the rows
-# of no field and of one field that needs none
-@example(fieldnames=["a\rb"], rows=[["x", 'say "hi"'], ["p\nq"], ["E1", "a, b"],
-                                     [""], [], [None, True, -0.0]])
-def test_write_csv_bytes_match_the_csv_module(tmp_path_factory, fieldnames,
-                                              rows):
+@given(table=_tables())
+# one table for each reason a row goes through the csv module, one of empty
+# fields alone, and one of float64 columns that need no quoting
+@example(table=(["a\rb", "c"], [["x", "p\nq", "E1", None, "-"],
+                                 ['say "hi"', "r", "a, b", True, ""]]))
+@example(table=([""], [["", "x", ""]]))
+@example(table=(["f", "g", "h"], [np.array(_FLOATS), list(range(21)),
+                                  np.array(_FLOATS[::-1])]))
+def test_write_csv_bytes_match_the_csv_module(tmp_path_factory, table):
+    fieldnames, columns = table
     path = tmp_path_factory.mktemp("csv") / "x.csv"
-    util.write_csv(str(path), {"tool": "t 1"}, fieldnames, rows)
-    want = [[str(v) for v in row] for row in [fieldnames, *rows]]
+    util.write_csv(str(path), {"tool": "t 1"}, fieldnames, columns)
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    want = [[str(v) for v in row] for row in [fieldnames, *zip(*values)]]
     text = path.read_bytes().decode("utf-8")
     assert text == "# tool: t 1\n" + _rows_quoting_cr(want)
     # so every row, "\r" and all, reads back
     assert list(csv.reader(io.StringIO(text.split("\n", 1)[1]))) == want
 
 
-# floats whose text a shortcut could get wrong: zeros of both signs, NaNs
-# of other payloads and signs, infinities, subnormals, and values on either
-# side of 1e16 and 1e-5, where repr switches between plain and exponent form
-_FLOAT_BITS = [0x7FF8000000000001, 0x7FF0000000000001, -0x0008000000000000,
-               0x7FF8DEADBEEF0000]
-_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308,
-           9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,
-           9.999999999999999e-06, 1e-05, 1.0000000000000001e-05, -1e-05,
-           0.1, 1 / 3] + np.array(_FLOAT_BITS).view(np.float64).tolist()
+@pytest.mark.parametrize("fieldnames, columns", [
+    (["a", "b"], [[1, 2], [3]]),                       # a column short
+    (["a", "b"], [[1, 2], [3, 4, 5]]),                 # a column long
+    (["a", "b"], [np.arange(2.0), np.arange(3.0)]),    # float64 columns
+    (["a", "b"], [np.arange(2.0), [1, 2, 3]]),
+    (["a", "b", "c"], [[1, 2], [3, 4]]),               # too few columns
+    (["a"], [[1, 2], [3, 4]]),                         # too many
+    ([], []),                                          # no field at all
+    (["a", "b"], util.transpose([], 3)),               # empty rows, 3 wide
+], ids=["short", "long", "floats", "mixed", "too-few", "too-many", "empty",
+        "empty-rows"])
+def test_write_csv_refuses_a_table_of_the_wrong_shape(tmp_path, fieldnames,
+                                                      columns):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError):
+        util.write_csv(str(path), {"tool": "t 1"}, fieldnames, columns)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_transpose_keeps_the_header_and_refuses_ragged_rows(tmp_path):
+    path = tmp_path / "x.csv"
+    util.write_csv(str(path), {}, ["a", "b"], util.transpose([], 2))
+    assert path.read_text() == "a,b\n"
+    assert util.transpose([(1, "x"), (2, "y")], 2) == [(1, 2), ("x", "y")]
+    with pytest.raises(ValueError):
+        util.transpose([(1, "x"), (2,)], 2)
 
 
 @pytest.mark.parametrize("shape", [(727,), (1, 1), (1, 2), (1, 10), (727, 1),
                                    (727, 2), (727, 10)],
                          ids=lambda shape: "x".join(map(str, shape)))
-def test_float_rows_are_the_str_of_each_value(shape):
+def test_float_rows_are_the_str_of_each_value(tmp_path, shape):
     rng = np.random.default_rng(sum(shape))
     values = np.array(_FLOATS)[rng.integers(len(_FLOATS), size=shape)]
     # a long run of one value, as a sparse daily series has
     values.reshape(-1)[: values.size // 2] = 1 / 7
     values.reshape(-1)[:2] = [0.0, -0.0][: values.size]
-    want = ([str(v) for v in values.tolist()] if values.ndim == 1 else
-            [[str(v) for v in row] for row in values.tolist()])
-    assert util.float_rows(values) == want
+    rows = values.reshape(len(values), -1)
+    # the float64 columns, with a column of text after the first one, as
+    # the daily tables' dates precede theirs
+    labels = [f"r{i}" for i in range(len(rows))]
+    columns = [rows[:, 0], labels, *rows.T[1:]]
+    util.write_csv(str(tmp_path / "x.csv"), {},
+                   [f"c{j}" for j in range(len(columns))], columns)
+    want = [[str(row[0]), label, *map(str, row[1:])]
+            for row, label in zip(rows.tolist(), labels)]
+    _, *got = (tmp_path / "x.csv").read_text().split("\n")[:-1]
+    assert got == [",".join(row) for row in want]
 
 
 def test_save_load_arrays_roundtrip(tmp_path):
